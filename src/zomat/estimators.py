@@ -71,7 +71,6 @@ class GradEstimate:
 
     grad: np.ndarray
     queries_used: int
-    perturbation_seed: int
 
 
 def perturbation(seed: int, query_index: int, block_index: int, shape) -> np.ndarray:
@@ -131,11 +130,7 @@ def rge_full(obj, x: ParamSpace, cfg: EstimatorConfig, seed: int) -> dict:
             accum[name] += coef * d
     used = cfg.queries_per_call
     return {
-        name: GradEstimate(
-            grad=accum[name] / cfg.n_queries,
-            queries_used=used,
-            perturbation_seed=int(seed),
-        )
+        name: GradEstimate(grad=accum[name] / cfg.n_queries, queries_used=used)
         for name in x.names
     }
 
@@ -201,9 +196,9 @@ def subspace_rge(
     z_est, lifted_est = {}, {}
     for name in x.names:
         gz = accum_z[name] / cfg.n_queries
-        z_est[name] = GradEstimate(gz, used, int(seed))
+        z_est[name] = GradEstimate(gz, used)
         lifted = mats[name] @ gz if name in mats else gz
-        lifted_est[name] = GradEstimate(lifted, used, int(seed))
+        lifted_est[name] = GradEstimate(lifted, used)
     return z_est, lifted_est
 
 
@@ -244,8 +239,6 @@ def lge_lozo(obj, x: ParamSpace, a_factors, b_factors, mu: float, seed: int = 0)
     minus = x.updated({name: x[name] - mu * d for name, d in deltas.items()})
     coef = (_evaluate(obj, plus, seed) - _evaluate(obj, minus, seed)) / (2.0 * mu)
     return {
-        name: GradEstimate(
-            grad=coef * deltas[name], queries_used=2, perturbation_seed=int(seed)
-        )
+        name: GradEstimate(grad=coef * deltas[name], queries_used=2)
         for name in x.names
     }

@@ -10,7 +10,6 @@ problem admits them and serve as the ground-truth anchor for estimator tests.
 from __future__ import annotations
 
 import csv
-import threading
 
 import numpy as np
 
@@ -24,9 +23,10 @@ class EvaluationError(RuntimeError):
 class Objective:
     """A scalar objective over a ParamSpace with exact query accounting.
 
-    ``evaluate`` increments the query counter by exactly one per call and is
-    safe to call from concurrent threads.  ``loss`` computes the same value
-    without counting (the oracle/reporting channel).
+    ``evaluate`` increments the query counter by exactly one per call and
+    rejects a non-finite value.  ``loss`` computes the same value without
+    counting (the oracle/reporting channel) and without the check.  Not
+    thread-safe: the counters are plain integers with a single caller.
     """
 
     def __init__(self, name, loss_fn, initial_params, gradient_fn=None, descriptor=None):
@@ -36,7 +36,6 @@ class Objective:
         self._initial = initial_params
         self.descriptor = dict(descriptor or {})
         self.descriptor.setdefault("name", name)
-        self._lock = threading.Lock()
         self._query_count = 0
         self._eval_count = 0
 
@@ -59,15 +58,13 @@ class Objective:
 
     def evaluate(self, x: ParamSpace) -> float:
         value = float(self._loss_fn(x))
-        with self._lock:
-            self._query_count += 1
+        self._query_count += 1
         if not np.isfinite(value):
             raise EvaluationError(f"objective {self.name!r} returned {value}")
         return value
 
     def loss(self, x: ParamSpace) -> float:
-        with self._lock:
-            self._eval_count += 1
+        self._eval_count += 1
         return float(self._loss_fn(x))
 
     def analytic_gradient(self, x: ParamSpace):

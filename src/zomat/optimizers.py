@@ -21,15 +21,17 @@ so every trajectory is reproducible and blocks never share a Gaussian stream.
 
 from __future__ import annotations
 
+import math
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import estimators, linalg
 from .estimators import CENTRAL, FORWARD, EstimatorConfig
 from .linalg import NumericalError, Projection
+from .objectives import EvaluationError
 from .params import MATRIX, ParamSpace, partition
 
 MEZO = "mezo"
@@ -102,12 +104,14 @@ class OptimizerConfig:
 
 @dataclass
 class OptimizerState:
-    """Mutable per-run state: step counter, live projections, sketch momentum."""
+    """Mutable per-run state: step counter, live projections, sketch momentum
+    and the LOZO left factors, each kept as (epoch, A) per block name."""
 
     rng_root_seed: int = 0
     step: int = 0
     projections: dict = field(default_factory=dict)
     sketch_momentum: dict = field(default_factory=dict)
+    lozo_left: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -122,6 +126,9 @@ class StepRecord:
 
 @dataclass(frozen=True)
 class RunResult:
+    """A run's trace rows, final iterate, gradient-estimation queries and
+    un-counted trace-loss evaluations (one per row)."""
+
     records: tuple
     final_params: ParamSpace
     queries: int
@@ -195,27 +202,16 @@ def _update_sketch_momentum(state, cfg, lifted):
         state.sketch_momentum[name] = beta * prev + (1.0 - beta) * est.grad
 
 
-def _finish_step(obj, state, new_x):
-    state.step += 1
-    record = StepRecord(
-        step=state.step,
-        queries=obj.query_count,
-        loss=obj.loss(new_x),
-        elapsed_ms=0.0,
-    )
-    return new_x, record
-
-
 def step_zo_sgd(obj, x, cfg, state, scheme=FORWARD):
     """Full-space descent step X <- X - eta * g with g from the configured
     difference scheme."""
     est_cfg = EstimatorConfig(mu=cfg.mu, n_queries=cfg.n_queries, scheme=scheme)
     seed = derive_seed(state.rng_root_seed, _TAG_ESTIMATE, state.step)
     grads = estimators.rge_full(obj, x, est_cfg, seed)
-    new_x = x.updated(
+    state.step += 1
+    return x.updated(
         {name: x[name] - cfg.learning_rate * est.grad for name, est in grads.items()}
     )
-    return _finish_step(obj, state, new_x)
 
 
 def step_mezo(obj, x, cfg, state):
@@ -232,15 +228,16 @@ def step_subspace_mezo(obj, x, cfg, state):
     seed = derive_seed(state.rng_root_seed, _TAG_ESTIMATE, state.step)
     _, lifted = estimators.subspace_rge(obj, x, state.projections, est_cfg, seed)
     _update_sketch_momentum(state, cfg, lifted)
-    new_x = x.updated(
+    state.step += 1
+    return x.updated(
         {name: x[name] - cfg.learning_rate * est.grad for name, est in lifted.items()}
     )
-    return _finish_step(obj, state, new_x)
 
 
 def step_lozo(obj, x, cfg, state):
     """Two-factor low-rank step; the left factor is resampled every
-    ``resample_interval`` steps, the right factor every step."""
+    ``resample_interval`` steps (drawn once per epoch and held in the state),
+    the right factor every step."""
     t = state.step
     epoch = t - t % cfg.resample_interval
     a_factors, b_factors = {}, {}
@@ -248,20 +245,23 @@ def step_lozo(obj, x, cfg, state):
         idx = x.index(name)
         m, n = x[name].shape
         r = _block_rank(cfg, (m, n))
-        a_rng = np.random.default_rng(
-            np.random.SeedSequence((state.rng_root_seed, _TAG_LOZO_A, epoch, idx))
-        )
+        held = state.lozo_left.get(name)
+        if held is None or held[0] != epoch:
+            a_rng = np.random.default_rng(
+                np.random.SeedSequence((state.rng_root_seed, _TAG_LOZO_A, epoch, idx))
+            )
+            held = state.lozo_left[name] = (epoch, a_rng.standard_normal((m, r)))
         b_rng = np.random.default_rng(
             np.random.SeedSequence((state.rng_root_seed, _TAG_LOZO_B, t, idx))
         )
-        a_factors[name] = a_rng.standard_normal((m, r))
+        a_factors[name] = held[1]
         b_factors[name] = b_rng.standard_normal((r, n))
     seed = derive_seed(state.rng_root_seed, _TAG_ESTIMATE, t)
     grads = estimators.lge_lozo(obj, x, a_factors, b_factors, cfg.mu, seed=seed)
-    new_x = x.updated(
+    state.step += 1
+    return x.updated(
         {name: x[name] - cfg.learning_rate * est.grad for name, est in grads.items()}
     )
-    return _finish_step(obj, state, new_x)
 
 
 def step_zo_muon(obj, x, cfg, state):
@@ -292,7 +292,8 @@ def step_zo_muon(obj, x, cfg, state):
         else:
             direction = lifted[name].grad
         updates[name] = x[name] - cfg.learning_rate * direction
-    return _finish_step(obj, state, x.updated(updates))
+    state.step += 1
+    return x.updated(updates)
 
 
 def step_fo_sgd(grad_oracle, x, learning_rate):
@@ -364,9 +365,12 @@ def run(obj, x0, cfg: OptimizerConfig, optimizer_kind: str, seed: int, eval_ever
 
     Records (step, cumulative queries, loss at the unperturbed iterate,
     elapsed wall ms) at step 0, every ``eval_every`` steps and at the final
-    step.  Trace losses go through the un-counted evaluation channel and are
-    reported apart from the gradient-estimation queries.  Deterministic for a
-    fixed seed except for the elapsed times.
+    step.  Trace losses go through the un-counted evaluation channel, one per
+    recorded row, and are reported as ``eval_queries`` apart from the
+    gradient-estimation queries.  A non-finite trace loss raises
+    :class:`EvaluationError`.  Any error raised during the run carries the rows
+    recorded before it as ``partial_trace``.  Deterministic for a fixed seed
+    except for the elapsed times.
     """
     if optimizer_kind not in _STEPPERS:
         raise ValueError(
@@ -382,25 +386,28 @@ def run(obj, x0, cfg: OptimizerConfig, optimizer_kind: str, seed: int, eval_ever
     eval_start = obj.eval_count
     records = []
     t0 = time.perf_counter()
-    if cfg.total_steps > 0:
-        records.append(
-            StepRecord(step=0, queries=0, loss=obj.loss(x), elapsed_ms=0.0)
-        )
-    for t in range(cfg.total_steps):
-        try:
-            x, record = stepper(obj, x, cfg, state)
-        except Exception as exc:
-            # step errors propagate with the trace gathered so far attached
-            exc.partial_trace = tuple(records)
-            raise
-        if (t + 1) % eval_every == 0 or (t + 1) == cfg.total_steps:
-            records.append(
-                replace(
-                    record,
-                    queries=obj.query_count - start_queries,
-                    elapsed_ms=(time.perf_counter() - t0) * 1e3,
-                )
+
+    def record(elapsed_ms):
+        loss = obj.loss(x)
+        if not math.isfinite(loss):
+            raise EvaluationError(
+                f"objective {obj.name!r} returned {loss} at step {state.step}"
             )
+        records.append(
+            StepRecord(state.step, obj.query_count - start_queries, loss, elapsed_ms)
+        )
+
+    try:
+        if cfg.total_steps > 0:
+            record(0.0)
+        while state.step < cfg.total_steps:
+            x = stepper(obj, x, cfg, state)
+            if state.step % eval_every == 0 or state.step == cfg.total_steps:
+                record((time.perf_counter() - t0) * 1e3)
+    except Exception as exc:
+        # errors propagate with the trace gathered so far attached
+        exc.partial_trace = tuple(records)
+        raise
     return RunResult(
         records=tuple(records),
         final_params=x,

@@ -23,7 +23,9 @@ class ParamSpace:
     """Ordered, named matrix blocks with per-block kinds.
 
     Immutable by convention: optimizer steps produce new spaces via
-    :meth:`updated` instead of writing into block arrays.
+    :meth:`updated` instead of writing into block arrays.  Construction
+    checks every block (2-d, positive dims, finite); :meth:`updated` only
+    checks names and shapes, since it runs once per query.
     """
 
     def __init__(self, blocks, kinds=None):
@@ -41,6 +43,7 @@ class ParamSpace:
         for name, kind in self._kinds.items():
             if kind not in _KINDS:
                 raise ValueError(f"block {name!r} has invalid kind {kind!r}")
+        self._index = {name: i for i, name in enumerate(self._blocks)}
 
     @property
     def names(self) -> tuple:
@@ -64,7 +67,7 @@ class ParamSpace:
 
     def index(self, name: str) -> int:
         """Position of a block in the fixed ordering (used for seed splits)."""
-        return self.names.index(name)
+        return self._index[name]
 
     @property
     def n_params(self) -> int:
@@ -77,8 +80,13 @@ class ParamSpace:
         )
 
     def updated(self, changes) -> "ParamSpace":
-        """New space with some blocks replaced; shapes must be preserved."""
-        blocks = {name: value for name, value in self._blocks.items()}
+        """New space with some blocks replaced; shapes must be preserved.
+
+        The result shares this space's kinds and ordering and skips the
+        finiteness scan of construction: a non-finite iterate surfaces as a
+        non-finite objective value, which callers check.
+        """
+        blocks = dict(self._blocks)
         for name, value in changes.items():
             if name not in blocks:
                 raise KeyError(f"unknown block {name!r}")
@@ -89,7 +97,9 @@ class ParamSpace:
                     f"{blocks[name].shape} to {arr.shape}"
                 )
             blocks[name] = arr
-        return ParamSpace(blocks, kinds=self._kinds)
+        new = object.__new__(type(self))
+        new._blocks, new._kinds, new._index = blocks, self._kinds, self._index
+        return new
 
     def allclose(self, other: "ParamSpace", rtol=1e-12, atol=1e-12) -> bool:
         if self.names != other.names:

@@ -56,7 +56,7 @@ class TestMezo:
     def test_constant_function_leaves_params_unchanged(self):
         obj = constant_objective()
         x = obj.initial_params
-        new_x, _ = optimizers.step_mezo(obj, x, cfg_for(MEZO), OptimizerState())
+        new_x = optimizers.step_mezo(obj, x, cfg_for(MEZO), OptimizerState())
         assert np.array_equal(new_x["x"], x["x"])
 
     def test_two_queries_per_step(self):
@@ -73,7 +73,7 @@ class TestMezo:
             x = obj.initial_params
             before = obj.loss(x)
             cfg = cfg_for(MEZO, learning_rate=1e-4)
-            new_x, _ = optimizers.step_mezo(obj, x, cfg, OptimizerState(rng_root_seed=seed))
+            new_x = optimizers.step_mezo(obj, x, cfg, OptimizerState(rng_root_seed=seed))
             if obj.loss(new_x) < before:
                 decreases += 1
         assert decreases >= 60
@@ -90,14 +90,14 @@ class TestSubspaceMezo:
     def test_constant_function_leaves_params_unchanged(self):
         obj = constant_objective()
         x = obj.initial_params
-        new_x, _ = optimizers.step_subspace_mezo(obj, x, cfg_for(SUBSPACE_MEZO), OptimizerState())
+        new_x = optimizers.step_subspace_mezo(obj, x, cfg_for(SUBSPACE_MEZO), OptimizerState())
         assert np.array_equal(new_x["x"], x["x"])
 
     def test_update_lies_in_projection_column_space(self):
         obj = quad_objective()
         x = obj.initial_params
         state = OptimizerState(rng_root_seed=1)
-        new_x, _ = optimizers.step_subspace_mezo(obj, x, cfg_for(SUBSPACE_MEZO), state)
+        new_x = optimizers.step_subspace_mezo(obj, x, cfg_for(SUBSPACE_MEZO), state)
         p = state.projections["x"].matrix
         delta = new_x["x"] - x["x"]
         assert np.max(np.abs(delta - p @ (p.T @ delta))) <= 1e-10
@@ -114,13 +114,13 @@ class TestLozo:
     def test_constant_function_leaves_params_unchanged(self):
         obj = constant_objective()
         x = obj.initial_params
-        new_x, _ = optimizers.step_lozo(obj, x, cfg_for(LOZO), OptimizerState())
+        new_x = optimizers.step_lozo(obj, x, cfg_for(LOZO), OptimizerState())
         assert np.array_equal(new_x["x"], x["x"])
 
     def test_update_rank_bounded(self):
         obj = quad_objective(shape=(10, 9))
         x = obj.initial_params
-        new_x, _ = optimizers.step_lozo(obj, x, cfg_for(LOZO, rank=3), OptimizerState())
+        new_x = optimizers.step_lozo(obj, x, cfg_for(LOZO, rank=3), OptimizerState())
         s = np.linalg.svd(new_x["x"] - x["x"], compute_uv=False)
         assert s[3] / s[0] <= 1e-10
 
@@ -139,7 +139,7 @@ class TestLozo:
         x = obj.initial_params
         deltas = []
         for _ in range(4):
-            new_x, _ = optimizers.step_lozo(obj, x, cfg, state)
+            new_x = optimizers.step_lozo(obj, x, cfg, state)
             deltas.append(new_x["x"] - x["x"])
             x = new_x
         in_epoch = np.hstack(deltas[:3])
@@ -149,12 +149,25 @@ class TestLozo:
         s = np.linalg.svd(crossing, compute_uv=False)
         assert s[2] / s[0] > 1e-6  # step 3 resampled A
 
+    def test_held_left_factor_matches_fresh_draw(self):
+        # a state that holds the epoch's left factor and a fresh state that
+        # draws it from the stream take bit-identical steps
+        obj = quad_objective(shape=(8, 6), seed=2)
+        cfg = cfg_for(LOZO, rank=2, resample_interval=3, learning_rate=1e-3)
+        state = OptimizerState(rng_root_seed=7)
+        x = obj.initial_params
+        for _ in range(2):
+            x = optimizers.step_lozo(obj, x, cfg, state)
+        held = optimizers.step_lozo(obj, x, cfg, state)
+        fresh = optimizers.step_lozo(obj, x, cfg, OptimizerState(rng_root_seed=7, step=2))
+        assert np.array_equal(held["x"], fresh["x"])
+
 
 class TestZoMuon:
     def test_constant_function_leaves_params_unchanged(self):
         obj = constant_objective()
         x = obj.initial_params
-        new_x, _ = optimizers.step_zo_muon(obj, x, cfg_for(ZO_MUON), OptimizerState())
+        new_x = optimizers.step_zo_muon(obj, x, cfg_for(ZO_MUON), OptimizerState())
         assert np.array_equal(new_x["x"], x["x"])
 
     def test_update_in_column_space_with_unit_singular_values(self):
@@ -162,7 +175,7 @@ class TestZoMuon:
         x = obj.initial_params
         state = OptimizerState(rng_root_seed=2)
         cfg = cfg_for(ZO_MUON, rank=4)
-        new_x, _ = optimizers.step_zo_muon(obj, x, cfg, state)
+        new_x = optimizers.step_zo_muon(obj, x, cfg, state)
         delta = new_x["x"] - x["x"]
         p = state.projections["x"].matrix
         assert np.max(np.abs(delta - p @ (p.T @ delta))) <= 1e-10
@@ -181,7 +194,7 @@ class TestZoMuon:
         obj = quad_objective(shape=(12, 10))
         x = obj.initial_params
         cfg = cfg_for(ZO_MUON, rank=4)
-        new_x, _ = optimizers.step_zo_muon(obj, x, cfg, OptimizerState(rng_root_seed=3))
+        new_x = optimizers.step_zo_muon(obj, x, cfg, OptimizerState(rng_root_seed=3))
         norm = np.linalg.norm(new_x["x"] - x["x"])
         expected = cfg.learning_rate * np.sqrt(4)
         assert abs(norm - expected) <= 1e-8 * expected
@@ -193,7 +206,7 @@ class TestZoMuon:
         for scale in (1.0, 1000.0):
             obj = quad_objective(shape=(9, 7), seed=4, scale=scale)
             x = obj.initial_params
-            new_x, _ = optimizers.step_zo_muon(obj, x, cfg, OptimizerState(rng_root_seed=6))
+            new_x = optimizers.step_zo_muon(obj, x, cfg, OptimizerState(rng_root_seed=6))
             results.append(new_x["x"] - x["x"])
         assert np.max(np.abs(results[0] - results[1])) <= 1e-8
 
@@ -206,7 +219,7 @@ class TestZoMuon:
             obj = quad_objective(shape=(8, 6), seed=5, scale=scale)
             x = obj.initial_params
             with pytest.warns(UserWarning, match="n_queries=1"):
-                new_x, _ = optimizers.step_zo_muon(
+                new_x = optimizers.step_zo_muon(
                     obj, x, cfg, OptimizerState(rng_root_seed=7)
                 )
             deltas.append(new_x["x"] - x["x"])
@@ -230,8 +243,8 @@ class TestZoMuon:
         state_a = OptimizerState(rng_root_seed=9)
         state_b = OptimizerState(rng_root_seed=9)
         for _ in range(5):
-            xa, _ = optimizers.step_zo_muon(obj_a, xa, cfg, state_a)
-            xb, _ = optimizers.step_zo_sgd(obj_b, xb, cfg, state_b, scheme=FORWARD)
+            xa = optimizers.step_zo_muon(obj_a, xa, cfg, state_a)
+            xb = optimizers.step_zo_sgd(obj_b, xb, cfg, state_b, scheme=FORWARD)
             assert np.array_equal(xa["b"], xb["b"])
         assert obj_a.query_count == obj_b.query_count
 
@@ -249,7 +262,7 @@ class TestResampling:
             snapshots.append(None)
             optimizers._ensure_projections(state, cfg, x)
             snapshots[-1] = state.projections["x"].matrix.copy()
-            x, _ = optimizers.step_zo_muon(obj, x, cfg, state)
+            x = optimizers.step_zo_muon(obj, x, cfg, state)
         for t in range(1, len(snapshots)):
             same = np.array_equal(snapshots[t], snapshots[t - 1])
             if t % interval == 0:
@@ -264,7 +277,7 @@ class TestResampling:
         x = obj.initial_params
         seen = []
         for _ in range(101):
-            x, _ = optimizers.step_zo_muon(obj, x, cfg, state)
+            x = optimizers.step_zo_muon(obj, x, cfg, state)
             seen.append(state.projections["x"].matrix.copy())
         for t in range(99):
             assert np.array_equal(seen[t], seen[t + 1])
@@ -303,10 +316,10 @@ class TestResampling:
         state = OptimizerState(rng_root_seed=13)
         x = obj.initial_params
         for _ in range(2):
-            x, _ = optimizers.step_zo_muon(obj, x, cfg, state)
+            x = optimizers.step_zo_muon(obj, x, cfg, state)
         assert np.linalg.norm(state.sketch_momentum["x"]) > 0
         before = state.projections["x"].matrix.copy()
-        x, _ = optimizers.step_zo_muon(obj, x, cfg, state)  # step 2 resamples
+        x = optimizers.step_zo_muon(obj, x, cfg, state)  # step 2 resamples
         after = state.projections["x"].matrix
         assert not np.array_equal(before, after)
         gram = after.T @ after
@@ -423,6 +436,27 @@ class TestRun:
         assert result.queries == 20
         assert result.eval_queries >= 10  # per-step trace losses do not count
 
+    def test_eval_queries_count_trace_rows(self):
+        obj = quad_objective()
+        cfg = cfg_for(MEZO, total_steps=25)
+        result = run(obj, obj.initial_params, cfg, MEZO, seed=0, eval_every=10)
+        assert [rec.step for rec in result.records] == [0, 10, 20, 25]
+        assert result.eval_queries == len(result.records)
+
+    def test_divergence_on_final_step_raises_with_partial_trace(self):
+        # evaluations around the start are finite; the single (final) step
+        # lands where the loss overflows, which only the trace loss sees
+        obj = Objective(
+            "steep", lambda x: 1e300 * float(np.sum(x["x"])), ParamSpace({"x": np.zeros((2, 2))})
+        )
+        from zomat.objectives import EvaluationError
+
+        with pytest.raises(EvaluationError, match="at step 1") as excinfo:
+            run(obj, obj.initial_params, cfg_for(MEZO, total_steps=1), MEZO, seed=0)
+        trace = excinfo.value.partial_trace
+        assert [rec.step for rec in trace] == [0]
+        assert obj.query_count == 2
+
     def test_failed_step_carries_partial_trace(self):
         calls = {"n": 0}
 
@@ -481,8 +515,7 @@ class TestConfigValidation:
     def test_ns_backend_runs(self):
         obj = quad_objective(shape=(10, 8))
         cfg = cfg_for(ZO_MUON, msign_backend="ns", rank=3)
-        new_x, record = optimizers.step_zo_muon(
-            obj, obj.initial_params, cfg, OptimizerState(rng_root_seed=20)
-        )
+        state = OptimizerState(rng_root_seed=20)
+        new_x = optimizers.step_zo_muon(obj, obj.initial_params, cfg, state)
         assert np.all(np.isfinite(new_x["x"]))
-        assert record.step == 1
+        assert state.step == 1

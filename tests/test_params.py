@@ -49,6 +49,8 @@ def test_updated_preserves_others_and_order():
 def test_updated_rejects_shape_change():
     with pytest.raises(ValueError, match="shape"):
         small_space().updated({"w": np.ones((2, 2))})
+    with pytest.raises(ValueError, match="shape"):
+        small_space().updated({"b": np.zeros(4)})  # no 1-d coercion on update
 
 
 def test_updated_rejects_unknown_block():
@@ -66,6 +68,17 @@ def test_copy_is_independent():
 def test_rejects_non_finite():
     with pytest.raises(ValueError, match="non-finite"):
         ParamSpace({"w": np.array([[np.inf]])})
+    with pytest.raises(ValueError, match="non-finite"):
+        ParamSpace({"w": np.eye(2), "b": np.array([0.0, np.nan])})
+
+
+def test_updated_keeps_kinds_index_and_float_blocks():
+    space = small_space()
+    new = space.updated({"b": np.full((1, 4), 3.0)}).updated({"v": [[1, 2], [3, 4]]})
+    assert new.kinds == space.kinds
+    assert [new.index(name) for name in new.names] == [0, 1, 2]
+    assert partition(new) == partition(space)
+    assert new["v"].dtype == float and new["v"][1, 1] == 4.0
 
 
 def test_rejects_unknown_kind():
