@@ -1,8 +1,9 @@
 """Command-line front-end: run, compare, verify.
 
-Exit codes: 0 on success, 1 when a verification check fails, 2 for usage or
-configuration errors.  The default output directory can be set through the
-ZOMAT_OUT_DIR environment variable and overridden per call with --out-dir.
+Exit codes: 0 on success, 1 when a verification check fails or an optimizer
+run diverges, 2 for usage or configuration errors.  The default output
+directory can be set through the ZOMAT_OUT_DIR environment variable and
+overridden per call with --out-dir.
 """
 
 from __future__ import annotations
@@ -46,6 +47,16 @@ def build_parser():
     return parser
 
 
+def _finish(summary, out) -> int:
+    """Print the summary path and any failed optimizers; the exit code."""
+    print(f"summary: {out / 'summary.json'}")
+    results = summary["results"]
+    failed = {label: res for label, res in results.items() if res["status"] != harness.OK}
+    for label, res in failed.items():
+        print(f"{label} {res['status']}: {res['error']}", file=sys.stderr)
+    return 1 if failed else 0
+
+
 def _cmd_run(args) -> int:
     exp = harness.parse_config(args.config)
     summary = harness.run_experiment(
@@ -56,11 +67,10 @@ def _cmd_run(args) -> int:
         final = res["final_loss"]
         final_txt = f"{final:.6g}" if final is not None else "n/a"
         print(
-            f"{label}: steps={res['steps']} queries={res['queries']} "
+            f"{label}: {res['status']} steps={res['steps']} queries={res['queries']} "
             f"final_loss={final_txt} -> {res['trace_csv']}"
         )
-    print(f"summary: {out / 'summary.json'}")
-    return 0
+    return _finish(summary, out)
 
 
 def _cmd_compare(args) -> int:
@@ -73,9 +83,7 @@ def _cmd_compare(args) -> int:
         q_txt = str(queries) if queries is not None else "not reached"
         r_txt = f"{ratio:.3f}" if ratio is not None else "-"
         print(f"{label:<18} {key:<16} {q_txt:>10} {r_txt:>8}")
-    out = harness.resolve_out_dir(args.out_dir, exp.out_dir)
-    print(f"summary: {out / 'summary.json'}")
-    return 0
+    return _finish(summary, harness.resolve_out_dir(args.out_dir, exp.out_dir))
 
 
 def _cmd_verify(args) -> int:

@@ -9,10 +9,14 @@ Three estimator families share one perturbation discipline:
 
 Perturbations are never stored across a call: each Gaussian draw is
 regenerated from a counter-based split of the call seed per (query index,
-block index), so replaying a seed reproduces an estimate bit-for-bit and the
-peak scratch memory per block is a single perturbation matrix.  All blocks
-are perturbed jointly per query, and in the forward scheme the base value
-f(X) is evaluated once and shared across queries and blocks.
+block index), the stream of :func:`perturbation`, so replaying a seed
+reproduces an estimate bit-for-bit and the peak scratch memory per block is
+a single perturbation matrix.  Callers that make many calls (the optimizer
+step loop, the oracle's Monte-Carlo runs) derive the PCG64 seed words of
+every slot in bulk, a chunk of calls at a time (:mod:`zomat.streams`), and
+pass them in as ``words``; the draws are the same values either way.  All
+blocks are perturbed jointly per query, and in the forward scheme the base
+value f(X) is evaluated once and shared across queries and blocks.
 """
 
 from __future__ import annotations
@@ -22,7 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import Projection
+from .objectives import EvaluationError
 from .params import ParamSpace
+from .streams import gaussian, perturbation
 
 FORWARD = "forward"
 CENTRAL = "central"
@@ -73,21 +79,14 @@ class GradEstimate:
     queries_used: int
 
 
-def perturbation(seed: int, query_index: int, block_index: int, shape) -> np.ndarray:
-    """Standard Gaussian draw for one (query, block) slot.
-
-    The stream is keyed by (seed, query_index, block_index), so draws are
-    order-independent and reproducible without storing anything.
-    """
-    rng = np.random.default_rng(
-        np.random.SeedSequence((int(seed), int(query_index), int(block_index)))
-    )
-    return rng.standard_normal(shape)
+def _draw(seed, words, query_index, block_index, shape):
+    """The (query, block) slot's draw, from precomputed ``words`` when given."""
+    if words is None:
+        return perturbation(seed, query_index, block_index, shape)
+    return gaussian(words[query_index, block_index], shape)
 
 
 def _evaluate(obj, x, seed):
-    from .objectives import EvaluationError
-
     try:
         return obj.evaluate(x)
     except EvaluationError as exc:
@@ -95,19 +94,21 @@ def _evaluate(obj, x, seed):
         raise
 
 
-def rge_full(obj, x: ParamSpace, cfg: EstimatorConfig, seed: int) -> dict:
+def rge_full(obj, x: ParamSpace, cfg: EstimatorConfig, seed: int, words=None) -> dict:
     """Full-space randomized gradient estimate, one GradEstimate per block.
 
     Forward scheme: (1/Nq) sum_i [(f(X + mu Psi_i) - f(X)) / mu] Psi_i with
     Psi_i standard Gaussian per block.  Central scheme (single query):
-    [(f(X + mu Psi) - f(X - mu Psi)) / (2 mu)] Psi.
+    [(f(X + mu Psi) - f(X - mu Psi)) / (2 mu)] Psi.  ``words``, when given,
+    holds the (query, block) slot words of ``seed`` from
+    :func:`zomat.streams.slot_words`.
     """
     accum = {name: np.zeros_like(value) for name, value in x.items()}
     if cfg.scheme == FORWARD:
         base = _evaluate(obj, x, seed)
         for i in range(cfg.n_queries):
             deltas = {
-                name: perturbation(seed, i, x.index(name), value.shape)
+                name: _draw(seed, words, i, x.index(name), value.shape)
                 for name, value in x.items()
             }
             shifted = x.updated(
@@ -118,7 +119,7 @@ def rge_full(obj, x: ParamSpace, cfg: EstimatorConfig, seed: int) -> dict:
                 accum[name] += coef * d
     else:
         deltas = {
-            name: perturbation(seed, 0, x.index(name), value.shape)
+            name: _draw(seed, words, 0, x.index(name), value.shape)
             for name, value in x.items()
         }
         plus = x.updated({name: x[name] + cfg.mu * d for name, d in deltas.items()})
@@ -136,7 +137,7 @@ def rge_full(obj, x: ParamSpace, cfg: EstimatorConfig, seed: int) -> dict:
 
 
 def subspace_rge(
-    obj, x: ParamSpace, projections: dict, cfg: EstimatorConfig, seed: int
+    obj, x: ParamSpace, projections: dict, cfg: EstimatorConfig, seed: int, words=None
 ):
     """Subspace randomized gradient estimate with lifting.
 
@@ -150,6 +151,7 @@ def subspace_rge(
 
     Returns (z_estimates, lifted_estimates), both keyed by block name; for
     fallback blocks the two entries are the same full-space estimate.
+    ``words`` is as in :func:`rge_full`.
     """
     if cfg.scheme != FORWARD:
         raise ValueError("the subspace estimator is defined with forward differences")
@@ -180,12 +182,12 @@ def subspace_rge(
         shifts = {}
         for name, value in x.items():
             if name in mats:
-                psi = perturbation(
-                    seed, i, x.index(name), (mats[name].shape[1], value.shape[1])
+                psi = _draw(
+                    seed, words, i, x.index(name), (mats[name].shape[1], value.shape[1])
                 )
                 shifts[name] = value + cfg.mu * (mats[name] @ psi)
             else:
-                psi = perturbation(seed, i, x.index(name), value.shape)
+                psi = _draw(seed, words, i, x.index(name), value.shape)
                 shifts[name] = value + cfg.mu * psi
             deltas[name] = psi
         coef = (_evaluate(obj, x.updated(shifts), seed) - base) / cfg.mu
@@ -202,14 +204,16 @@ def subspace_rge(
     return z_est, lifted_est
 
 
-def lge_lozo(obj, x: ParamSpace, a_factors, b_factors, mu: float, seed: int = 0) -> dict:
+def lge_lozo(obj, x: ParamSpace, a_factors, b_factors, mu: float, seed: int = 0,
+             words=None) -> dict:
     """Two-factor low-rank estimate [(f(X + mu AB) - f(X - mu AB)) / (2 mu)] AB.
 
     ``a_factors`` and ``b_factors`` map block names to the m-by-r and r-by-n
     Gaussian factors; a bare array pair is accepted when the space has a
     single block.  Blocks without factors are perturbed with full Gaussians
-    drawn from ``seed`` inside the same two evaluations (the fallback
-    treatment for vectors).  The call consumes exactly 2 queries.
+    drawn from ``seed`` (query slot 0, or ``words`` as in :func:`rge_full`)
+    inside the same two evaluations (the fallback treatment for vectors).
+    The call consumes exactly 2 queries.
     """
     if mu < MIN_MU:
         raise ValueError(f"mu={mu} is below the underflow floor {MIN_MU}")
@@ -233,7 +237,7 @@ def lge_lozo(obj, x: ParamSpace, a_factors, b_factors, mu: float, seed: int = 0)
                 raise ValueError(f"factor inner dimensions differ for {name!r}")
             deltas[name] = a @ b
         else:
-            deltas[name] = perturbation(seed, 0, x.index(name), value.shape)
+            deltas[name] = _draw(seed, words, 0, x.index(name), value.shape)
 
     plus = x.updated({name: x[name] + mu * d for name, d in deltas.items()})
     minus = x.updated({name: x[name] - mu * d for name, d in deltas.items()})

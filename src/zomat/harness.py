@@ -27,7 +27,10 @@ Every optimizer's step count is derived from the shared query budget and its
 per-step query cost, so compared runs consume (up to remainder) the same
 number of function evaluations.  One CSV per optimizer is written with the
 header ``step,queries,loss,elapsed_ms``; content is deterministic for a fixed
-config and seed apart from the elapsed_ms column.
+config and seed apart from the elapsed_ms column.  An optimizer that diverges
+(its objective returns a non-finite value) keeps the rows it recorded before
+it diverged and is marked ``diverged`` in ``summary.json``; the others run
+on.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import objectives as objectives_mod
+from .objectives import EvaluationError
 from .optimizers import (
     MEZO,
     OPTIMIZER_KINDS,
@@ -51,6 +55,9 @@ from .optimizers import (
 )
 
 OUT_DIR_ENV = "ZOMAT_OUT_DIR"
+#: per-optimizer ``status`` values in ``summary.json``
+OK = "ok"
+DIVERGED = "diverged"
 OBJECTIVE_KINDS = ("quadratic", "logreg", "mlp", "logreg_csv")
 
 
@@ -295,46 +302,57 @@ def _threshold_table(exp, initial_loss):
 def run_experiment(exp: ExperimentConfig, out_dir=None, seed=None, eval_every=None) -> dict:
     """Run every configured optimizer under the shared query budget.
 
-    Writes one ``<experiment>_<label>.csv`` per optimizer plus a
-    ``summary.json`` holding final losses, queries-to-threshold for every
-    configured threshold, and an echo of the configuration.  Returns the
-    summary dict.
+    Writes one ``<experiment>_<label>.csv`` per optimizer, as soon as it
+    finishes, plus a ``summary.json`` holding each optimizer's status, final
+    loss and queries-to-threshold for every configured threshold, and an echo
+    of the configuration.  The initial loss is read from the first step-0
+    trace row.  An optimizer that diverges gets status ``diverged`` with the
+    error message, and its CSV and results cover the rows recorded before it
+    diverged.  Returns the summary dict.
     """
     out_path = resolve_out_dir(out_dir, exp.out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
     seed = exp.seed if seed is None else int(seed)
     eval_every = exp.eval_every if eval_every is None else int(eval_every)
 
-    probe = build_objective(exp.objective)
-    initial_loss = probe.loss(probe.initial_params)
-    thresholds = _threshold_table(exp, initial_loss)
-
-    results = {}
+    results, traces = {}, {}
     for entry in exp.optimizers:
         objective = build_objective(exp.objective)
         total_steps = steps_for_budget(entry.kind, entry.config, exp.query_budget)
         config = dataclasses.replace(entry.config, total_steps=total_steps)
-        result = run(
-            objective,
-            objective.initial_params,
-            config,
-            entry.kind,
-            seed=seed,
-            eval_every=eval_every,
-        )
+        status = {"status": OK}
+        try:
+            records = run(
+                objective,
+                objective.initial_params,
+                config,
+                entry.kind,
+                seed=seed,
+                eval_every=eval_every,
+            ).records
+        except EvaluationError as exc:
+            records = exc.partial_trace
+            status = {"status": DIVERGED, "error": str(exc)}
         csv_path = out_path / f"{exp.name}_{entry.label}.csv"
-        write_trace_csv(csv_path, result.records)
+        write_trace_csv(csv_path, records)
+        traces[entry.label] = records
         results[entry.label] = {
             "kind": entry.kind,
+            **status,
             "steps": total_steps,
-            "queries": result.queries,
-            "eval_queries": result.eval_queries,
-            "final_loss": result.records[-1].loss if result.records else None,
-            "queries_to_threshold": {
-                key: queries_to_threshold(result.records, value)
-                for key, value in thresholds.items()
-            },
+            "queries": objective.query_count,
+            "eval_queries": objective.eval_count,
+            "final_loss": records[-1].loss if records else None,
             "trace_csv": csv_path.name,
+        }
+
+    first = next((records[0] for records in traces.values() if records), None)
+    # when no optimizer took a step there is no trace row to read it from
+    initial_loss = first.loss if first else objective.loss(objective.initial_params)
+    thresholds = _threshold_table(exp, initial_loss)
+    for label, records in traces.items():
+        results[label]["queries_to_threshold"] = {
+            key: queries_to_threshold(records, value) for key, value in thresholds.items()
         }
 
     summary = {

@@ -10,6 +10,7 @@ problem admits them and serve as the ground-truth anchor for estimator tests.
 from __future__ import annotations
 
 import csv
+import math
 
 import numpy as np
 
@@ -59,7 +60,7 @@ class Objective:
     def evaluate(self, x: ParamSpace) -> float:
         value = float(self._loss_fn(x))
         self._query_count += 1
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise EvaluationError(f"objective {self.name!r} returned {value}")
         return value
 

@@ -17,6 +17,10 @@ projected low-rank form.
 Seeds: a run owns one root seed.  Per-step estimator seeds, projection
 resample seeds and factor seeds are derived from (root, tag, step[, block]),
 so every trajectory is reproducible and blocks never share a Gaussian stream.
+The per-step estimator seeds, the PCG64 words of their (query, block) slots
+and the LOZO right-factor words are derived in bulk, a chunk of steps at a
+time (:class:`zomat.streams.ChunkTable`), with the same values as the scalar
+:func:`derive_seed` and :func:`zomat.estimators.perturbation`.
 """
 
 from __future__ import annotations
@@ -28,11 +32,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import estimators, linalg
+from . import estimators, linalg, streams
 from .estimators import CENTRAL, FORWARD, EstimatorConfig
 from .linalg import NumericalError, Projection
 from .objectives import EvaluationError
 from .params import MATRIX, ParamSpace, partition
+from .streams import derive_seed
 
 MEZO = "mezo"
 ZO_SGD = "zo_sgd"
@@ -50,12 +55,6 @@ _TAG_PROJECTION = 2
 _TAG_SKETCH = 3
 _TAG_LOZO_A = 4
 _TAG_LOZO_B = 5
-
-
-def derive_seed(*parts) -> int:
-    """Stable unsigned seed from a tuple of non-negative integers."""
-    ss = np.random.SeedSequence(tuple(int(p) for p in parts))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
 @dataclass(frozen=True)
@@ -104,14 +103,47 @@ class OptimizerConfig:
 
 @dataclass
 class OptimizerState:
-    """Mutable per-run state: step counter, live projections, sketch momentum
-    and the LOZO left factors, each kept as (epoch, A) per block name."""
+    """Mutable per-run state: step counter, live projections, sketch momentum,
+    the LOZO left factors, each kept as (epoch, A) per block name, and the
+    bulk-derived stream tables keyed by what they hold."""
 
     rng_root_seed: int = 0
     step: int = 0
     projections: dict = field(default_factory=dict)
     sketch_momentum: dict = field(default_factory=dict)
     lozo_left: dict = field(default_factory=dict)
+    tables: dict = field(default_factory=dict)
+
+    def table_row(self, key, make) -> tuple:
+        """Row of the current step in the stream table ``key``, made by
+        ``make()`` on first use."""
+        table = self.tables.get(key)
+        if table is None:
+            table = self.tables[key] = make()
+        return table(self.step)
+
+
+def estimate_streams(state: OptimizerState, n_queries: int, n_blocks: int):
+    """Seed ``derive_seed(root, tag, step)`` of the current step's estimate and
+    the PCG64 words of its (query, block) slots."""
+    root = state.rng_root_seed
+    seed, words = state.table_row(
+        (_TAG_ESTIMATE, root, n_queries, n_blocks),
+        lambda: streams.slot_table((root, _TAG_ESTIMATE), n_queries, n_blocks),
+    )
+    return int(seed), words
+
+
+def lozo_right_words(state: OptimizerState, blocks: tuple):
+    """PCG64 words of the current step's right-factor draws, one row per block
+    index in ``blocks``: the stream ``SeedSequence((root, tag, step, block))``."""
+    root = state.rng_root_seed
+
+    def fill(steps):
+        parts = (root, _TAG_LOZO_B, steps[:, None], np.asarray(blocks, dtype=np.uint64))
+        return (streams.seed_states(parts, streams.PCG64_WORDS, np.uint64),)
+
+    return state.table_row((_TAG_LOZO_B, root, blocks), lambda: streams.ChunkTable(fill))[0]
 
 
 @dataclass(frozen=True)
@@ -206,8 +238,8 @@ def step_zo_sgd(obj, x, cfg, state, scheme=FORWARD):
     """Full-space descent step X <- X - eta * g with g from the configured
     difference scheme."""
     est_cfg = EstimatorConfig(mu=cfg.mu, n_queries=cfg.n_queries, scheme=scheme)
-    seed = derive_seed(state.rng_root_seed, _TAG_ESTIMATE, state.step)
-    grads = estimators.rge_full(obj, x, est_cfg, seed)
+    seed, words = estimate_streams(state, cfg.n_queries, len(x.names))
+    grads = estimators.rge_full(obj, x, est_cfg, seed, words)
     state.step += 1
     return x.updated(
         {name: x[name] - cfg.learning_rate * est.grad for name, est in grads.items()}
@@ -225,8 +257,8 @@ def step_subspace_mezo(obj, x, cfg, state):
     """Descent along the lifted subspace estimate: X <- X - eta * P g_Z."""
     _ensure_projections(state, cfg, x)
     est_cfg = EstimatorConfig(mu=cfg.mu, n_queries=cfg.n_queries, scheme=FORWARD)
-    seed = derive_seed(state.rng_root_seed, _TAG_ESTIMATE, state.step)
-    _, lifted = estimators.subspace_rge(obj, x, state.projections, est_cfg, seed)
+    seed, words = estimate_streams(state, cfg.n_queries, len(x.names))
+    _, lifted = estimators.subspace_rge(obj, x, state.projections, est_cfg, seed, words)
     _update_sketch_momentum(state, cfg, lifted)
     state.step += 1
     return x.updated(
@@ -240,8 +272,10 @@ def step_lozo(obj, x, cfg, state):
     the right factor every step."""
     t = state.step
     epoch = t - t % cfg.resample_interval
+    matrix_blocks = partition(x).matrix_blocks
+    right = lozo_right_words(state, tuple(x.index(name) for name in matrix_blocks))
     a_factors, b_factors = {}, {}
-    for name in partition(x).matrix_blocks:
+    for j, name in enumerate(matrix_blocks):
         idx = x.index(name)
         m, n = x[name].shape
         r = _block_rank(cfg, (m, n))
@@ -251,13 +285,10 @@ def step_lozo(obj, x, cfg, state):
                 np.random.SeedSequence((state.rng_root_seed, _TAG_LOZO_A, epoch, idx))
             )
             held = state.lozo_left[name] = (epoch, a_rng.standard_normal((m, r)))
-        b_rng = np.random.default_rng(
-            np.random.SeedSequence((state.rng_root_seed, _TAG_LOZO_B, t, idx))
-        )
         a_factors[name] = held[1]
-        b_factors[name] = b_rng.standard_normal((r, n))
-    seed = derive_seed(state.rng_root_seed, _TAG_ESTIMATE, t)
-    grads = estimators.lge_lozo(obj, x, a_factors, b_factors, cfg.mu, seed=seed)
+        b_factors[name] = streams.gaussian(right[j], (r, n))
+    seed, words = estimate_streams(state, 1, len(x.names))
+    grads = estimators.lge_lozo(obj, x, a_factors, b_factors, cfg.mu, seed=seed, words=words)
     state.step += 1
     return x.updated(
         {name: x[name] - cfg.learning_rate * est.grad for name, est in grads.items()}
@@ -281,8 +312,10 @@ def step_zo_muon(obj, x, cfg, state):
         )
     _ensure_projections(state, cfg, x)
     est_cfg = EstimatorConfig(mu=cfg.mu, n_queries=cfg.n_queries, scheme=FORWARD)
-    seed = derive_seed(state.rng_root_seed, _TAG_ESTIMATE, state.step)
-    z_est, lifted = estimators.subspace_rge(obj, x, state.projections, est_cfg, seed)
+    seed, words = estimate_streams(state, cfg.n_queries, len(x.names))
+    z_est, lifted = estimators.subspace_rge(
+        obj, x, state.projections, est_cfg, seed, words
+    )
     _update_sketch_momentum(state, cfg, lifted)
     updates = {}
     for name in x.names:

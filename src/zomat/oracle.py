@@ -5,8 +5,8 @@ exact-rank constructions for the lossless-projection identity, Monte-Carlo
 estimator variance measurements against an analytic-gradient reference, a
 backend cross-check for the two msign implementations, and a coordinate-wise
 finite-difference gradient.  None of it shares code paths with the modules
-it verifies beyond the linalg primitives, so agreement is evidence rather
-than tautology.
+it verifies beyond the linalg primitives and the seed streams, so agreement
+is evidence rather than tautology.
 """
 
 from __future__ import annotations
@@ -15,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import estimators, linalg
+from . import estimators, linalg, streams
 from .estimators import EstimatorConfig
 from .params import ParamSpace
+from .streams import derive_seed
 
 FULL_RGE = "full"
 SUBSPACE_RGE = "subspace"
@@ -117,13 +118,13 @@ def gradient_aligned_projection(objective, x: ParamSpace, rank: int,
     return u[:, :rank]
 
 
-def _sample_estimate(spec, objective, x, seed, projection):
+def _sample_estimate(spec, objective, x, seed, words, projection):
     name = x.names[0]
     if spec.kind == FULL_RGE:
-        return estimators.rge_full(objective, x, spec.config, seed)[name].grad
+        return estimators.rge_full(objective, x, spec.config, seed, words)[name].grad
     if spec.kind == SUBSPACE_RGE:
         _, lifted = estimators.subspace_rge(
-            objective, x, {name: projection}, spec.config, seed
+            objective, x, {name: projection}, spec.config, seed, words
         )
         return lifted[name].grad
     raise ValueError(f"unknown estimator kind {spec.kind!r}")
@@ -133,16 +134,18 @@ def estimator_variance(spec: EstimatorSpec, objective, x: ParamSpace,
                        n_samples: int, seed: int,
                        projection: np.ndarray | None = None) -> float:
     """Per-entry variance (averaged over entries) of ``spec`` at fixed ``x``,
-    over ``n_samples`` independently seeded estimates."""
+    over ``n_samples`` estimates seeded by ``sample_seed(seed, i)``.  The
+    sample seeds and the words of their (query, block) slots are derived in
+    bulk, a chunk of samples at a time."""
     if spec.kind == SUBSPACE_RGE and projection is None:
         projection = gradient_aligned_projection(objective, x, spec.rank)
+    table = streams.slot_table((seed,), spec.config.n_queries, len(x.names))
     name = x.names[0]
     mean = np.zeros_like(x[name])
     m2 = np.zeros_like(x[name])
     for i in range(n_samples):
-        est = _sample_estimate(
-            spec, objective, x, sample_seed(seed, i), projection
-        )
+        sample, words = table(i)
+        est = _sample_estimate(spec, objective, x, int(sample), words, projection)
         delta = est - mean
         mean += delta / (i + 1)
         m2 += delta * (est - mean)
@@ -151,10 +154,8 @@ def estimator_variance(spec: EstimatorSpec, objective, x: ParamSpace,
     return float(np.mean(m2 / (n_samples - 1)))
 
 
-def sample_seed(seed: int, index: int) -> int:
-    """Independent per-sample seed stream for Monte-Carlo measurements."""
-    ss = np.random.SeedSequence((int(seed), int(index)))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
+#: Per-sample seed of Monte-Carlo measurements, ``derive_seed(seed, index)``.
+sample_seed = derive_seed
 
 
 def measure_variance(spec: EstimatorSpec, objective, x: ParamSpace,

@@ -1,0 +1,241 @@
+"""Seed derivation and Gaussian streams, one scheme for every caller.
+
+Every random draw in zomat is keyed by a tuple of non-negative integers
+hashed by :class:`numpy.random.SeedSequence`:
+
+  - :func:`derive_seed` turns a tuple into one 64-bit seed (per-step
+    estimator seeds, projection seeds, Monte-Carlo sample seeds);
+  - :func:`perturbation` draws the standard Gaussian of one (seed, query,
+    block) slot from ``default_rng(SeedSequence((seed, query, block)))``.
+
+These two scalar functions are the reference definitions of the streams.
+Building a ``SeedSequence`` from a Python tuple costs about 20 µs, more than
+the draw it seeds for small blocks, so hot paths derive seeds in bulk
+instead: :func:`seed_states` is a vectorized copy of NumPy's documented
+``SeedSequence`` hash (``mix_entropy`` then ``generate_state``) over whole
+columns of entropy tuples, :func:`slot_words` gives the PCG64 seed words of
+every (query, block) slot of many seeds at once, :func:`gaussian` draws from
+such words without hashing again, and :class:`ChunkTable` derives them a
+chunk of steps at a time.  The values are bit-identical to the scalar path.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from numpy.random import PCG64, Generator
+from numpy.random.bit_generator import ISeedSequence
+
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx).
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = np.uint32(0xCA01F9DD)
+_MIX_MULT_R = np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+_MASK32 = 0xFFFFFFFF
+_LOW32 = np.uint64(_MASK32)
+_SHIFT32 = np.uint64(32)
+
+#: uint64 words PCG64 asks its seed sequence for
+PCG64_WORDS = 4
+#: Steps (or samples) whose streams :class:`ChunkTable` derives in one pass.
+#: A pass costs a fixed few hundred µs plus about 0.1 µs per slot, and its
+#: temporaries grow with the chunk (about 1 MB at 1,024 steps of 4 slots), so
+#: 256 keeps both the per-step share and the added peak memory small.
+CHUNK = 256
+
+
+def derive_seed(*parts) -> int:
+    """Stable unsigned 64-bit seed from a tuple of non-negative integers."""
+    ss = np.random.SeedSequence(tuple(int(p) for p in parts))
+    return int(ss.generate_state(1, dtype=np.uint64)[0])
+
+
+def perturbation(seed: int, query_index: int, block_index: int, shape) -> np.ndarray:
+    """Standard Gaussian draw for one (query, block) slot of ``seed``.
+
+    The stream is keyed by (seed, query_index, block_index), so draws are
+    order-independent and reproducible without storing anything.
+    """
+    rng = np.random.default_rng(
+        np.random.SeedSequence((int(seed), int(query_index), int(block_index)))
+    )
+    return rng.standard_normal(shape)
+
+
+def _int_words(value: int) -> list:
+    """A non-negative int as SeedSequence coerces it: little-endian uint32
+    words, with 0 as the single word 0."""
+    if value < 0:
+        raise ValueError(f"seed parts must be non-negative, got {value}")
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+def _constants(init: int, mult: int, count: int):
+    """Running constants of ``count`` consecutive hashmix calls: call k xors
+    with the k-th constant and multiplies by the next, both (count, 1) uint32."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    consts = np.array(consts, dtype=np.uint32)[:, None]
+    return consts[:-1], consts[1:]
+
+
+def _hashmix(values, xor, mul):
+    values = (values ^ xor) * mul
+    return values ^ (values >> _XSHIFT)
+
+
+def _mix(x, y):
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return result ^ (result >> _XSHIFT)
+
+
+def _states(entropy, n_words):
+    """``generate_state(n_words)`` in uint32, (n_words, N), for the columns of
+    ``entropy``: (L, N) uint32 assembled entropy words, L the same for all.
+
+    SeedSequence hashes one pool word at a time, but the calls that read the
+    same source word use consecutive constants and write distinct pool words,
+    so each group of them is one array operation.
+    """
+    length, n_rows = entropy.shape
+    n_calls = _POOL_SIZE * _POOL_SIZE + _POOL_SIZE * max(length - _POOL_SIZE, 0)
+    xor, mul = _constants(_INIT_A, _MULT_A, n_calls)
+    pool = np.zeros((_POOL_SIZE, n_rows), dtype=np.uint32)
+    pool[:length] = entropy[:_POOL_SIZE]
+    pool = _hashmix(pool, xor[:_POOL_SIZE], mul[:_POOL_SIZE])
+    k = _POOL_SIZE
+    for src in range(_POOL_SIZE):
+        dst = [d for d in range(_POOL_SIZE) if d != src]
+        n = len(dst)
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], xor[k : k + n], mul[k : k + n]))
+        k += n
+    for src in range(_POOL_SIZE, length):
+        n = _POOL_SIZE
+        pool = _mix(pool, _hashmix(entropy[src], xor[k : k + n], mul[k : k + n]))
+        k += n
+    xor, mul = _constants(_INIT_B, _MULT_B, n_words)
+    return _hashmix(pool[np.arange(n_words) % _POOL_SIZE], xor, mul)
+
+
+def seed_states(parts, n_words: int, dtype=np.uint32) -> np.ndarray:
+    """``SeedSequence(row).generate_state(n_words, dtype)`` for every row.
+
+    ``parts`` holds the row's entries in order: each is a non-negative int,
+    shared by every row, or an array of non-negative integers below 2**64,
+    one per row.  The arrays broadcast together; the result has their
+    broadcast shape plus a trailing axis of ``n_words``.  Entries are coerced
+    as SeedSequence coerces Python ints (0 is one word, values of 2**32 and
+    above are two), so rows may differ in word count.
+    """
+    dtype = np.dtype(dtype)
+    if dtype == np.uint64:
+        n_u32 = 2 * n_words
+    elif dtype == np.uint32:
+        n_u32 = n_words
+    else:
+        raise ValueError("only support uint32 or uint64")
+    scalar = [np.ndim(p) == 0 for p in parts]
+    shape = np.broadcast_shapes(*(np.shape(p) for p, s in zip(parts, scalar) if not s))
+    n_rows = int(np.prod(shape))
+
+    # Assemble each row's entropy words, one column per row, with its length.
+    columns = []  # (low word, high word or None) per entry
+    for p, is_scalar in zip(parts, scalar):
+        if is_scalar:
+            columns.extend((np.uint32(w), None) for w in _int_words(int(p)))
+        else:
+            a = np.broadcast_to(np.asarray(p, dtype=np.uint64), shape).ravel()
+            columns.append(((a & _LOW32).astype(np.uint32), (a >> _SHIFT32).astype(np.uint32)))
+    entropy = np.zeros((2 * len(columns), n_rows), dtype=np.uint32)
+    lengths = np.zeros(n_rows, dtype=np.intp)
+    rows = np.arange(n_rows)
+    for low, high in columns:
+        entropy[lengths, rows] = low
+        lengths += 1
+        if high is not None:
+            wide = high != 0
+            entropy[lengths[wide], rows[wide]] = high[wide]
+            lengths += wide
+
+    out = np.empty((n_u32, n_rows), dtype=np.uint32)
+    for length in np.flatnonzero(np.bincount(lengths)):
+        sel = lengths == length
+        out[:, sel] = _states(entropy[:length, sel], n_u32)
+    out = np.ascontiguousarray(out.T)
+    if dtype == np.uint64:
+        out = out.astype("<u4", copy=False).view("<u8").astype(np.uint64)
+    return out.reshape(*shape, n_words)
+
+
+def slot_words(seeds, n_queries: int, n_blocks: int) -> np.ndarray:
+    """PCG64 seed words of the (query, block) slots of each seed.
+
+    Returns a uint64 array of shape ``seeds.shape + (n_queries, n_blocks, 4)``
+    whose entry ``[..., i, b, :]`` seeds the same generator as
+    ``SeedSequence((seed, i, b))``.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)[..., None, None]
+    queries = np.arange(n_queries, dtype=np.uint64)[:, None]
+    blocks = np.arange(n_blocks, dtype=np.uint64)
+    return seed_states((seeds, queries, blocks), PCG64_WORDS, np.uint64)
+
+
+class _PresetWords(ISeedSequence):
+    """A seed sequence whose state is already generated."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def gaussian(words, shape) -> np.ndarray:
+    """Standard Gaussian draw from a PCG64 seeded with ``words`` (a C-contiguous
+    uint64 row of 4 from :func:`seed_states` or :func:`slot_words`)."""
+    return Generator(PCG64(_PresetWords(words))).standard_normal(shape)
+
+
+class ChunkTable:
+    """Bulk-derived rows for steps, :data:`CHUNK` steps at a time.
+
+    ``fill`` maps a uint64 array of consecutive step indices to a tuple of
+    arrays indexed by step first.  Reading a step outside the chunk in hand
+    fills that step's chunk, so steps may be read in any order.
+    """
+
+    def __init__(self, fill):
+        self.fill = fill
+        self._start = -CHUNK
+        self._rows = ()
+
+    def __call__(self, step: int) -> tuple:
+        if not self._start <= step < self._start + CHUNK:
+            self._start = step - step % CHUNK
+            self._rows = self.fill(
+                np.arange(self._start, self._start + CHUNK, dtype=np.uint64)
+            )
+        offset = step - self._start
+        return tuple(rows[offset] for rows in self._rows)
+
+
+def slot_table(prefix: tuple, n_queries: int, n_blocks: int) -> ChunkTable:
+    """Table whose row ``i`` is ``(derive_seed(*prefix, i), words)``, with
+    ``words`` the :func:`slot_words` of that seed."""
+
+    def fill(indices):
+        seeds = seed_states((*prefix, indices), 1, np.uint64)[:, 0]
+        return seeds, slot_words(seeds, n_queries, n_blocks)
+
+    return ChunkTable(fill)

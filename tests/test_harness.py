@@ -41,6 +41,37 @@ n_queries = 4
 rank = 2
 """
 
+#: a 16x16 quadratic whose second optimizer diverges on its first step
+DIVERGING_CONFIG = """
+[experiment]
+name = div
+seed = 0
+query_budget = 200
+eval_every = 10
+loss_threshold_fractions = 0.99
+
+[objective]
+kind = quadratic
+m = 16
+n = 16
+rank = 4
+seed = 1
+
+[optimizer:zo_muon]
+kind = zo_muon
+learning_rate = 1e-2
+n_queries = 4
+rank = 4
+
+[optimizer:blowup]
+kind = mezo
+learning_rate = 1e160
+
+[optimizer:mezo]
+kind = mezo
+learning_rate = 1e-3
+"""
+
 
 def strip_elapsed(path):
     lines = path.read_text().splitlines()
@@ -202,6 +233,45 @@ class TestRunExperiment:
         for label in ("mezo", "spectral"):
             assert summary["results"][label]["queries_to_threshold"]["-1"] is None
 
+    def test_diverging_optimizer_keeps_results(self, tmp_path):
+        summary = run_experiment(parse_config_text(DIVERGING_CONFIG), out_dir=tmp_path)
+        results = json.loads((tmp_path / "summary.json").read_text())["results"]
+        assert results == summary["results"]
+        assert {label: r["status"] for label, r in results.items()} == {
+            "zo_muon": "ok", "blowup": "diverged", "mezo": "ok",
+        }
+        assert "returned" in results["blowup"]["error"]
+        assert "error" not in results["mezo"]
+        # the rows recorded before the divergence are kept
+        partial = read_trace_csv(tmp_path / "div_blowup.csv")
+        assert [r.step for r in partial] == [0]
+        assert results["blowup"]["final_loss"] == partial[0].loss == summary["initial_loss"]
+        # the optimizers on either side ran their whole budget
+        for label in ("zo_muon", "mezo"):
+            assert results[label]["queries"] == 200
+            assert read_trace_csv(tmp_path / f"div_{label}.csv")[-1].queries == 200
+
+    def test_initial_loss_read_from_trace(self, tmp_path, monkeypatch):
+        calls = []
+        loss = harness.objectives_mod.Objective.loss
+        monkeypatch.setattr(
+            harness.objectives_mod.Objective, "loss",
+            lambda obj, x: calls.append(1) or loss(obj, x),
+        )
+        summary = run_experiment(parse_config_text(TINY_CONFIG), out_dir=tmp_path)
+        rows = sum(
+            len(read_trace_csv(tmp_path / f"tiny_{label}.csv")) for label in ("mezo", "spectral")
+        )
+        assert len(calls) == rows
+        assert summary["initial_loss"] == read_trace_csv(tmp_path / "tiny_mezo.csv")[0].loss
+
+    def test_zero_step_budget_still_reports_initial_loss(self, tmp_path):
+        exp = parse_config_text(TINY_CONFIG.replace("query_budget = 40", "query_budget = 1"))
+        summary = run_experiment(exp, out_dir=tmp_path)
+        objective = harness.build_objective(exp.objective)
+        assert summary["initial_loss"] == objective.loss(objective.initial_params)
+        assert all(r["status"] == "ok" for r in summary["results"].values())
+
     def test_queries_to_threshold_helper(self):
         records = [
             StepRecord(0, 0, 10.0, 0.0),
@@ -326,6 +396,17 @@ class TestCli:
         out = capsys.readouterr().out
         assert "not reached" in out
         assert "threshold" in out
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_diverged_optimizer_exits_one(self, tmp_path, capsys, command):
+        path = tmp_path / "div.ini"
+        path.write_text(DIVERGING_CONFIG)
+        code = cli.main([command, str(path), "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "blowup diverged" in captured.err
+        assert "summary" in captured.out
+        assert (tmp_path / "out" / "div_mezo.csv").exists()
 
     def test_config_error_exits_two(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from zomat import linalg, objectives, oracle
-from zomat.estimators import EstimatorConfig
+from zomat import linalg, objectives, oracle, streams
+from zomat.estimators import EstimatorConfig, rge_full, subspace_rge
 from zomat.objectives import Objective
 from zomat.oracle import (
     FULL_RGE,
@@ -119,6 +119,31 @@ class TestVariance:
         obj = Objective("plain", lambda x: 0.0, ParamSpace({"x": np.zeros((4, 4))}))
         with pytest.raises(ValueError, match="gradient"):
             gradient_aligned_projection(obj, obj.initial_params, rank=2)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            EstimatorSpec(FULL_RGE, EstimatorConfig(n_queries=3)),
+            EstimatorSpec(SUBSPACE_RGE, EstimatorConfig(n_queries=2), rank=2),
+        ],
+    )
+    def test_bulk_sample_streams_equal_scalar_seeds(self, spec):
+        # the sample seeds and slot words are derived a chunk at a time; the
+        # first chunk boundary must not change a single sample
+        obj = objectives.make_quadratic(6, 4, 2, seed=5)
+        x = obj.initial_params
+        n = streams.CHUNK + 3
+        p = gradient_aligned_projection(obj, x, rank=2)
+        samples = []
+        for i in range(n):
+            seed = oracle.sample_seed(9, i)
+            if spec.kind == FULL_RGE:
+                samples.append(rge_full(obj, x, spec.config, seed)["x"].grad)
+            else:
+                samples.append(subspace_rge(obj, x, {"x": p}, spec.config, seed)[1]["x"].grad)
+        expected = float(np.mean(np.var(np.array(samples), axis=0, ddof=1)))
+        got = oracle.estimator_variance(spec, obj, x, n, seed=9, projection=p)
+        assert got == pytest.approx(expected, rel=1e-10)
 
 
 class TestMsignBackendComparison:
