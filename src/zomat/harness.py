@@ -23,14 +23,17 @@ Configs are flat INI-style key-value text with one section per optimizer:
     n_queries = 4
     rank = 8
 
+Unknown keys and per-kind constraints (mezo's single query) are rejected
+with a :class:`ConfigError` naming the section and the key.
+
 Every optimizer's step count is derived from the shared query budget and its
 per-step query cost, so compared runs consume (up to remainder) the same
 number of function evaluations.  One CSV per optimizer is written with the
 header ``step,queries,loss,elapsed_ms``; content is deterministic for a fixed
 config and seed apart from the elapsed_ms column.  An optimizer that diverges
 (its objective returns a non-finite value) keeps the rows it recorded before
-it diverged and is marked ``diverged`` in ``summary.json``; the others run
-on.
+it diverged and is marked ``diverged`` in ``summary.json`` with the steps
+it completed and an error naming the step; the others run on.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from __future__ import annotations
 import configparser
 import csv
 import dataclasses
+import difflib
 import json
 import os
 from dataclasses import dataclass, field
@@ -47,9 +51,9 @@ from . import objectives as objectives_mod
 from .objectives import EvaluationError
 from .optimizers import (
     MEZO,
-    OPTIMIZER_KINDS,
     OptimizerConfig,
     StepRecord,
+    check_kind,
     run,
     steps_for_budget,
 )
@@ -58,7 +62,6 @@ OUT_DIR_ENV = "ZOMAT_OUT_DIR"
 #: per-optimizer ``status`` values in ``summary.json``
 OK = "ok"
 DIVERGED = "diverged"
-OBJECTIVE_KINDS = ("quadratic", "logreg", "mlp", "logreg_csv")
 
 
 class ConfigError(ValueError):
@@ -91,9 +94,13 @@ class ExperimentConfig:
     loss_threshold_fractions: tuple = ()
 
 
-def _get(section, key, cast, default=None, required=False):
+#: the ``default`` of a key that must be present
+_REQUIRED = object()
+
+
+def _get(section, key, cast, default=None):
     if key not in section:
-        if required:
+        if default is _REQUIRED:
             raise ConfigError(f"[{section.name}] is missing required field {key!r}")
         return default
     raw = section[key]
@@ -113,6 +120,31 @@ def _int_list(raw):
     return tuple(int(part) for part in str(raw).split(",") if part.strip())
 
 
+def _reject_unknown(section, known):
+    """Reject the first key not in ``known``, suggesting the closest one."""
+    for key in section:
+        if key not in known:
+            close = difflib.get_close_matches(key, known, n=1)
+            hint = f"did you mean {close[0]!r}?" if close else f"valid: {', '.join(known)}"
+            raise ConfigError(f"[{section.name}] unknown key {key!r}; {hint}")
+
+
+_EXPERIMENT_KEYS = ("name", "seed", "query_budget", "eval_every", "out_dir",
+                    "loss_thresholds", "loss_threshold_fractions")
+
+#: per objective kind: INI key -> (cast, default); a None default is left out
+_OBJECTIVE_FIELDS = {
+    "quadratic": {
+        "m": (int, _REQUIRED), "n": (int, _REQUIRED), "rank": (int, _REQUIRED),
+        "seed": (int, 0), "delta": (float, None), "block_condition": (float, None),
+        "init_offset": (float, None),
+    },
+    "logreg": {"n_samples": (int, _REQUIRED), "n_features": (int, _REQUIRED), "seed": (int, 0)},
+    "mlp": {"widths": (_int_list, _REQUIRED), "n_samples": (int, _REQUIRED), "seed": (int, 0)},
+    "logreg_csv": {"path": (str, _REQUIRED)},
+}
+OBJECTIVE_KINDS = tuple(_OBJECTIVE_FIELDS)
+
 _OPTIMIZER_FIELDS = {
     "learning_rate": float,
     "mu": float,
@@ -121,8 +153,6 @@ _OPTIMIZER_FIELDS = {
     "resample_interval": int,
     "msign_backend": str,
     "ns_iterations": int,
-    "projection_strategy": str,
-    "sketch_momentum_beta": float,
 }
 
 
@@ -138,9 +168,10 @@ def parse_config_text(text: str, origin: str = "<config>") -> ExperimentConfig:
     if "objective" not in parser:
         raise ConfigError(f"{origin}: missing [objective] section")
     exp = parser["experiment"]
+    _reject_unknown(exp, _EXPERIMENT_KEYS)
     name = _get(exp, "name", str, default="experiment")
     seed = _get(exp, "seed", int, default=0)
-    budget = _get(exp, "query_budget", int, required=True)
+    budget = _get(exp, "query_budget", int, _REQUIRED)
     if budget < 0:
         raise ConfigError("[experiment] query_budget must be non-negative")
     eval_every = _get(exp, "eval_every", int, default=1)
@@ -151,48 +182,29 @@ def parse_config_text(text: str, origin: str = "<config>") -> ExperimentConfig:
     fractions = _get(exp, "loss_threshold_fractions", _float_list, default=())
 
     obj_section = parser["objective"]
-    kind = _get(obj_section, "kind", str, required=True)
+    kind = _get(obj_section, "kind", str, _REQUIRED)
     if kind not in OBJECTIVE_KINDS:
-        raise ConfigError(
-            f"[objective] unknown kind {kind!r}; valid: {', '.join(OBJECTIVE_KINDS)}"
-        )
+        raise ConfigError(f"[objective] unknown kind {kind!r}; valid: {', '.join(OBJECTIVE_KINDS)}")
+    fields = _OBJECTIVE_FIELDS[kind]
+    _reject_unknown(obj_section, ("kind", *fields))
     options = {}
+    for key, (cast, default) in fields.items():
+        value = _get(obj_section, key, cast, default)
+        if value is not None:
+            options[key] = value
     if kind == "quadratic":
-        options["m"] = _get(obj_section, "m", int, required=True)
-        options["n"] = _get(obj_section, "n", int, required=True)
-        options["k"] = _get(obj_section, "rank", int, required=True)
-        options["seed"] = _get(obj_section, "seed", int, default=0)
-        for key, cast in (
-            ("delta", float), ("block_condition", float), ("init_offset", float),
-        ):
-            value = _get(obj_section, key, cast, default=None)
-            if value is not None:
-                options[key] = value
-    elif kind == "logreg":
-        options["n_samples"] = _get(obj_section, "n_samples", int, required=True)
-        options["n_features"] = _get(obj_section, "n_features", int, required=True)
-        options["seed"] = _get(obj_section, "seed", int, default=0)
-    elif kind == "mlp":
-        options["widths"] = _get(obj_section, "widths", _int_list, required=True)
-        options["n_samples"] = _get(obj_section, "n_samples", int, required=True)
-        options["seed"] = _get(obj_section, "seed", int, default=0)
-    elif kind == "logreg_csv":
-        options["path"] = _get(obj_section, "path", str, required=True)
+        options["k"] = options.pop("rank")
 
     entries = []
     for section_name in parser.sections():
         if not section_name.startswith("optimizer"):
             continue
         section = parser[section_name]
+        _reject_unknown(section, ("kind", *_OPTIMIZER_FIELDS))
         label = section_name.split(":", 1)[1] if ":" in section_name else None
         opt_kind = _get(section, "kind", str, default=label)
         if opt_kind is None:
             raise ConfigError(f"[{section_name}] needs a kind (or a :label naming one)")
-        if opt_kind not in OPTIMIZER_KINDS:
-            raise ConfigError(
-                f"[{section_name}] unknown optimizer kind {opt_kind!r}; "
-                f"valid: {', '.join(OPTIMIZER_KINDS)}"
-            )
         label = label or opt_kind
         fields = {}
         for key, cast in _OPTIMIZER_FIELDS.items():
@@ -203,6 +215,7 @@ def parse_config_text(text: str, origin: str = "<config>") -> ExperimentConfig:
             raise ConfigError(f"[{section_name}] is missing required field 'learning_rate'")
         try:
             config = OptimizerConfig(**fields)
+            check_kind(opt_kind, config)
         except ValueError as exc:
             raise ConfigError(f"[{section_name}]: {exc}") from exc
         entries.append(OptimizerEntry(label=label, kind=opt_kind, config=config))
@@ -307,7 +320,8 @@ def run_experiment(exp: ExperimentConfig, out_dir=None, seed=None, eval_every=No
     loss and queries-to-threshold for every configured threshold, and an echo
     of the configuration.  The initial loss is read from the first step-0
     trace row.  An optimizer that diverges gets status ``diverged`` with the
-    error message, and its CSV and results cover the rows recorded before it
+    error message, which names the step; its ``steps`` are the steps it
+    completed, and its CSV and results cover the rows recorded before it
     diverged.  Returns the summary dict.
     """
     out_path = resolve_out_dir(out_dir, exp.out_dir)
@@ -320,7 +334,7 @@ def run_experiment(exp: ExperimentConfig, out_dir=None, seed=None, eval_every=No
         objective = build_objective(exp.objective)
         total_steps = steps_for_budget(entry.kind, entry.config, exp.query_budget)
         config = dataclasses.replace(entry.config, total_steps=total_steps)
-        status = {"status": OK}
+        status, steps = {"status": OK}, total_steps
         try:
             records = run(
                 objective,
@@ -331,7 +345,7 @@ def run_experiment(exp: ExperimentConfig, out_dir=None, seed=None, eval_every=No
                 eval_every=eval_every,
             ).records
         except EvaluationError as exc:
-            records = exc.partial_trace
+            records, steps = exc.partial_trace, exc.steps
             status = {"status": DIVERGED, "error": str(exc)}
         csv_path = out_path / f"{exp.name}_{entry.label}.csv"
         write_trace_csv(csv_path, records)
@@ -339,7 +353,7 @@ def run_experiment(exp: ExperimentConfig, out_dir=None, seed=None, eval_every=No
         results[entry.label] = {
             "kind": entry.kind,
             **status,
-            "steps": total_steps,
+            "steps": steps,
             "queries": objective.query_count,
             "eval_queries": objective.eval_count,
             "final_loss": records[-1].loss if records else None,

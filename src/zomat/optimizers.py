@@ -1,26 +1,25 @@
 """Step rules and run loops for the zeroth-order matrix optimizers.
 
-Query-based optimizers (all driven by :func:`run` or stepped directly):
+Every query-based optimizer takes the same :func:`step`, X <- X - eta * d;
+the kinds differ only in the direction map that estimates d from queries
+(the ``_KINDS`` table, which also holds each kind's queries per step):
 
-  - ``mezo``: full-space central-difference estimate, one query pair per step.
-  - ``zo_sgd``: full-space forward-difference estimate (the generalized
-    stepper ``mezo`` is the central single-query instance of).
-  - ``subspace_mezo``: lifted subspace estimate, plain descent step.
-  - ``lozo``: two-factor low-rank estimate with a lazily resampled left factor.
-  - ``zo_muon``: subspace estimate orthogonalized by msign in the projected
-    space, lifted back through the projection.
+  - ``zo_sgd`` / ``mezo``: full-space forward / central-difference estimate.
+  - ``subspace_mezo``: the subspace estimate lifted back, P g_Z.
+  - ``zo_muon``: the same estimate whitened before the lift, P msign(g_Z).
+  - ``lozo``: two-factor low-rank estimate, lazily resampled left factor.
 
-First-order reference steppers (exact gradients, oracle objectives only) are
-provided for verification: plain SGD, the basic spectral step, and its
-projected low-rank form.
+Vector blocks take the full-space estimate from the same shared queries.
 
-Seeds: a run owns one root seed.  Per-step estimator seeds, projection
-resample seeds and factor seeds are derived from (root, tag, step[, block]),
-so every trajectory is reproducible and blocks never share a Gaussian stream.
-The per-step estimator seeds, the PCG64 words of their (query, block) slots
-and the LOZO right-factor words are derived in bulk, a chunk of steps at a
-time (:class:`zomat.streams.ChunkTable`), with the same values as the scalar
-:func:`derive_seed` and :func:`zomat.estimators.perturbation`.
+First-order reference steppers (exact gradients, oracle objectives only):
+plain SGD, the basic spectral step, and its projected low-rank form.
+
+Seeds: a run owns one root seed.  Every estimate, projection and factor
+stream is derived from (root, tag, step[, block]), so trajectories are
+reproducible and blocks never share a stream.  The estimate seeds, their
+(query, block) slot words and the LOZO right-factor words are derived in
+bulk, a chunk of steps at a time (:class:`zomat.streams.ChunkTable`), with
+the values of the scalar :func:`derive_seed` and ``perturbation``.
 """
 
 from __future__ import annotations
@@ -44,15 +43,11 @@ ZO_SGD = "zo_sgd"
 SUBSPACE_MEZO = "subspace_mezo"
 LOZO = "lozo"
 ZO_MUON = "zo_muon"
-OPTIMIZER_KINDS = (MEZO, ZO_SGD, SUBSPACE_MEZO, LOZO, ZO_MUON)
 
-RANDOM = "random"
-SKETCHING = "sketching"
-
-# Tags keeping derived Gaussian streams disjoint.
+# Tags keeping derived Gaussian streams disjoint.  A tag is part of every
+# seed derived with it, so the values are never renumbered (3 is retired).
 _TAG_ESTIMATE = 1
 _TAG_PROJECTION = 2
-_TAG_SKETCH = 3
 _TAG_LOZO_A = 4
 _TAG_LOZO_B = 5
 
@@ -73,8 +68,6 @@ class OptimizerConfig:
     resample_interval: int = 100
     msign_backend: str = "svd"
     ns_iterations: int = 5
-    projection_strategy: str = RANDOM
-    sketch_momentum_beta: float = 0.9
     total_steps: int = 0
 
     def __post_init__(self):
@@ -92,25 +85,17 @@ class OptimizerConfig:
             raise ValueError("total_steps must be non-negative")
         if self.msign_backend not in ("svd", "ns"):
             raise ValueError(f"msign_backend must be svd or ns, got {self.msign_backend!r}")
-        if self.projection_strategy not in (RANDOM, SKETCHING):
-            raise ValueError(
-                f"projection_strategy must be random or sketching, "
-                f"got {self.projection_strategy!r}"
-            )
-        if not 0.0 <= self.sketch_momentum_beta < 1.0:
-            raise ValueError("sketch_momentum_beta must be in [0, 1)")
 
 
 @dataclass
 class OptimizerState:
-    """Mutable per-run state: step counter, live projections, sketch momentum,
-    the LOZO left factors, each kept as (epoch, A) per block name, and the
-    bulk-derived stream tables keyed by what they hold."""
+    """Mutable per-run state: step counter, live projections, the LOZO left
+    factors, each kept as (epoch, A) per block name, and the bulk-derived
+    stream tables keyed by what they hold."""
 
     rng_root_seed: int = 0
     step: int = 0
     projections: dict = field(default_factory=dict)
-    sketch_momentum: dict = field(default_factory=dict)
     lozo_left: dict = field(default_factory=dict)
     tables: dict = field(default_factory=dict)
 
@@ -181,95 +166,61 @@ def _msign(gz, cfg, block_name):
 
 
 def resample_projection(state: OptimizerState, cfg: OptimizerConfig, shapes: dict) -> OptimizerState:
-    """Fill in fresh projections for every matrix block.
-
-    Random strategy: an independent column-orthonormal draw per block, seeded
-    by (root, step, block index).  Sketching strategy: orthonormalize
-    M @ Q where M is the gradient momentum and Q a Gaussian sketch with
-    ``rank`` columns; a zero momentum (e.g. at step 0) falls back to the
-    random draw so the projection never starts rank-deficient.
-    """
+    """Fill in fresh projections for every matrix block: an independent
+    column-orthonormal draw per block, seeded by (root, step, block index)."""
     t = state.step
     for idx, (name, shape) in enumerate(shapes.items()):
-        r = _block_rank(cfg, shape)
         seed = derive_seed(state.rng_root_seed, _TAG_PROJECTION, t, idx)
-        if cfg.projection_strategy == SKETCHING:
-            momentum = state.sketch_momentum.get(name)
-            if momentum is not None and np.linalg.norm(momentum) > 0.0:
-                sketch_rng = np.random.default_rng(
-                    np.random.SeedSequence(
-                        (state.rng_root_seed, _TAG_SKETCH, t, idx)
-                    )
-                )
-                sketch = sketch_rng.standard_normal((shape[1], r))
-                q, rr = np.linalg.qr(momentum @ sketch)
-                signs = np.sign(np.diag(rr))
-                signs[signs == 0] = 1.0
-                state.projections[name] = Projection(q * signs, seed, born_at_step=t)
-                continue
         state.projections[name] = linalg.sample_projection(
-            shape[0], r, seed, born_at_step=t
+            shape[0], _block_rank(cfg, shape), seed, born_at_step=t
         )
     return state
 
 
 def _ensure_projections(state, cfg, x):
-    shapes = {
-        name: x[name].shape for name in partition(x).matrix_blocks
-    }
+    shapes = {name: x[name].shape for name in partition(x).matrix_blocks}
     due = state.step == 0 or state.step % cfg.resample_interval == 0
     missing = any(name not in state.projections for name in shapes)
     if due or missing:
         resample_projection(state, cfg, shapes)
 
 
-def _update_sketch_momentum(state, cfg, lifted):
-    if cfg.projection_strategy != SKETCHING:
-        return
-    beta = cfg.sketch_momentum_beta
-    for name, est in lifted.items():
-        prev = state.sketch_momentum.get(name)
-        if prev is None:
-            prev = np.zeros_like(est.grad)
-        state.sketch_momentum[name] = beta * prev + (1.0 - beta) * est.grad
+def _full_space(scheme):
+    """Direction map of the full-space estimate with the given scheme."""
+
+    def direction(obj, x, cfg, state):
+        est_cfg = EstimatorConfig(mu=cfg.mu, n_queries=cfg.n_queries, scheme=scheme)
+        seed, words = estimate_streams(state, cfg.n_queries, len(x.names))
+        grads = estimators.rge_full(obj, x, est_cfg, seed, words)
+        return {name: est.grad for name, est in grads.items()}
+
+    return direction
 
 
-def step_zo_sgd(obj, x, cfg, state, scheme=FORWARD):
-    """Full-space descent step X <- X - eta * g with g from the configured
-    difference scheme."""
-    est_cfg = EstimatorConfig(mu=cfg.mu, n_queries=cfg.n_queries, scheme=scheme)
-    seed, words = estimate_streams(state, cfg.n_queries, len(x.names))
-    grads = estimators.rge_full(obj, x, est_cfg, seed, words)
-    state.step += 1
-    return x.updated(
-        {name: x[name] - cfg.learning_rate * est.grad for name, est in grads.items()}
-    )
+def _subspace(whiten):
+    """Direction map P g_Z of the subspace estimate, or P msign(g_Z) with
+    ``whiten`` (allowed but warned about at one query: a rank-one msign)."""
+
+    def direction(obj, x, cfg, state):
+        if whiten and cfg.n_queries == 1:
+            warnings.warn("zo_muon with n_queries=1 reduces to a sign-scaled rank-one step; "
+                          "multi-query estimates are strongly recommended", stacklevel=3)
+        _ensure_projections(state, cfg, x)
+        est_cfg = EstimatorConfig(mu=cfg.mu, n_queries=cfg.n_queries, scheme=FORWARD)
+        seed, words = estimate_streams(state, cfg.n_queries, len(x.names))
+        z_est, lifted = estimators.subspace_rge(obj, x, state.projections, est_cfg, seed, words)
+        d = {name: est.grad for name, est in lifted.items()}
+        if whiten:
+            for name, proj in state.projections.items():
+                d[name] = proj.matrix @ _msign(z_est[name].grad, cfg, name)
+        return d
+
+    return direction
 
 
-def step_mezo(obj, x, cfg, state):
-    """Central-difference single-query full-space step (2 queries)."""
-    if cfg.n_queries != 1:
-        raise ValueError("mezo uses central differences and requires n_queries=1")
-    return step_zo_sgd(obj, x, cfg, state, scheme=CENTRAL)
-
-
-def step_subspace_mezo(obj, x, cfg, state):
-    """Descent along the lifted subspace estimate: X <- X - eta * P g_Z."""
-    _ensure_projections(state, cfg, x)
-    est_cfg = EstimatorConfig(mu=cfg.mu, n_queries=cfg.n_queries, scheme=FORWARD)
-    seed, words = estimate_streams(state, cfg.n_queries, len(x.names))
-    _, lifted = estimators.subspace_rge(obj, x, state.projections, est_cfg, seed, words)
-    _update_sketch_momentum(state, cfg, lifted)
-    state.step += 1
-    return x.updated(
-        {name: x[name] - cfg.learning_rate * est.grad for name, est in lifted.items()}
-    )
-
-
-def step_lozo(obj, x, cfg, state):
-    """Two-factor low-rank step; the left factor is resampled every
-    ``resample_interval`` steps (drawn once per epoch and held in the state),
-    the right factor every step."""
+def _lozo(obj, x, cfg, state):
+    """Direction map of the two-factor low-rank estimate: the left factor is
+    drawn once per ``resample_interval`` epoch and held, the right every step."""
     t = state.step
     epoch = t - t % cfg.resample_interval
     matrix_blocks = partition(x).matrix_blocks
@@ -289,44 +240,34 @@ def step_lozo(obj, x, cfg, state):
         b_factors[name] = streams.gaussian(right[j], (r, n))
     seed, words = estimate_streams(state, 1, len(x.names))
     grads = estimators.lge_lozo(obj, x, a_factors, b_factors, cfg.mu, seed=seed, words=words)
+    return {name: est.grad for name, est in grads.items()}
+
+
+#: kind -> (direction map (obj, x, cfg, state) -> {block: d}, queries per step)
+_KINDS = {
+    MEZO: (_full_space(CENTRAL), lambda cfg: 2),
+    ZO_SGD: (_full_space(FORWARD), lambda cfg: cfg.n_queries + 1),
+    SUBSPACE_MEZO: (_subspace(whiten=False), lambda cfg: cfg.n_queries + 1),
+    LOZO: (_lozo, lambda cfg: 2),
+    ZO_MUON: (_subspace(whiten=True), lambda cfg: cfg.n_queries + 1),
+}
+OPTIMIZER_KINDS = tuple(_KINDS)
+
+
+def check_kind(kind: str, cfg: OptimizerConfig) -> None:
+    """Reject an unknown kind, or a config its kind cannot run."""
+    if kind not in _KINDS:
+        raise ValueError(f"unknown optimizer kind {kind!r}; valid: {', '.join(OPTIMIZER_KINDS)}")
+    if kind == MEZO and cfg.n_queries != 1:
+        raise ValueError("mezo uses central differences and requires n_queries=1")
+
+
+def step(kind: str, obj, x: ParamSpace, cfg: OptimizerConfig, state: OptimizerState) -> ParamSpace:
+    """One step of ``kind``: X <- X - eta * d with d from the kind's direction
+    map; advances ``state.step`` and returns the new iterate."""
+    direction = _KINDS[kind][0](obj, x, cfg, state)
     state.step += 1
-    return x.updated(
-        {name: x[name] - cfg.learning_rate * est.grad for name, est in grads.items()}
-    )
-
-
-def step_zo_muon(obj, x, cfg, state):
-    """Subspace gradient orthogonalization step.
-
-    Per matrix block: estimate g_Z in the projected space, apply msign with
-    the configured backend, lift through P and descend; vector blocks take
-    the plain full-space estimate from the same shared queries.  A single
-    query gives msign a rank-one input whose scale the whitening discards, so
-    running with n_queries=1 is allowed but warned about.
-    """
-    if cfg.n_queries == 1:
-        warnings.warn(
-            "zo_muon with n_queries=1 reduces to a sign-scaled rank-one step; "
-            "multi-query estimates are strongly recommended",
-            stacklevel=2,
-        )
-    _ensure_projections(state, cfg, x)
-    est_cfg = EstimatorConfig(mu=cfg.mu, n_queries=cfg.n_queries, scheme=FORWARD)
-    seed, words = estimate_streams(state, cfg.n_queries, len(x.names))
-    z_est, lifted = estimators.subspace_rge(
-        obj, x, state.projections, est_cfg, seed, words
-    )
-    _update_sketch_momentum(state, cfg, lifted)
-    updates = {}
-    for name in x.names:
-        if name in state.projections:
-            gz = z_est[name].grad
-            direction = state.projections[name].matrix @ _msign(gz, cfg, name)
-        else:
-            direction = lifted[name].grad
-        updates[name] = x[name] - cfg.learning_rate * direction
-    state.step += 1
-    return x.updated(updates)
+    return x.updated({name: x[name] - cfg.learning_rate * d for name, d in direction.items()})
 
 
 def step_fo_sgd(grad_oracle, x, learning_rate):
@@ -370,22 +311,10 @@ def step_fo_lowrank_muon(grad_oracle, x, projections, learning_rate):
     return x.updated(updates)
 
 
-_STEPPERS = {
-    MEZO: step_mezo,
-    ZO_SGD: step_zo_sgd,
-    SUBSPACE_MEZO: step_subspace_mezo,
-    LOZO: step_lozo,
-    ZO_MUON: step_zo_muon,
-}
-
-
 def queries_per_step(kind: str, cfg: OptimizerConfig) -> int:
     """Gradient-estimation queries one step of ``kind`` consumes."""
-    if kind in (MEZO, LOZO):
-        return 2
-    if kind in (ZO_SGD, SUBSPACE_MEZO, ZO_MUON):
-        return cfg.n_queries + 1
-    raise ValueError(f"unknown optimizer kind {kind!r}; valid: {', '.join(OPTIMIZER_KINDS)}")
+    check_kind(kind, cfg)
+    return _KINDS[kind][1](cfg)
 
 
 def steps_for_budget(kind: str, cfg: OptimizerConfig, query_budget: int) -> int:
@@ -400,19 +329,15 @@ def run(obj, x0, cfg: OptimizerConfig, optimizer_kind: str, seed: int, eval_ever
     elapsed wall ms) at step 0, every ``eval_every`` steps and at the final
     step.  Trace losses go through the un-counted evaluation channel, one per
     recorded row, and are reported as ``eval_queries`` apart from the
-    gradient-estimation queries.  A non-finite trace loss raises
-    :class:`EvaluationError`.  Any error raised during the run carries the rows
-    recorded before it as ``partial_trace``.  Deterministic for a fixed seed
-    except for the elapsed times.
+    gradient-estimation queries.  A non-finite trace loss or query raises
+    :class:`EvaluationError` naming the step, the count of steps completed.
+    Any error raised during the run carries the rows recorded before it as
+    ``partial_trace`` and that count as ``steps``.  Deterministic for a fixed
+    seed except for the elapsed times.
     """
-    if optimizer_kind not in _STEPPERS:
-        raise ValueError(
-            f"unknown optimizer kind {optimizer_kind!r}; "
-            f"valid: {', '.join(OPTIMIZER_KINDS)}"
-        )
+    check_kind(optimizer_kind, cfg)
     if eval_every < 1:
         raise ValueError("eval_every must be positive")
-    stepper = _STEPPERS[optimizer_kind]
     state = OptimizerState(rng_root_seed=int(seed))
     x = x0.copy()
     start_queries = obj.query_count
@@ -423,23 +348,22 @@ def run(obj, x0, cfg: OptimizerConfig, optimizer_kind: str, seed: int, eval_ever
     def record(elapsed_ms):
         loss = obj.loss(x)
         if not math.isfinite(loss):
-            raise EvaluationError(
-                f"objective {obj.name!r} returned {loss} at step {state.step}"
-            )
-        records.append(
-            StepRecord(state.step, obj.query_count - start_queries, loss, elapsed_ms)
-        )
+            raise EvaluationError(f"objective {obj.name!r} returned {loss}")
+        records.append(StepRecord(state.step, obj.query_count - start_queries, loss, elapsed_ms))
 
     try:
         if cfg.total_steps > 0:
             record(0.0)
         while state.step < cfg.total_steps:
-            x = stepper(obj, x, cfg, state)
+            x = step(optimizer_kind, obj, x, cfg, state)
             if state.step % eval_every == 0 or state.step == cfg.total_steps:
                 record((time.perf_counter() - t0) * 1e3)
     except Exception as exc:
-        # errors propagate with the trace gathered so far attached
+        # errors propagate with the trace gathered so far and the steps done
+        if isinstance(exc, EvaluationError):
+            exc.args = (f"{exc} at step {state.step}",)
         exc.partial_trace = tuple(records)
+        exc.steps = state.step
         raise
     return RunResult(
         records=tuple(records),

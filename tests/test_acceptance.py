@@ -27,8 +27,7 @@ from zomat.optimizers import (
     OptimizerConfig,
     OptimizerState,
     run,
-    step_mezo,
-    step_zo_muon,
+    step,
     steps_for_budget,
 )
 from zomat.oracle import (
@@ -116,11 +115,12 @@ def test_c3_msign_invariants():
 def test_c4_query_accounting():
     obj = objectives.make_quadratic(16, 12, 4, seed=5)
     cfg = OptimizerConfig(learning_rate=1e-3, n_queries=4, rank=4)
-    step_zo_muon(obj, obj.initial_params, cfg, OptimizerState(rng_root_seed=0))
+    step(ZO_MUON, obj, obj.initial_params, cfg, OptimizerState(rng_root_seed=0))
     forward_used = obj.query_count
 
     obj2 = objectives.make_quadratic(16, 12, 4, seed=5)
-    step_mezo(
+    step(
+        MEZO,
         obj2,
         obj2.initial_params,
         OptimizerConfig(learning_rate=1e-3, n_queries=1),

@@ -1,9 +1,11 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from zomat import cli, harness
+from zomat import cli, harness, presets
 from zomat.harness import (
     ConfigError,
     parse_config_text,
@@ -151,6 +153,47 @@ class TestParsing:
         with pytest.raises(ConfigError, match=r"\[optimizer:spectral\]"):
             parse_config_text(text)
 
+    def test_misspelt_optimizer_key_suggests_the_real_one(self):
+        text = TINY_CONFIG.replace("n_queries = 4", "n_querys = 16")
+        with pytest.raises(
+            ConfigError, match=r"\[optimizer:spectral\].*'n_querys'.*did you mean 'n_queries'"
+        ):
+            parse_config_text(text)
+
+    @pytest.mark.parametrize(
+        "line", ["projection_strategy = sketching", "sketch_momentum_beta = 0.9"]
+    )
+    def test_removed_sketching_keys_rejected(self, line):
+        text = TINY_CONFIG + line + "\n"  # into the last section, [optimizer:spectral]
+        with pytest.raises(ConfigError, match=r"\[optimizer:spectral\].*" + line.split()[0]):
+            parse_config_text(text)
+
+    @pytest.mark.parametrize("line", ["rnak = 4", "n_samples = 40"])
+    def test_unknown_objective_key_rejected(self, line):
+        # n_samples belongs to other objective kinds, not to quadratic
+        text = TINY_CONFIG.replace("seed = 4\n", f"seed = 4\n{line}\n")
+        with pytest.raises(ConfigError, match=r"\[objective\].*" + line.split()[0]):
+            parse_config_text(text)
+
+    def test_unknown_experiment_key_rejected(self):
+        text = TINY_CONFIG.replace("eval_every = 2", "eval_evry = 2")
+        with pytest.raises(ConfigError, match=r"\[experiment\].*did you mean 'eval_every'"):
+            parse_config_text(text)
+
+    def test_mezo_multi_query_rejected_at_parse_time(self):
+        text = TINY_CONFIG + "\n[optimizer:b]\nkind = mezo\nlearning_rate = 1e-3\nn_queries = 4\n"
+        with pytest.raises(ConfigError, match=r"\[optimizer:b\].*n_queries=1"):
+            parse_config_text(text)
+
+    def test_race_preset_and_readme_example_parse(self):
+        exp = parse_config_text(presets.quadratic_race_ini())
+        assert exp == presets.quadratic_race_config()
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        example = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+        exp = parse_config_text(example)
+        assert exp.optimizers[0].config.n_queries == 4
+        assert exp.objective.options["k"] == 8
+
 
 class TestTraceCsv:
     def test_round_trip(self, tmp_path):
@@ -241,6 +284,9 @@ class TestRunExperiment:
             "zo_muon": "ok", "blowup": "diverged", "mezo": "ok",
         }
         assert "returned" in results["blowup"]["error"]
+        # it completed one step and failed inside the second
+        assert results["blowup"]["steps"] == 1
+        assert results["blowup"]["error"].endswith("at step 1")
         assert "error" not in results["mezo"]
         # the rows recorded before the divergence are kept
         partial = read_trace_csv(tmp_path / "div_blowup.csv")

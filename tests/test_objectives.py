@@ -152,7 +152,7 @@ class TestMlp:
         obj = objectives.make_mlp((6, 10, 4), n_samples=40, seed=4)
         cfg = optimizers.OptimizerConfig(learning_rate=1e-2, n_queries=4, rank=4)
         state = optimizers.OptimizerState(rng_root_seed=0)
-        optimizers.step_zo_muon(obj, obj.initial_params, cfg, state)
+        optimizers.step(optimizers.ZO_MUON, obj, obj.initial_params, cfg, state)
         assert obj.query_count == 5
 
     def test_width_validation(self):

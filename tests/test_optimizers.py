@@ -3,7 +3,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from zomat import linalg, objectives, optimizers
-from zomat.estimators import FORWARD
 from zomat.objectives import Objective
 from zomat.optimizers import (
     LOZO,
@@ -56,12 +55,12 @@ class TestMezo:
     def test_constant_function_leaves_params_unchanged(self):
         obj = constant_objective()
         x = obj.initial_params
-        new_x = optimizers.step_mezo(obj, x, cfg_for(MEZO), OptimizerState())
+        new_x = optimizers.step(MEZO, obj, x, cfg_for(MEZO), OptimizerState())
         assert np.array_equal(new_x["x"], x["x"])
 
     def test_two_queries_per_step(self):
         obj = constant_objective()
-        optimizers.step_mezo(obj, obj.initial_params, cfg_for(MEZO), OptimizerState())
+        optimizers.step(MEZO, obj, obj.initial_params, cfg_for(MEZO), OptimizerState())
         assert obj.query_count == 2
 
     def test_loss_decreases_for_most_seeds(self):
@@ -73,7 +72,7 @@ class TestMezo:
             x = obj.initial_params
             before = obj.loss(x)
             cfg = cfg_for(MEZO, learning_rate=1e-4)
-            new_x = optimizers.step_mezo(obj, x, cfg, OptimizerState(rng_root_seed=seed))
+            new_x = optimizers.step(MEZO, obj, x, cfg, OptimizerState(rng_root_seed=seed))
             if obj.loss(new_x) < before:
                 decreases += 1
         assert decreases >= 60
@@ -81,8 +80,8 @@ class TestMezo:
     def test_rejects_multi_query(self):
         obj = constant_objective()
         with pytest.raises(ValueError, match="n_queries=1"):
-            optimizers.step_mezo(
-                obj, obj.initial_params, cfg_for(MEZO, n_queries=2), OptimizerState()
+            optimizers.step(
+                MEZO, obj, obj.initial_params, cfg_for(MEZO, n_queries=2), OptimizerState()
             )
 
 
@@ -90,22 +89,22 @@ class TestSubspaceMezo:
     def test_constant_function_leaves_params_unchanged(self):
         obj = constant_objective()
         x = obj.initial_params
-        new_x = optimizers.step_subspace_mezo(obj, x, cfg_for(SUBSPACE_MEZO), OptimizerState())
+        new_x = optimizers.step(SUBSPACE_MEZO, obj, x, cfg_for(SUBSPACE_MEZO), OptimizerState())
         assert np.array_equal(new_x["x"], x["x"])
 
     def test_update_lies_in_projection_column_space(self):
         obj = quad_objective()
         x = obj.initial_params
         state = OptimizerState(rng_root_seed=1)
-        new_x = optimizers.step_subspace_mezo(obj, x, cfg_for(SUBSPACE_MEZO), state)
+        new_x = optimizers.step(SUBSPACE_MEZO, obj, x, cfg_for(SUBSPACE_MEZO), state)
         p = state.projections["x"].matrix
         delta = new_x["x"] - x["x"]
         assert np.max(np.abs(delta - p @ (p.T @ delta))) <= 1e-10
 
     def test_two_queries_at_single_query_config(self):
         obj = quad_objective()
-        optimizers.step_subspace_mezo(
-            obj, obj.initial_params, cfg_for(SUBSPACE_MEZO), OptimizerState()
+        optimizers.step(
+            SUBSPACE_MEZO, obj, obj.initial_params, cfg_for(SUBSPACE_MEZO), OptimizerState()
         )
         assert obj.query_count == 2
 
@@ -114,19 +113,19 @@ class TestLozo:
     def test_constant_function_leaves_params_unchanged(self):
         obj = constant_objective()
         x = obj.initial_params
-        new_x = optimizers.step_lozo(obj, x, cfg_for(LOZO), OptimizerState())
+        new_x = optimizers.step(LOZO, obj, x, cfg_for(LOZO), OptimizerState())
         assert np.array_equal(new_x["x"], x["x"])
 
     def test_update_rank_bounded(self):
         obj = quad_objective(shape=(10, 9))
         x = obj.initial_params
-        new_x = optimizers.step_lozo(obj, x, cfg_for(LOZO, rank=3), OptimizerState())
+        new_x = optimizers.step(LOZO, obj, x, cfg_for(LOZO, rank=3), OptimizerState())
         s = np.linalg.svd(new_x["x"] - x["x"], compute_uv=False)
         assert s[3] / s[0] <= 1e-10
 
     def test_two_queries_per_step(self):
         obj = quad_objective()
-        optimizers.step_lozo(obj, obj.initial_params, cfg_for(LOZO), OptimizerState())
+        optimizers.step(LOZO, obj, obj.initial_params, cfg_for(LOZO), OptimizerState())
         assert obj.query_count == 2
 
     def test_left_factor_lazy_right_factor_fresh(self):
@@ -139,7 +138,7 @@ class TestLozo:
         x = obj.initial_params
         deltas = []
         for _ in range(4):
-            new_x = optimizers.step_lozo(obj, x, cfg, state)
+            new_x = optimizers.step(LOZO, obj, x, cfg, state)
             deltas.append(new_x["x"] - x["x"])
             x = new_x
         in_epoch = np.hstack(deltas[:3])
@@ -157,9 +156,9 @@ class TestLozo:
         state = OptimizerState(rng_root_seed=7)
         x = obj.initial_params
         for _ in range(2):
-            x = optimizers.step_lozo(obj, x, cfg, state)
-        held = optimizers.step_lozo(obj, x, cfg, state)
-        fresh = optimizers.step_lozo(obj, x, cfg, OptimizerState(rng_root_seed=7, step=2))
+            x = optimizers.step(LOZO, obj, x, cfg, state)
+        held = optimizers.step(LOZO, obj, x, cfg, state)
+        fresh = optimizers.step(LOZO, obj, x, cfg, OptimizerState(rng_root_seed=7, step=2))
         assert np.array_equal(held["x"], fresh["x"])
 
 
@@ -167,7 +166,7 @@ class TestZoMuon:
     def test_constant_function_leaves_params_unchanged(self):
         obj = constant_objective()
         x = obj.initial_params
-        new_x = optimizers.step_zo_muon(obj, x, cfg_for(ZO_MUON), OptimizerState())
+        new_x = optimizers.step(ZO_MUON, obj, x, cfg_for(ZO_MUON), OptimizerState())
         assert np.array_equal(new_x["x"], x["x"])
 
     def test_update_in_column_space_with_unit_singular_values(self):
@@ -175,7 +174,7 @@ class TestZoMuon:
         x = obj.initial_params
         state = OptimizerState(rng_root_seed=2)
         cfg = cfg_for(ZO_MUON, rank=4)
-        new_x = optimizers.step_zo_muon(obj, x, cfg, state)
+        new_x = optimizers.step(ZO_MUON, obj, x, cfg, state)
         delta = new_x["x"] - x["x"]
         p = state.projections["x"].matrix
         assert np.max(np.abs(delta - p @ (p.T @ delta))) <= 1e-10
@@ -185,8 +184,8 @@ class TestZoMuon:
 
     def test_queries_per_step_is_nq_plus_one(self):
         obj = quad_objective()
-        optimizers.step_zo_muon(
-            obj, obj.initial_params, cfg_for(ZO_MUON, n_queries=4), OptimizerState()
+        optimizers.step(
+            ZO_MUON, obj, obj.initial_params, cfg_for(ZO_MUON, n_queries=4), OptimizerState()
         )
         assert obj.query_count == 5
 
@@ -194,7 +193,7 @@ class TestZoMuon:
         obj = quad_objective(shape=(12, 10))
         x = obj.initial_params
         cfg = cfg_for(ZO_MUON, rank=4)
-        new_x = optimizers.step_zo_muon(obj, x, cfg, OptimizerState(rng_root_seed=3))
+        new_x = optimizers.step(ZO_MUON, obj, x, cfg, OptimizerState(rng_root_seed=3))
         norm = np.linalg.norm(new_x["x"] - x["x"])
         expected = cfg.learning_rate * np.sqrt(4)
         assert abs(norm - expected) <= 1e-8 * expected
@@ -206,7 +205,7 @@ class TestZoMuon:
         for scale in (1.0, 1000.0):
             obj = quad_objective(shape=(9, 7), seed=4, scale=scale)
             x = obj.initial_params
-            new_x = optimizers.step_zo_muon(obj, x, cfg, OptimizerState(rng_root_seed=6))
+            new_x = optimizers.step(ZO_MUON, obj, x, cfg, OptimizerState(rng_root_seed=6))
             results.append(new_x["x"] - x["x"])
         assert np.max(np.abs(results[0] - results[1])) <= 1e-8
 
@@ -219,8 +218,8 @@ class TestZoMuon:
             obj = quad_objective(shape=(8, 6), seed=5, scale=scale)
             x = obj.initial_params
             with pytest.warns(UserWarning, match="n_queries=1"):
-                new_x = optimizers.step_zo_muon(
-                    obj, x, cfg, OptimizerState(rng_root_seed=7)
+                new_x = optimizers.step(
+                    ZO_MUON, obj, x, cfg, OptimizerState(rng_root_seed=7)
                 )
             deltas.append(new_x["x"] - x["x"])
         assert np.max(np.abs(deltas[0] - deltas[1])) <= 1e-8
@@ -243,8 +242,8 @@ class TestZoMuon:
         state_a = OptimizerState(rng_root_seed=9)
         state_b = OptimizerState(rng_root_seed=9)
         for _ in range(5):
-            xa = optimizers.step_zo_muon(obj_a, xa, cfg, state_a)
-            xb = optimizers.step_zo_sgd(obj_b, xb, cfg, state_b, scheme=FORWARD)
+            xa = optimizers.step(ZO_MUON, obj_a, xa, cfg, state_a)
+            xb = optimizers.step(ZO_SGD, obj_b, xb, cfg, state_b)
             assert np.array_equal(xa["b"], xb["b"])
         assert obj_a.query_count == obj_b.query_count
 
@@ -262,7 +261,7 @@ class TestResampling:
             snapshots.append(None)
             optimizers._ensure_projections(state, cfg, x)
             snapshots[-1] = state.projections["x"].matrix.copy()
-            x = optimizers.step_zo_muon(obj, x, cfg, state)
+            x = optimizers.step(ZO_MUON, obj, x, cfg, state)
         for t in range(1, len(snapshots)):
             same = np.array_equal(snapshots[t], snapshots[t - 1])
             if t % interval == 0:
@@ -277,7 +276,7 @@ class TestResampling:
         x = obj.initial_params
         seen = []
         for _ in range(101):
-            x = optimizers.step_zo_muon(obj, x, cfg, state)
+            x = optimizers.step(ZO_MUON, obj, x, cfg, state)
             seen.append(state.projections["x"].matrix.copy())
         for t in range(99):
             assert np.array_equal(seen[t], seen[t + 1])
@@ -300,35 +299,6 @@ class TestResampling:
             OptimizerState(rng_root_seed=0), cfg, {"x": (8, 6)}
         )
         assert state.projections["x"].matrix.shape == (8, 6)
-
-    def test_sketching_zero_momentum_falls_back_to_random(self):
-        cfg_sketch = cfg_for(ZO_MUON, projection_strategy="sketching")
-        cfg_random = cfg_for(ZO_MUON)
-        a = optimizers.resample_projection(OptimizerState(rng_root_seed=4), cfg_sketch, {"x": (8, 6)})
-        b = optimizers.resample_projection(OptimizerState(rng_root_seed=4), cfg_random, {"x": (8, 6)})
-        assert np.array_equal(a.projections["x"].matrix, b.projections["x"].matrix)
-
-    def test_sketching_uses_momentum_after_steps(self):
-        obj = quad_objective(shape=(8, 6))
-        cfg = cfg_for(
-            ZO_MUON, rank=2, projection_strategy="sketching", resample_interval=2
-        )
-        state = OptimizerState(rng_root_seed=13)
-        x = obj.initial_params
-        for _ in range(2):
-            x = optimizers.step_zo_muon(obj, x, cfg, state)
-        assert np.linalg.norm(state.sketch_momentum["x"]) > 0
-        before = state.projections["x"].matrix.copy()
-        x = optimizers.step_zo_muon(obj, x, cfg, state)  # step 2 resamples
-        after = state.projections["x"].matrix
-        assert not np.array_equal(before, after)
-        gram = after.T @ after
-        assert np.max(np.abs(gram - np.eye(2))) <= 1e-10
-        # fallback-to-random would give a different matrix than the sketch
-        random_state = optimizers.resample_projection(
-            OptimizerState(rng_root_seed=13, step=2), cfg_for(ZO_MUON, rank=2), {"x": (8, 6)}
-        )
-        assert not np.array_equal(after, random_state.projections["x"].matrix)
 
 
 class TestFirstOrderReferences:
@@ -492,6 +462,24 @@ class TestBudgeting:
         assert total <= budget
         assert total >= budget - (cost - 1)
 
+    @pytest.mark.parametrize("kind", optimizers.OPTIMIZER_KINDS)
+    def test_one_step_consumes_queries_per_step(self, kind, monkeypatch):
+        # a matrix block and a vector block, so every kind also runs its
+        # full-space fallback inside the same queries
+        rng = np.random.default_rng(21)
+        target = {"w": rng.standard_normal((6, 5)), "b": rng.standard_normal((1, 5))}
+        obj = Objective(
+            "mixed",
+            lambda x: 0.5 * sum(float(np.sum((x[n] - t) ** 2)) for n, t in target.items()),
+            ParamSpace({"w": np.zeros((6, 5)), "b": np.zeros((1, 5))}, kinds={"b": "vector"}),
+        )
+        calls = []
+        evaluate = Objective.evaluate
+        monkeypatch.setattr(Objective, "evaluate", lambda o, x: calls.append(1) or evaluate(o, x))
+        cfg = cfg_for(kind, n_queries=1 if kind == MEZO else 3, rank=2)
+        optimizers.step(kind, obj, obj.initial_params, cfg, OptimizerState(rng_root_seed=2))
+        assert len(calls) == obj.query_count == optimizers.queries_per_step(kind, cfg)
+
 
 class TestConfigValidation:
     @pytest.mark.parametrize(
@@ -504,8 +492,6 @@ class TestConfigValidation:
             dict(learning_rate=1e-2, resample_interval=0),
             dict(learning_rate=1e-2, total_steps=-1),
             dict(learning_rate=1e-2, msign_backend="qr"),
-            dict(learning_rate=1e-2, projection_strategy="pca"),
-            dict(learning_rate=1e-2, sketch_momentum_beta=1.0),
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -516,6 +502,6 @@ class TestConfigValidation:
         obj = quad_objective(shape=(10, 8))
         cfg = cfg_for(ZO_MUON, msign_backend="ns", rank=3)
         state = OptimizerState(rng_root_seed=20)
-        new_x = optimizers.step_zo_muon(obj, obj.initial_params, cfg, state)
+        new_x = optimizers.step(ZO_MUON, obj, obj.initial_params, cfg, state)
         assert np.all(np.isfinite(new_x["x"]))
         assert state.step == 1

@@ -163,11 +163,14 @@ class TestStepTables:
     @pytest.mark.parametrize("kind", [ZO_SGD, ZO_MUON, optimizers.LOZO])
     def test_stepper_entered_at_arbitrary_step(self, kind, monkeypatch):
         cfg = OptimizerConfig(learning_rate=1e-2, n_queries=2, rank=2, resample_interval=7)
-        stepper = optimizers._STEPPERS[kind]
         obj = mixed_objective()
         x = obj.initial_params
-        bulk = stepper(obj, x, cfg, OptimizerState(rng_root_seed=5, step=3 * CHUNK - 1))
+        bulk = optimizers.step(
+            kind, obj, x, cfg, OptimizerState(rng_root_seed=5, step=3 * CHUNK - 1)
+        )
         monkeypatch.setattr(optimizers, "estimate_streams", scalar_estimate_streams)
-        scalar = stepper(obj, x, cfg, OptimizerState(rng_root_seed=5, step=3 * CHUNK - 1))
+        scalar = optimizers.step(
+            kind, obj, x, cfg, OptimizerState(rng_root_seed=5, step=3 * CHUNK - 1)
+        )
         for name in x.names:
             assert np.array_equal(bulk[name], scalar[name])
