@@ -1,7 +1,7 @@
 """Command-line front-end: run, compare, verify.
 
 Exit codes: 0 on success, 1 when a verification check fails or an optimizer
-run diverges, 2 for usage or configuration errors.  The default output
+run diverges or fails, 2 for usage or configuration errors.  The default output
 directory can be set through the ZOMAT_OUT_DIR environment variable and
 overridden per call with --out-dir.
 """

@@ -103,37 +103,39 @@ def rge_full(obj, x: ParamSpace, cfg: EstimatorConfig, seed: int, words=None) ->
     holds the (query, block) slot words of ``seed`` from
     :func:`zomat.streams.slot_words`.
     """
-    accum = {name: np.zeros_like(value) for name, value in x.items()}
-    if cfg.scheme == FORWARD:
-        base = _evaluate(obj, x, seed)
-        for i in range(cfg.n_queries):
-            deltas = {
-                name: _draw(seed, words, i, x.index(name), value.shape)
-                for name, value in x.items()
-            }
-            shifted = x.updated(
-                {name: x[name] + cfg.mu * d for name, d in deltas.items()}
-            )
-            coef = (_evaluate(obj, shifted, seed) - base) / cfg.mu
-            for name, d in deltas.items():
-                accum[name] += coef * d
-    else:
+    used = cfg.queries_per_call
+    if cfg.scheme == CENTRAL:
         deltas = {
             name: _draw(seed, words, 0, x.index(name), value.shape)
             for name, value in x.items()
         }
-        plus = x.updated({name: x[name] + cfg.mu * d for name, d in deltas.items()})
-        minus = x.updated({name: x[name] - cfg.mu * d for name, d in deltas.items()})
-        coef = (_evaluate(obj, plus, seed) - _evaluate(obj, minus, seed)) / (
-            2.0 * cfg.mu
+        coef = _central_coef(obj, x, deltas, cfg.mu, seed)
+        return {name: GradEstimate(coef * d, used) for name, d in deltas.items()}
+    accum = {name: np.zeros_like(value) for name, value in x.items()}
+    base = _evaluate(obj, x, seed)
+    for i in range(cfg.n_queries):
+        deltas = {
+            name: _draw(seed, words, i, x.index(name), value.shape)
+            for name, value in x.items()
+        }
+        shifted = x.updated(
+            {name: x[name] + cfg.mu * d for name, d in deltas.items()}
         )
+        coef = (_evaluate(obj, shifted, seed) - base) / cfg.mu
         for name, d in deltas.items():
             accum[name] += coef * d
-    used = cfg.queries_per_call
     return {
         name: GradEstimate(grad=accum[name] / cfg.n_queries, queries_used=used)
         for name in x.names
     }
+
+
+def _central_coef(obj, x, deltas, mu, seed):
+    """(f(X + mu D) - f(X - mu D)) / (2 mu) for the per-block directions D."""
+    steps = {name: mu * d for name, d in deltas.items()}
+    plus = x.updated({name: x[name] + s for name, s in steps.items()})
+    minus = x.updated({name: x[name] - s for name, s in steps.items()})
+    return (_evaluate(obj, plus, seed) - _evaluate(obj, minus, seed)) / (2.0 * mu)
 
 
 def subspace_rge(
@@ -209,19 +211,13 @@ def lge_lozo(obj, x: ParamSpace, a_factors, b_factors, mu: float, seed: int = 0,
     """Two-factor low-rank estimate [(f(X + mu AB) - f(X - mu AB)) / (2 mu)] AB.
 
     ``a_factors`` and ``b_factors`` map block names to the m-by-r and r-by-n
-    Gaussian factors; a bare array pair is accepted when the space has a
-    single block.  Blocks without factors are perturbed with full Gaussians
+    Gaussian factors.  Blocks without factors are perturbed with full Gaussians
     drawn from ``seed`` (query slot 0, or ``words`` as in :func:`rge_full`)
     inside the same two evaluations (the fallback treatment for vectors).
     The call consumes exactly 2 queries.
     """
     if mu < MIN_MU:
         raise ValueError(f"mu={mu} is below the underflow floor {MIN_MU}")
-    if isinstance(a_factors, np.ndarray):
-        if len(x.names) != 1:
-            raise ValueError("bare factor arrays require a single-block space")
-        a_factors = {x.names[0]: a_factors}
-        b_factors = {x.names[0]: b_factors}
     if set(a_factors) != set(b_factors):
         raise ValueError("a_factors and b_factors must cover the same blocks")
 
@@ -239,10 +235,5 @@ def lge_lozo(obj, x: ParamSpace, a_factors, b_factors, mu: float, seed: int = 0,
         else:
             deltas[name] = _draw(seed, words, 0, x.index(name), value.shape)
 
-    plus = x.updated({name: x[name] + mu * d for name, d in deltas.items()})
-    minus = x.updated({name: x[name] - mu * d for name, d in deltas.items()})
-    coef = (_evaluate(obj, plus, seed) - _evaluate(obj, minus, seed)) / (2.0 * mu)
-    return {
-        name: GradEstimate(grad=coef * deltas[name], queries_used=2)
-        for name in x.names
-    }
+    coef = _central_coef(obj, x, deltas, mu, seed)
+    return {name: GradEstimate(coef * d, 2) for name, d in deltas.items()}

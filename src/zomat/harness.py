@@ -23,8 +23,10 @@ Configs are flat INI-style key-value text with one section per optimizer:
     n_queries = 4
     rank = 8
 
-Unknown keys and per-kind constraints (mezo's single query) are rejected
-with a :class:`ConfigError` naming the section and the key.
+Unknown sections (anything but ``[experiment]``, ``[objective]``,
+``[optimizer]`` and ``[optimizer:<label>]``), unknown keys and per-kind
+constraints (mezo's single query) are rejected with a :class:`ConfigError`
+naming the section and the key, with a did-you-mean where one is close.
 
 Every optimizer's step count is derived from the shared query budget and its
 per-step query cost, so compared runs consume (up to remainder) the same
@@ -33,7 +35,9 @@ header ``step,queries,loss,elapsed_ms``; content is deterministic for a fixed
 config and seed apart from the elapsed_ms column.  An optimizer that diverges
 (its objective returns a non-finite value) keeps the rows it recorded before
 it diverged and is marked ``diverged`` in ``summary.json`` with the steps
-it completed and an error naming the step; the others run on.
+it completed and an error naming the step; one that fails in any other way
+(say a ``NumericalError`` from msign) is kept the same way and marked
+``error``.  Either way the others run on.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ import dataclasses
 import difflib
 import json
 import os
+import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -62,6 +67,7 @@ OUT_DIR_ENV = "ZOMAT_OUT_DIR"
 #: per-optimizer ``status`` values in ``summary.json``
 OK = "ok"
 DIVERGED = "diverged"
+ERROR = "error"
 
 
 class ConfigError(ValueError):
@@ -129,6 +135,20 @@ def _reject_unknown(section, known):
             raise ConfigError(f"[{section.name}] unknown key {key!r}; {hint}")
 
 
+def _reject_unknown_sections(parser, origin):
+    """Reject a section that is not [experiment], [objective], [optimizer] or
+    [optimizer:<label>], suggesting the closest valid name."""
+    for name in parser.sections():
+        head, sep, label = name.partition(":")
+        if name in ("experiment", "objective") or head == "optimizer":
+            continue
+        valid = ("optimizer",) if sep else ("experiment", "objective", "optimizer")
+        close = difflib.get_close_matches(head, valid, n=1)
+        hint = (f"did you mean [{close[0]}{sep}{label}]?" if close
+                else "valid: [experiment], [objective], [optimizer:<label>]")
+        raise ConfigError(f"{origin}: unknown section [{name}]; {hint}")
+
+
 _EXPERIMENT_KEYS = ("name", "seed", "query_budget", "eval_every", "out_dir",
                     "loss_thresholds", "loss_threshold_fractions")
 
@@ -163,6 +183,7 @@ def parse_config_text(text: str, origin: str = "<config>") -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"{origin}: {exc}") from exc
 
+    _reject_unknown_sections(parser, origin)
     if "experiment" not in parser:
         raise ConfigError(f"{origin}: missing [experiment] section")
     if "objective" not in parser:
@@ -197,7 +218,7 @@ def parse_config_text(text: str, origin: str = "<config>") -> ExperimentConfig:
 
     entries = []
     for section_name in parser.sections():
-        if not section_name.startswith("optimizer"):
+        if section_name in ("experiment", "objective"):
             continue
         section = parser[section_name]
         _reject_unknown(section, ("kind", *_OPTIMIZER_FIELDS))
@@ -320,9 +341,12 @@ def run_experiment(exp: ExperimentConfig, out_dir=None, seed=None, eval_every=No
     loss and queries-to-threshold for every configured threshold, and an echo
     of the configuration.  The initial loss is read from the first step-0
     trace row.  An optimizer that diverges gets status ``diverged`` with the
-    error message, which names the step; its ``steps`` are the steps it
-    completed, and its CSV and results cover the rows recorded before it
-    diverged.  Returns the summary dict.
+    error message, which names the step; one that raises any other exception
+    gets status ``error`` with the exception's type and message and the step,
+    and its traceback.
+    Either way its ``steps`` are the steps it completed, its CSV and results
+    cover the rows recorded before it failed, and the next optimizer runs.
+    Returns the summary dict.
     """
     out_path = resolve_out_dir(out_dir, exp.out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
@@ -347,6 +371,12 @@ def run_experiment(exp: ExperimentConfig, out_dir=None, seed=None, eval_every=No
         except EvaluationError as exc:
             records, steps = exc.partial_trace, exc.steps
             status = {"status": DIVERGED, "error": str(exc)}
+        except Exception as exc:
+            if not hasattr(exc, "partial_trace"):
+                raise  # raised before the first step: a bad config, not a failed run
+            records, steps = exc.partial_trace, exc.steps
+            status = {"status": ERROR, "error": f"{type(exc).__name__} at step {steps}: {exc}",
+                      "traceback": "".join(traceback.format_exception(exc))}
         csv_path = out_path / f"{exp.name}_{entry.label}.csv"
         write_trace_csv(csv_path, records)
         traces[entry.label] = records

@@ -93,15 +93,39 @@ def sample_projection(m: int, r: int, seed: int, born_at_step: int = 0) -> Proje
     return Projection(matrix=q * signs, seed=int(seed), born_at_step=int(born_at_step))
 
 
+#: Smallest ratio of the extreme eigenvalues of the normalized Gram (squared
+#: singular values) for which ``msign_svd`` takes the Gram route.  The route's
+#: error grows like eps * cond(g)^2: measured up to 2.4e-11 at cond 316 (the
+#: gate) and 2e-10 at cond 1000, against the SVD.
+GRAM_MIN_RATIO = 1e-5
+
+
 def msign_svd(g, rank_tol: float = 1e-7) -> np.ndarray:
-    """Matrix sign (whitening) of ``g`` via exact SVD.
+    """Matrix sign (whitening) of ``g``, exact up to rounding.
 
     With g = U diag(s) V^T, returns U[:, :k] @ V[:, :k].T where k counts the
     singular values above ``rank_tol`` times the largest one.  Every retained
     singular direction is mapped to unit length; the zero matrix maps to the
     zero matrix.
+
+    A well-conditioned input takes the polar factor through the Gram on its
+    smaller side: with g scaled to unit Frobenius norm (msign is
+    scale-invariant, and the Gram can then neither overflow nor underflow)
+    and g g^T = V diag(w) V^T, msign(g) = (V / sqrt(w)) V^T g.  When
+    w_min / w_max is at most ``GRAM_MIN_RATIO`` (or ``rank_tol`` squared, if
+    larger), which covers zero and rank-deficient inputs, it takes the SVD.
     """
     arr = as_matrix(g)
+    norm = np.linalg.norm(arr)
+    if 0.0 < norm < np.inf:
+        unit = arr / norm
+        transpose = unit.shape[0] > unit.shape[1]
+        if transpose:
+            unit = unit.T
+        w, v = np.linalg.eigh(unit @ unit.T)
+        if w[0] > max(GRAM_MIN_RATIO, rank_tol * rank_tol) * w[-1]:
+            out = (v / np.sqrt(w)) @ (v.T @ unit)
+            return out.T if transpose else out
     try:
         u, s, vt = np.linalg.svd(arr, full_matrices=False)
     except np.linalg.LinAlgError as exc:

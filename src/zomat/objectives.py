@@ -96,11 +96,13 @@ def make_quadratic(
     """Quadratic f(X) = 1/2 tr((X - X*)^T H (X - X*)) with planted low-rank
     curvature H = L L^T + delta I.
 
-    L is an m-by-k factor built from a random orthonormal basis scaled by a
-    log-spaced spectrum (largest eigenvalue 1, smallest 1/block_condition),
-    so the gradient H (X - X*) concentrates its energy in a k-dimensional
-    column space.  ``init_offset`` scales the distance of the initial point
-    from the minimizer.
+    L is an m-by-k factor built from a random orthonormal basis scaled by the
+    square root of a log-spaced spectrum (largest eigenvalue 1, smallest
+    1/block_condition), so the gradient H (X - X*) concentrates its energy in
+    a k-dimensional column space.  ``init_offset`` scales the distance of the
+    initial point from the minimizer.  H is never formed: with F = L^T and
+    D = X - X*, the loss is 1/2 (||F D||^2 + delta ||D||^2) and the gradient
+    F^T (F D) + delta D, so a query costs k-by-m-by-n, not m-by-m-by-n.
     """
     if not (1 <= k <= m):
         raise ValueError(f"need 1 <= k <= m, got k={k}, m={m}")
@@ -108,19 +110,24 @@ def make_quadratic(
         raise ValueError(f"n must be positive, got {n}")
     rng = np.random.default_rng(seed)
     basis, _ = np.linalg.qr(rng.standard_normal((m, k)))
-    lam = planted_spectrum(k, block_condition)
-    curvature = (basis * lam) @ basis.T
-    if delta:
-        curvature = curvature + delta * np.eye(m)
+    factor = (basis * np.sqrt(planted_spectrum(k, block_condition))).T
     x_star = rng.standard_normal((m, n))
     x0 = x_star + init_offset * rng.standard_normal((m, n))
 
     def loss_fn(x):
         d = x["x"] - x_star
-        return 0.5 * np.vdot(d, curvature @ d)
+        fd = factor @ d
+        energy = np.vdot(fd, fd)
+        if delta:
+            energy += delta * np.vdot(d, d)
+        return 0.5 * energy
 
     def gradient_fn(x):
-        return {"x": curvature @ (x["x"] - x_star)}
+        d = x["x"] - x_star
+        grad = factor.T @ (factor @ d)
+        if delta:
+            grad += delta * d
+        return {"x": grad}
 
     obj = Objective(
         name="quadratic",
@@ -134,7 +141,6 @@ def make_quadratic(
         },
     )
     obj.minimizer = ParamSpace({"x": x_star})
-    obj.curvature = curvature
     return obj
 
 

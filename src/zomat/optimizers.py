@@ -90,22 +90,27 @@ class OptimizerConfig:
 @dataclass
 class OptimizerState:
     """Mutable per-run state: step counter, live projections, the LOZO left
-    factors, each kept as (epoch, A) per block name, and the bulk-derived
-    stream tables keyed by what they hold."""
+    factors, each kept as (epoch, A) per block name, and the per-run
+    constants (estimator configs, block layouts, bulk-derived stream tables)
+    keyed by what they hold."""
 
     rng_root_seed: int = 0
     step: int = 0
     projections: dict = field(default_factory=dict)
     lozo_left: dict = field(default_factory=dict)
-    tables: dict = field(default_factory=dict)
+    constants: dict = field(default_factory=dict)
+
+    def constant(self, key, make):
+        """The per-run constant ``key``, made by ``make()`` on first use."""
+        value = self.constants.get(key)
+        if value is None:
+            value = self.constants[key] = make()
+        return value
 
     def table_row(self, key, make) -> tuple:
         """Row of the current step in the stream table ``key``, made by
         ``make()`` on first use."""
-        table = self.tables.get(key)
-        if table is None:
-            table = self.tables[key] = make()
-        return table(self.step)
+        return self.constant(key, make)(self.step)
 
 
 def estimate_streams(state: OptimizerState, n_queries: int, n_blocks: int):
@@ -178,18 +183,25 @@ def resample_projection(state: OptimizerState, cfg: OptimizerConfig, shapes: dic
 
 
 def _ensure_projections(state, cfg, x):
-    shapes = {name: x[name].shape for name in partition(x).matrix_blocks}
-    due = state.step == 0 or state.step % cfg.resample_interval == 0
-    missing = any(name not in state.projections for name in shapes)
-    if due or missing:
+    """Resample on every ``resample_interval``-th step, or when the state has
+    no projections yet (a run entered at a later step)."""
+    if state.step % cfg.resample_interval == 0 or not state.projections:
+        shapes = {name: x[name].shape for name in partition(x).matrix_blocks}
         resample_projection(state, cfg, shapes)
+
+
+def _estimator_config(state, cfg, scheme):
+    return state.constant(
+        ("estimator_config", scheme, cfg.mu, cfg.n_queries),
+        lambda: EstimatorConfig(mu=cfg.mu, n_queries=cfg.n_queries, scheme=scheme),
+    )
 
 
 def _full_space(scheme):
     """Direction map of the full-space estimate with the given scheme."""
 
     def direction(obj, x, cfg, state):
-        est_cfg = EstimatorConfig(mu=cfg.mu, n_queries=cfg.n_queries, scheme=scheme)
+        est_cfg = _estimator_config(state, cfg, scheme)
         seed, words = estimate_streams(state, cfg.n_queries, len(x.names))
         grads = estimators.rge_full(obj, x, est_cfg, seed, words)
         return {name: est.grad for name, est in grads.items()}
@@ -206,7 +218,7 @@ def _subspace(whiten):
             warnings.warn("zo_muon with n_queries=1 reduces to a sign-scaled rank-one step; "
                           "multi-query estimates are strongly recommended", stacklevel=3)
         _ensure_projections(state, cfg, x)
-        est_cfg = EstimatorConfig(mu=cfg.mu, n_queries=cfg.n_queries, scheme=FORWARD)
+        est_cfg = _estimator_config(state, cfg, FORWARD)
         seed, words = estimate_streams(state, cfg.n_queries, len(x.names))
         z_est, lifted = estimators.subspace_rge(obj, x, state.projections, est_cfg, seed, words)
         d = {name: est.grad for name, est in lifted.items()}
@@ -218,16 +230,21 @@ def _subspace(whiten):
     return direction
 
 
+def _matrix_layout(x):
+    """The matrix block names of ``x`` and their block indices."""
+    names = partition(x).matrix_blocks
+    return names, tuple(x.index(name) for name in names)
+
+
 def _lozo(obj, x, cfg, state):
     """Direction map of the two-factor low-rank estimate: the left factor is
     drawn once per ``resample_interval`` epoch and held, the right every step."""
     t = state.step
     epoch = t - t % cfg.resample_interval
-    matrix_blocks = partition(x).matrix_blocks
-    right = lozo_right_words(state, tuple(x.index(name) for name in matrix_blocks))
+    matrix_blocks, indices = state.constant("matrix_layout", lambda: _matrix_layout(x))
+    right = lozo_right_words(state, indices)
     a_factors, b_factors = {}, {}
-    for j, name in enumerate(matrix_blocks):
-        idx = x.index(name)
+    for j, (name, idx) in enumerate(zip(matrix_blocks, indices)):
         m, n = x[name].shape
         r = _block_rank(cfg, (m, n))
         held = state.lozo_left.get(name)

@@ -257,7 +257,7 @@ class TestLozoEstimator:
         obj = constant_objective(shape=(6, 5))
         rng = np.random.default_rng(0)
         a, b = rng.standard_normal((6, 2)), rng.standard_normal((2, 5))
-        est = estimators.lge_lozo(obj, obj.initial_params, a, b, mu=1e-3)
+        est = estimators.lge_lozo(obj, obj.initial_params, {"x": a}, {"x": b}, mu=1e-3)
         assert np.all(est["x"].grad == 0.0)
         assert obj.query_count == 2
 
@@ -266,7 +266,7 @@ class TestLozoEstimator:
         c = rng.standard_normal((5, 6))
         a, b = rng.standard_normal((5, 2)), rng.standard_normal((2, 6))
         obj = linear_objective(c)
-        est = estimators.lge_lozo(obj, obj.initial_params, a, b, mu=1e-4)
+        est = estimators.lge_lozo(obj, obj.initial_params, {"x": a}, {"x": b}, mu=1e-4)
         ab = a @ b
         assert_allclose(est["x"].grad, np.vdot(c, ab) * ab, rtol=1e-8)
 
@@ -275,7 +275,7 @@ class TestLozoEstimator:
         c = rng.standard_normal((8, 8))
         a, b = rng.standard_normal((8, 3)), rng.standard_normal((3, 8))
         obj = linear_objective(c)
-        est = estimators.lge_lozo(obj, obj.initial_params, a, b, mu=1e-4)
+        est = estimators.lge_lozo(obj, obj.initial_params, {"x": a}, {"x": b}, mu=1e-4)
         s = np.linalg.svd(est["x"].grad, compute_uv=False)
         assert s[3] / s[0] <= 1e-10
 
@@ -283,7 +283,7 @@ class TestLozoEstimator:
         obj = constant_objective()
         rng = np.random.default_rng(3)
         a, b = rng.standard_normal((4, 2)), rng.standard_normal((2, 5))
-        est = estimators.lge_lozo(obj, obj.initial_params, a, b, mu=1e-3)
+        est = estimators.lge_lozo(obj, obj.initial_params, {"x": a}, {"x": b}, mu=1e-3)
         assert est["x"].queries_used == 2
         assert obj.query_count == 2
 
@@ -294,8 +294,8 @@ class TestLozoEstimator:
             estimators.lge_lozo(
                 obj,
                 obj.initial_params,
-                rng.standard_normal((3, 2)),
-                rng.standard_normal((2, 5)),
+                {"x": rng.standard_normal((3, 2))},
+                {"x": rng.standard_normal((2, 5))},
                 mu=1e-3,
             )
 
@@ -306,8 +306,8 @@ class TestLozoEstimator:
             estimators.lge_lozo(
                 obj,
                 obj.initial_params,
-                rng.standard_normal((4, 2)),
-                rng.standard_normal((3, 5)),
+                {"x": rng.standard_normal((4, 2))},
+                {"x": rng.standard_normal((3, 5))},
                 mu=1e-3,
             )
 
@@ -318,8 +318,8 @@ class TestLozoEstimator:
             estimators.lge_lozo(
                 obj,
                 obj.initial_params,
-                rng.standard_normal((4, 2)),
-                rng.standard_normal((2, 5)),
+                {"x": rng.standard_normal((4, 2))},
+                {"x": rng.standard_normal((2, 5))},
                 mu=1e-14,
             )
 

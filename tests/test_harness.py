@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -5,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zomat import cli, harness, presets
+from zomat import cli, harness, linalg, presets
+from zomat.linalg import NumericalError
 from zomat.harness import (
     ConfigError,
     parse_config_text,
@@ -180,6 +182,22 @@ class TestParsing:
         with pytest.raises(ConfigError, match=r"\[experiment\].*did you mean 'eval_every'"):
             parse_config_text(text)
 
+    @pytest.mark.parametrize(
+        "section, hint",
+        [
+            ("optimiser:extra", r"did you mean \[optimizer:extra\]"),
+            ("optimizers:extra", r"did you mean \[optimizer:extra\]"),
+            ("optimizerb", r"did you mean \[optimizer\]"),
+            ("experiments", r"did you mean \[experiment\]"),
+            ("objective:extra", r"valid: \[experiment\], \[objective\], \[optimizer:<label>\]"),
+            ("logging", r"valid: \[experiment\]"),
+        ],
+    )
+    def test_unknown_section_rejected(self, section, hint):
+        text = TINY_CONFIG + f"\n[{section}]\nkind = mezo\nlearning_rate = 1e-3\n"
+        with pytest.raises(ConfigError, match=rf"unknown section \[{section}\]; {hint}"):
+            parse_config_text(text)
+
     def test_mezo_multi_query_rejected_at_parse_time(self):
         text = TINY_CONFIG + "\n[optimizer:b]\nkind = mezo\nlearning_rate = 1e-3\nn_queries = 4\n"
         with pytest.raises(ConfigError, match=r"\[optimizer:b\].*n_queries=1"):
@@ -296,6 +314,46 @@ class TestRunExperiment:
         for label in ("zo_muon", "mezo"):
             assert results[label]["queries"] == 200
             assert read_trace_csv(tmp_path / f"div_{label}.csv")[-1].queries == 200
+
+    def test_failing_optimizer_keeps_results(self, tmp_path, monkeypatch):
+        # msign fails on zo_muon's third step; mezo runs after it
+        calls = []
+        msign = linalg.msign_svd
+
+        def failing_msign(g, *args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                raise NumericalError("SVD did not converge for a 4x16 matrix")
+            return msign(g, *args, **kwargs)
+
+        monkeypatch.setattr(linalg, "msign_svd", failing_msign)
+        text = DIVERGING_CONFIG.replace("[optimizer:blowup]\nkind = mezo\nlearning_rate = 1e160\n", "")
+        summary = run_experiment(parse_config_text(text.replace("eval_every = 10", "eval_every = 1")),
+                                 out_dir=tmp_path)
+        results = json.loads((tmp_path / "summary.json").read_text())["results"]
+        assert results == summary["results"]
+        assert {label: r["status"] for label, r in results.items()} == {
+            "zo_muon": "error", "mezo": "ok",
+        }
+        failed = results["zo_muon"]
+        assert failed["steps"] == 2
+        assert failed["error"] == (
+            "NumericalError at step 2: msign failed on block 'x': "
+            "SVD did not converge for a 4x16 matrix"
+        )
+        assert failed["traceback"].startswith("Traceback")
+        assert "failing_msign" in failed["traceback"]
+        assert failed["queries"] == 3 * 5
+        partial = read_trace_csv(tmp_path / "div_zo_muon.csv")
+        assert [r.step for r in partial] == [0, 1, 2]
+        assert failed["final_loss"] == partial[-1].loss
+        assert results["mezo"]["queries"] == 200
+
+    def test_error_before_the_first_step_propagates(self, tmp_path):
+        exp = parse_config_text(TINY_CONFIG)
+        bad = dataclasses.replace(exp.optimizers[0], kind="adam")
+        with pytest.raises(ValueError, match="unknown optimizer kind 'adam'"):
+            run_experiment(dataclasses.replace(exp, optimizers=(bad,)), out_dir=tmp_path)
 
     def test_initial_loss_read_from_trace(self, tmp_path, monkeypatch):
         calls = []
@@ -453,6 +511,19 @@ class TestCli:
         assert "blowup diverged" in captured.err
         assert "summary" in captured.out
         assert (tmp_path / "out" / "div_mezo.csv").exists()
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_failed_optimizer_exits_one(self, tmp_path, capsys, monkeypatch, command):
+        def failing_msign(g, *args, **kwargs):
+            raise NumericalError("SVD did not converge")
+
+        monkeypatch.setattr(linalg, "msign_svd", failing_msign)
+        code = cli.main([command, str(self.write_config(tmp_path)), "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "spectral error: NumericalError at step 0" in captured.err
+        assert (tmp_path / "out" / "tiny_spectral.csv").exists()
+        assert (tmp_path / "out" / "tiny_mezo.csv").exists()
 
     def test_config_error_exits_two(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from zomat import linalg
@@ -107,6 +109,88 @@ class TestMsignSvd:
     def test_rejects_vectors(self):
         with pytest.raises(ValueError, match="2-dimensional"):
             linalg.msign_svd(np.ones(3))
+
+
+def msign_reference(g, rank_tol=1e-7):
+    """The SVD definition of msign: U[:, :k] V[:, :k]^T over the singular
+    values above rank_tol times the largest."""
+    u, s, vt = np.linalg.svd(g, full_matrices=False)
+    if s[0] <= 0.0:
+        return np.zeros_like(g)
+    k = int(np.count_nonzero(s > rank_tol * s[0]))
+    return u[:, :k] @ vt[:k, :]
+
+
+@st.composite
+def spectra(draw, lo, hi, min_side=1):
+    """(shape, seed, scale, singular values) with the largest one 1 and
+    min(m, n) - 1 more log-spaced down to 10**-x for x in [lo, hi]."""
+    small, large = draw(st.integers(min_side, 12)), draw(st.integers(1, 12))
+    layout = draw(st.sampled_from(["wide", "tall", "square"]))
+    shape = {"wide": (small, small + large), "tall": (small + large, small),
+             "square": (small, small)}[layout]
+    decades = draw(st.floats(lo, hi))
+    k = min(shape)
+    s = np.logspace(0.0, -decades, k) if k > 1 else np.ones(1)
+    return shape, draw(st.integers(0, 2**32 - 1)), 10.0 ** draw(st.integers(-150, 150)), s
+
+
+def planted(shape, seed, scale, s):
+    rng = np.random.default_rng(seed)
+    k = len(s)
+    u, _ = np.linalg.qr(rng.standard_normal((shape[0], k)))
+    v, _ = np.linalg.qr(rng.standard_normal((shape[1], k)))
+    return scale * ((u * s) @ v.T)
+
+
+class TestMsignSvdPaths:
+    """The Gram route agrees with the SVD definition; the inputs it declines
+    (zero, rank-deficient, ill-conditioned) take the SVD path exactly."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(spectra(0.0, 3.5))
+    def test_conditioned_agrees_with_svd(self, case):
+        # condition numbers up to 10**3.5 straddle the route's gate
+        g = planted(*case)
+        assert np.max(np.abs(linalg.msign_svd(g) - msign_reference(g))) <= 1e-10
+
+    @settings(max_examples=100, deadline=None)
+    @given(spectra(4.0, 12.0, min_side=2))
+    def test_ill_conditioned_falls_back_exactly(self, case):
+        g = planted(*case)
+        assert np.array_equal(linalg.msign_svd(g), msign_reference(g))
+
+    @settings(max_examples=100, deadline=None)
+    @given(spectra(0.0, 2.0, min_side=2), st.integers(1, 11))
+    def test_rank_deficient_falls_back_exactly(self, case, drop):
+        shape, seed, scale, s = case
+        s = s.copy()
+        s[len(s) - min(drop, len(s) - 1):] = 0.0
+        g = planted(shape, seed, scale, s)
+        assert np.array_equal(linalg.msign_svd(g), msign_reference(g))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 20), st.integers(1, 20))
+    def test_zero_falls_back_exactly(self, m, n):
+        g = np.zeros((m, n))
+        assert np.array_equal(linalg.msign_svd(g), msign_reference(g))
+
+    def test_route_follows_conditioning(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        race_like = rng.standard_normal((8, 64))
+        rank_two = rng.standard_normal((8, 2)) @ rng.standard_normal((2, 64))
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("took the SVD path")
+
+        monkeypatch.setattr(linalg.np.linalg, "svd", no_svd)
+        linalg.msign_svd(race_like)
+        with pytest.raises(AssertionError, match="SVD path"):
+            linalg.msign_svd(rank_two)
+
+    def test_large_rank_tol_takes_the_svd(self):
+        g = np.diag([1.0, 0.1])
+        assert_allclose(linalg.msign_svd(g, rank_tol=0.5), np.diag([1.0, 0.0]), atol=0)
 
 
 def conditioned(rng, m, n, condition):

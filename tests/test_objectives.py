@@ -42,6 +42,24 @@ class TestQuadratic:
         an = obj.analytic_gradient(x)["x"]
         assert np.linalg.norm(fd - an) / np.linalg.norm(an) <= 1e-6
 
+    @pytest.mark.parametrize("delta", [0.0, 1e-3])
+    @pytest.mark.parametrize("m, k", [(12, 3), (7, 7)])
+    def test_factored_matches_dense_curvature(self, m, k, delta):
+        n, seed, block_condition = 5, 21, 30.0
+        obj = objectives.make_quadratic(
+            m, n, k, seed=seed, delta=delta, block_condition=block_condition
+        )
+        # H = L L^T + delta I from the same draws as the construction
+        basis, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((m, k)))
+        lam = objectives.planted_spectrum(k, block_condition)
+        curvature = (basis * lam) @ basis.T + delta * np.eye(m)
+        rng = np.random.default_rng(22)
+        for _ in range(3):
+            x = obj.initial_params.updated({"x": rng.standard_normal((m, n))})
+            d = x["x"] - obj.minimizer["x"]
+            assert_allclose(obj.loss(x), 0.5 * np.trace(d.T @ curvature @ d), rtol=1e-12)
+            assert_allclose(obj.analytic_gradient(x)["x"], curvature @ d, rtol=1e-12)
+
     def test_deterministic_from_seed(self):
         a = objectives.make_quadratic(6, 6, 2, seed=7)
         b = objectives.make_quadratic(6, 6, 2, seed=7)
