@@ -6,7 +6,8 @@ CSV per optimizer plus summary.json, prints the queries-to-threshold table,
 and, when matplotlib is importable, saves a loss-vs-queries plot.
 
 The same experiment is reachable from the command line: this script also
-writes the equivalent INI config next to its outputs, so you can re-run it as
+writes its config as INI text (``harness.config_to_ini``) next to its
+outputs, so you can re-run it, with the same traces, as
 
     zomat compare <out_dir>/quadrace.ini --out-dir <out_dir>
 
@@ -16,14 +17,14 @@ Run with:  python demos/03_optimizer_race.py [out_dir]
 import sys
 from pathlib import Path
 
-from zomat.harness import compare_experiment, read_trace_csv
-from zomat.presets import quadratic_race_config, quadratic_race_ini
+from zomat.harness import compare_experiment, config_to_ini, read_trace_csv
+from zomat.presets import quadratic_race_config
 
 out_dir = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("runs/quadrace")
 out_dir.mkdir(parents=True, exist_ok=True)
 
 exp = quadratic_race_config(objective_seed=101, run_seed=1)
-(out_dir / "quadrace.ini").write_text(quadratic_race_ini(objective_seed=101, run_seed=1))
+(out_dir / "quadrace.ini").write_text(config_to_ini(exp))
 
 summary, rows = compare_experiment(exp, out_dir=out_dir)
 

@@ -19,12 +19,10 @@ from .estimators import (
 from .linalg import (
     NumericalError,
     Projection,
-    SpectralSummary,
     effective_rank,
     msign_ns,
     msign_svd,
     sample_projection,
-    spectral_summary,
 )
 from .objectives import (
     EvaluationError,
@@ -74,7 +72,6 @@ __all__ = [
     "ParamSpace",
     "Projection",
     "RunResult",
-    "SpectralSummary",
     "StepRecord",
     "effective_rank",
     "lge_lozo",
@@ -88,7 +85,6 @@ __all__ = [
     "rge_full",
     "run",
     "sample_projection",
-    "spectral_summary",
     "steps_for_budget",
     "subspace_rge",
 ]

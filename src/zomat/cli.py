@@ -15,9 +15,18 @@ from . import harness, oracle
 from .harness import ConfigError
 
 
+def non_negative_int(raw) -> int:
+    value = int(raw)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _add_common(parser):
     parser.add_argument("config", help="experiment config file (INI-style)")
-    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
+    parser.add_argument(
+        "--seed", type=non_negative_int, default=None, help="override the config seed"
+    )
     parser.add_argument("--out-dir", default=None, help="output directory")
     parser.add_argument(
         "--eval-every", type=int, default=None, help="steps between loss recordings"
@@ -43,7 +52,7 @@ def build_parser():
         choices=[*oracle.VERIFY_SUITES, "all"],
         help="which checks to run",
     )
-    verify_p.add_argument("--seed", type=int, default=0)
+    verify_p.add_argument("--seed", type=non_negative_int, default=0)
     return parser
 
 

@@ -24,9 +24,12 @@ Configs are flat INI-style key-value text with one section per optimizer:
     rank = 8
 
 Unknown sections (anything but ``[experiment]``, ``[objective]``,
-``[optimizer]`` and ``[optimizer:<label>]``), unknown keys and per-kind
-constraints (mezo's single query) are rejected with a :class:`ConfigError`
-naming the section and the key, with a did-you-mean where one is close.
+``[optimizer]`` and ``[optimizer:<label>]``), unknown keys, out-of-range
+experiment fields (a negative seed) and per-kind constraints (mezo's single
+query) are rejected with a :class:`ConfigError` naming the section and the
+key, with a did-you-mean where one is close.  Values are literal: a ``%`` is
+not interpolated.  :func:`config_to_ini` writes a config back as text that
+parses to an equal one; both directions read the same field tables.
 
 Every optimizer's step count is derived from the shared query budget and its
 per-step query cost, so compared runs consume (up to remainder) the same
@@ -126,6 +129,16 @@ def _int_list(raw):
     return tuple(int(part) for part in str(raw).split(",") if part.strip())
 
 
+def _int_at_least(low):
+    def cast(raw):
+        value = int(raw)
+        if value < low:
+            raise ValueError(f"must be at least {low}")
+        return value
+
+    return cast
+
+
 def _reject_unknown(section, known):
     """Reject the first key not in ``known``, suggesting the closest one."""
     for key in section:
@@ -133,6 +146,15 @@ def _reject_unknown(section, known):
             close = difflib.get_close_matches(key, known, n=1)
             hint = f"did you mean {close[0]!r}?" if close else f"valid: {', '.join(known)}"
             raise ConfigError(f"[{section.name}] unknown key {key!r}; {hint}")
+
+
+def _read(section, fields, known=()):
+    """``section``'s values of ``fields`` (INI key -> (cast, default)), after
+    rejecting any key that is neither a field nor in ``known``; a None value
+    is left out."""
+    _reject_unknown(section, (*known, *fields))
+    values = {key: _get(section, key, cast, default) for key, (cast, default) in fields.items()}
+    return {key: value for key, value in values.items() if value is not None}
 
 
 def _reject_unknown_sections(parser, origin):
@@ -149,35 +171,53 @@ def _reject_unknown_sections(parser, origin):
         raise ConfigError(f"{origin}: unknown section [{name}]; {hint}")
 
 
-_EXPERIMENT_KEYS = ("name", "seed", "query_budget", "eval_every", "out_dir",
-                    "loss_thresholds", "loss_threshold_fractions")
+# The field tables below are the config grammar: the parser reads them, the
+# writer (config_to_ini) walks them, and build_objective calls the factories.
+# Each maps an INI key to (cast, default); a None default is left out.
 
-#: per objective kind: INI key -> (cast, default); a None default is left out
-_OBJECTIVE_FIELDS = {
-    "quadratic": {
+#: [experiment]: ExperimentConfig's fields but its objective and optimizers
+_EXPERIMENT_FIELDS = {
+    "name": (str, "experiment"),
+    "seed": (_int_at_least(0), 0),
+    "query_budget": (_int_at_least(0), _REQUIRED),
+    "eval_every": (_int_at_least(1), 1),
+    "out_dir": (str, None),
+    "loss_thresholds": (_float_list, ()),
+    "loss_threshold_fractions": (_float_list, ()),
+}
+
+#: [objective]: per kind, the factory its options are passed to and its fields
+_OBJECTIVES = {
+    "quadratic": (objectives_mod.make_quadratic, {
         "m": (int, _REQUIRED), "n": (int, _REQUIRED), "rank": (int, _REQUIRED),
         "seed": (int, 0), "delta": (float, None), "block_condition": (float, None),
         "init_offset": (float, None),
-    },
-    "logreg": {"n_samples": (int, _REQUIRED), "n_features": (int, _REQUIRED), "seed": (int, 0)},
-    "mlp": {"widths": (_int_list, _REQUIRED), "n_samples": (int, _REQUIRED), "seed": (int, 0)},
-    "logreg_csv": {"path": (str, _REQUIRED)},
+    }),
+    "logreg": (objectives_mod.make_logreg, {
+        "n_samples": (int, _REQUIRED), "n_features": (int, _REQUIRED), "seed": (int, 0),
+    }),
+    "mlp": (objectives_mod.make_mlp, {
+        "widths": (_int_list, _REQUIRED), "n_samples": (int, _REQUIRED), "seed": (int, 0),
+    }),
+    "logreg_csv": (objectives_mod.make_logreg_from_csv, {"path": (str, _REQUIRED)}),
 }
-OBJECTIVE_KINDS = tuple(_OBJECTIVE_FIELDS)
+OBJECTIVE_KINDS = tuple(_OBJECTIVES)
 
+#: [optimizer:<label>]: OptimizerConfig's fields but total_steps
 _OPTIMIZER_FIELDS = {
-    "learning_rate": float,
-    "mu": float,
-    "n_queries": int,
-    "rank": int,
-    "resample_interval": int,
-    "msign_backend": str,
-    "ns_iterations": int,
+    "learning_rate": (float, _REQUIRED),
+    "mu": (float, None),
+    "n_queries": (int, None),
+    "rank": (int, None),
+    "resample_interval": (int, None),
+    "msign_backend": (str, None),
+    "ns_iterations": (int, None),
 }
 
 
 def parse_config_text(text: str, origin: str = "<config>") -> ExperimentConfig:
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    # no interpolation: a '%' in a value (a name, a CSV path) is literal
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
     try:
         parser.read_string(text, source=origin)
     except configparser.Error as exc:
@@ -188,58 +228,30 @@ def parse_config_text(text: str, origin: str = "<config>") -> ExperimentConfig:
         raise ConfigError(f"{origin}: missing [experiment] section")
     if "objective" not in parser:
         raise ConfigError(f"{origin}: missing [objective] section")
-    exp = parser["experiment"]
-    _reject_unknown(exp, _EXPERIMENT_KEYS)
-    name = _get(exp, "name", str, default="experiment")
-    seed = _get(exp, "seed", int, default=0)
-    budget = _get(exp, "query_budget", int, _REQUIRED)
-    if budget < 0:
-        raise ConfigError("[experiment] query_budget must be non-negative")
-    eval_every = _get(exp, "eval_every", int, default=1)
-    if eval_every < 1:
-        raise ConfigError("[experiment] eval_every must be positive")
-    out_dir = _get(exp, "out_dir", str, default=None)
-    thresholds = _get(exp, "loss_thresholds", _float_list, default=())
-    fractions = _get(exp, "loss_threshold_fractions", _float_list, default=())
+    experiment = _read(parser["experiment"], _EXPERIMENT_FIELDS)
 
     obj_section = parser["objective"]
     kind = _get(obj_section, "kind", str, _REQUIRED)
     if kind not in OBJECTIVE_KINDS:
         raise ConfigError(f"[objective] unknown kind {kind!r}; valid: {', '.join(OBJECTIVE_KINDS)}")
-    fields = _OBJECTIVE_FIELDS[kind]
-    _reject_unknown(obj_section, ("kind", *fields))
-    options = {}
-    for key, (cast, default) in fields.items():
-        value = _get(obj_section, key, cast, default)
-        if value is not None:
-            options[key] = value
-    if kind == "quadratic":
-        options["k"] = options.pop("rank")
+    options = _read(obj_section, _OBJECTIVES[kind][1], known=("kind",))
 
     entries = []
     for section_name in parser.sections():
         if section_name in ("experiment", "objective"):
             continue
         section = parser[section_name]
-        _reject_unknown(section, ("kind", *_OPTIMIZER_FIELDS))
         label = section_name.split(":", 1)[1] if ":" in section_name else None
         opt_kind = _get(section, "kind", str, default=label)
         if opt_kind is None:
             raise ConfigError(f"[{section_name}] needs a kind (or a :label naming one)")
-        label = label or opt_kind
-        fields = {}
-        for key, cast in _OPTIMIZER_FIELDS.items():
-            value = _get(section, key, cast, default=None)
-            if value is not None:
-                fields[key] = value
-        if "learning_rate" not in fields:
-            raise ConfigError(f"[{section_name}] is missing required field 'learning_rate'")
+        fields = _read(section, _OPTIMIZER_FIELDS, known=("kind",))
         try:
             config = OptimizerConfig(**fields)
             check_kind(opt_kind, config)
         except ValueError as exc:
             raise ConfigError(f"[{section_name}]: {exc}") from exc
-        entries.append(OptimizerEntry(label=label, kind=opt_kind, config=config))
+        entries.append(OptimizerEntry(label=label or opt_kind, kind=opt_kind, config=config))
     if not entries:
         raise ConfigError(f"{origin}: no [optimizer:*] sections")
     labels = [e.label for e in entries]
@@ -247,15 +259,9 @@ def parse_config_text(text: str, origin: str = "<config>") -> ExperimentConfig:
         raise ConfigError(f"{origin}: duplicate optimizer labels: {labels}")
 
     return ExperimentConfig(
-        name=name,
-        seed=seed,
-        query_budget=budget,
+        **experiment,
         objective=ObjectiveSpec(kind=kind, options=options),
         optimizers=tuple(entries),
-        eval_every=eval_every,
-        out_dir=out_dir,
-        loss_thresholds=thresholds,
-        loss_threshold_fractions=fractions,
     )
 
 
@@ -268,18 +274,49 @@ def parse_config(path) -> ExperimentConfig:
     return parse_config_text(text, origin=str(path))
 
 
+def _sections(exp: ExperimentConfig) -> dict:
+    """Section name -> {INI key: value} of ``exp``, by the field tables."""
+    sections = {
+        "experiment": {key: getattr(exp, key) for key in _EXPERIMENT_FIELDS},
+        "objective": {"kind": exp.objective.kind, **exp.objective.options},
+    }
+    for entry in exp.optimizers:
+        sections[f"optimizer:{entry.label}"] = {
+            "kind": entry.kind, **{key: getattr(entry.config, key) for key in _OPTIMIZER_FIELDS}
+        }
+    return sections
+
+
+def _ini_value(value) -> str:
+    # str of a float is its repr, the shortest text that reads back exactly
+    return ", ".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
+def config_to_ini(exp: ExperimentConfig) -> str:
+    """INI text that :func:`parse_config_text` reads back to ``exp``.
+
+    Every field is written (floats by ``repr``, tuples comma-joined) except
+    an unset ``out_dir`` and empty threshold lists.  String values must fit
+    on one line and hold no inline comment (a ``;`` or ``#`` after a space).
+    """
+    lines = []
+    for name, values in _sections(exp).items():
+        lines.append(f"[{name}]")
+        lines += [f"{key} = {_ini_value(value)}" for key, value in values.items()
+                  if value is not None and value != ()]
+        lines.append("")
+    return "\n".join(lines)
+
+
 def build_objective(spec: ObjectiveSpec):
-    """Fresh objective instance (its query counter starts at zero)."""
-    opts = dict(spec.options)
-    if spec.kind == "quadratic":
-        return objectives_mod.make_quadratic(**opts)
-    if spec.kind == "logreg":
-        return objectives_mod.make_logreg(**opts)
-    if spec.kind == "mlp":
-        return objectives_mod.make_mlp(**opts)
-    if spec.kind == "logreg_csv":
-        return objectives_mod.make_logreg_from_csv(opts["path"])
-    raise ConfigError(f"unknown objective kind {spec.kind!r}")
+    """Fresh objective instance (its query counter starts at zero); a
+    factory's rejection of the options is a :class:`ConfigError`."""
+    if spec.kind not in _OBJECTIVES:
+        raise ConfigError(f"unknown objective kind {spec.kind!r}")
+    try:
+        return _OBJECTIVES[spec.kind][0](**spec.options)
+    except ValueError as exc:
+        raise ConfigError(f"[objective] {exc}") from exc
 
 
 def resolve_out_dir(cli_value=None, config_value=None) -> Path:
@@ -302,7 +339,9 @@ def read_trace_csv(path):
     records = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file, no trace header")
         if header != ["step", "queries", "loss", "elapsed_ms"]:
             raise ValueError(f"{path}: unexpected header {header}")
         for row in reader:
@@ -348,6 +387,8 @@ def run_experiment(exp: ExperimentConfig, out_dir=None, seed=None, eval_every=No
     cover the rows recorded before it failed, and the next optimizer runs.
     Returns the summary dict.
     """
+    if not exp.optimizers:
+        raise ConfigError(f"experiment {exp.name!r} has no optimizers")
     out_path = resolve_out_dir(out_dir, exp.out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
     seed = exp.seed if seed is None else int(seed)
@@ -399,6 +440,7 @@ def run_experiment(exp: ExperimentConfig, out_dir=None, seed=None, eval_every=No
             key: queries_to_threshold(records, value) for key, value in thresholds.items()
         }
 
+    sections = _sections(exp)
     summary = {
         "experiment": exp.name,
         "seed": seed,
@@ -406,18 +448,8 @@ def run_experiment(exp: ExperimentConfig, out_dir=None, seed=None, eval_every=No
         "eval_every": eval_every,
         "initial_loss": initial_loss,
         "thresholds": thresholds,
-        "objective": {"kind": exp.objective.kind, **exp.objective.options},
-        "optimizers": {
-            entry.label: {
-                "kind": entry.kind,
-                **{
-                    k: v
-                    for k, v in dataclasses.asdict(entry.config).items()
-                    if k != "total_steps"
-                },
-            }
-            for entry in exp.optimizers
-        },
+        "objective": sections["objective"],
+        "optimizers": {e.label: sections[f"optimizer:{e.label}"] for e in exp.optimizers},
         "results": results,
     }
     with open(out_path / "summary.json", "w") as fh:

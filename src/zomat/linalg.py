@@ -5,14 +5,14 @@ This module contains:
     with a fixed sign convention so results are reproducible),
   - the matrix sign function ``msign`` computed exactly via SVD and
     approximately via quintic Newton-Schulz iterations,
-  - spectral-energy summaries and the effective-rank measurement.
+  - the effective-rank measurement.
 
 All functions are pure and safe to call concurrently.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,14 +64,6 @@ class Projection:
     @property
     def rank(self) -> int:
         return self.matrix.shape[1]
-
-
-@dataclass(frozen=True)
-class SpectralSummary:
-    """Singular values and their cumulative normalized squared energy."""
-
-    singular_values: np.ndarray
-    energy_fractions: np.ndarray = field(repr=False)
 
 
 def sample_projection(m: int, r: int, seed: int, born_at_step: int = 0) -> Projection:
@@ -138,37 +130,17 @@ def msign_svd(g, rank_tol: float = 1e-7) -> np.ndarray:
     return u[:, :k] @ vt[:k, :]
 
 
-def _ns_schedule(iterations: int, coefficients):
-    if coefficients is None:
-        # Boost phase (steep slope at 0) followed by three contraction steps.
-        # The contraction polynomial is stable for inputs up to sqrt(5/3) and
-        # the boost phase never exceeds ~1.21 after Frobenius normalization,
-        # so the composition converges for any nonzero input.
-        n_contract = min(3, iterations)
-        return [AGGRESSIVE_QUINTIC] * (iterations - n_contract) + [
-            CONTRACTIVE_QUINTIC
-        ] * n_contract
-    coefficients = list(coefficients)
-    if len(coefficients) == 3 and not isinstance(
-        coefficients[0], (list, tuple, np.ndarray)
-    ):
-        return [tuple(coefficients)] * iterations
-    if len(coefficients) != iterations:
-        raise ValueError(
-            f"need one coefficient triple per iteration "
-            f"({iterations}), got {len(coefficients)}"
-        )
-    return [tuple(c) for c in coefficients]
-
-
-def msign_ns(g, iterations: int = 5, coefficients=None) -> np.ndarray:
+def msign_ns(g, iterations: int = 5) -> np.ndarray:
     """Approximate the matrix sign of ``g`` with quintic Newton-Schulz steps.
 
     The input is pre-normalized by its Frobenius norm and transposed when it
     has more rows than columns so the Gram matrix is formed on the smaller
-    side.  Each step applies X <- a X + (b (XX^T) + c (XX^T)^2) X with the
-    per-iteration coefficients from ``coefficients`` (a single (a, b, c)
-    triple, one triple per iteration, or None for the built-in schedule).
+    side.  Each step applies X <- a X + (b (XX^T) + c (XX^T)^2) X: the
+    ``AGGRESSIVE_QUINTIC`` boost until the last three steps, then the
+    ``CONTRACTIVE_QUINTIC`` polar steps.  The contraction polynomial is
+    stable for inputs up to sqrt(5/3) and the boost never exceeds ~1.21
+    after Frobenius normalization, so the composition converges for any
+    nonzero input.
 
     The default 5-step schedule reproduces ``msign_svd`` to well under 1% in
     relative Frobenius error for condition numbers below 10.  Accuracy
@@ -181,7 +153,8 @@ def msign_ns(g, iterations: int = 5, coefficients=None) -> np.ndarray:
     norm = np.linalg.norm(arr)
     if norm == 0.0:
         return np.zeros_like(arr)
-    schedule = _ns_schedule(iterations, coefficients)
+    boost = iterations - min(3, iterations)
+    schedule = [AGGRESSIVE_QUINTIC] * boost + [CONTRACTIVE_QUINTIC] * (iterations - boost)
     transpose = arr.shape[0] > arr.shape[1]
     x = (arr.T if transpose else arr) / norm
     for a, b, c in schedule:
@@ -195,25 +168,13 @@ def msign_ns(g, iterations: int = 5, coefficients=None) -> np.ndarray:
     return x.T if transpose else x
 
 
-def spectral_summary(g) -> SpectralSummary:
-    """Singular values of ``g`` plus cumulative normalized squared energy."""
-    arr = as_matrix(g)
-    s = np.linalg.svd(arr, compute_uv=False)
-    energy = s * s
-    total = energy.sum()
-    if total == 0.0:
-        return SpectralSummary(s, np.zeros_like(s))
-    fractions = np.cumsum(energy)
-    fractions /= fractions[-1]
-    return SpectralSummary(s, fractions)
-
-
 def effective_rank(g, energy: float = 0.9999) -> int:
     """Smallest k whose top-k singular values hold ``energy`` of the squared
     spectral mass; 0 for the zero matrix."""
     if not 0.0 < energy <= 1.0:
         raise ValueError(f"energy must be in (0, 1], got {energy}")
-    summary = spectral_summary(g)
-    if summary.energy_fractions[-1] == 0.0:
+    s = np.linalg.svd(as_matrix(g), compute_uv=False)
+    cumulative = np.cumsum(s * s)
+    if cumulative[-1] == 0.0:
         return 0
-    return int(np.searchsorted(summary.energy_fractions, energy, side="left")) + 1
+    return int(np.searchsorted(cumulative / cumulative[-1], energy, side="left")) + 1

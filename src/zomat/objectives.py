@@ -87,7 +87,7 @@ def planted_spectrum(k: int, block_condition: float) -> np.ndarray:
 def make_quadratic(
     m: int,
     n: int,
-    k: int,
+    rank: int,
     seed: int,
     delta: float = 1e-4,
     block_condition: float = 10.0,
@@ -96,21 +96,21 @@ def make_quadratic(
     """Quadratic f(X) = 1/2 tr((X - X*)^T H (X - X*)) with planted low-rank
     curvature H = L L^T + delta I.
 
-    L is an m-by-k factor built from a random orthonormal basis scaled by the
-    square root of a log-spaced spectrum (largest eigenvalue 1, smallest
+    L is an m-by-rank factor built from a random orthonormal basis scaled by
+    the square root of a log-spaced spectrum (largest eigenvalue 1, smallest
     1/block_condition), so the gradient H (X - X*) concentrates its energy in
-    a k-dimensional column space.  ``init_offset`` scales the distance of the
+    a rank-dimensional column space.  ``init_offset`` scales the distance of the
     initial point from the minimizer.  H is never formed: with F = L^T and
     D = X - X*, the loss is 1/2 (||F D||^2 + delta ||D||^2) and the gradient
-    F^T (F D) + delta D, so a query costs k-by-m-by-n, not m-by-m-by-n.
+    F^T (F D) + delta D, so a query costs rank-by-m-by-n, not m-by-m-by-n.
     """
-    if not (1 <= k <= m):
-        raise ValueError(f"need 1 <= k <= m, got k={k}, m={m}")
+    if not (1 <= rank <= m):
+        raise ValueError(f"need 1 <= rank <= m, got rank={rank}, m={m}")
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     rng = np.random.default_rng(seed)
-    basis, _ = np.linalg.qr(rng.standard_normal((m, k)))
-    factor = (basis * np.sqrt(planted_spectrum(k, block_condition))).T
+    basis, _ = np.linalg.qr(rng.standard_normal((m, rank)))
+    factor = (basis * np.sqrt(planted_spectrum(rank, block_condition))).T
     x_star = rng.standard_normal((m, n))
     x0 = x_star + init_offset * rng.standard_normal((m, n))
 
@@ -135,7 +135,7 @@ def make_quadratic(
         initial_params=ParamSpace({"x": x0}),
         gradient_fn=gradient_fn,
         descriptor={
-            "kind": "quadratic", "m": m, "n": n, "rank": k, "seed": int(seed),
+            "kind": "quadratic", "m": m, "n": n, "rank": rank, "seed": int(seed),
             "delta": delta, "block_condition": block_condition,
             "init_offset": init_offset,
         },

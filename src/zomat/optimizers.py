@@ -11,9 +11,6 @@ the kinds differ only in the direction map that estimates d from queries
 
 Vector blocks take the full-space estimate from the same shared queries.
 
-First-order reference steppers (exact gradients, oracle objectives only):
-plain SGD, the basic spectral step, and its projected low-rank form.
-
 Seeds: a run owns one root seed.  Every estimate, projection and factor
 stream is derived from (root, tag, step[, block]), so trajectories are
 reproducible and blocks never share a stream.  The estimate seeds, their
@@ -33,9 +30,9 @@ import numpy as np
 
 from . import estimators, linalg, streams
 from .estimators import CENTRAL, FORWARD, EstimatorConfig
-from .linalg import NumericalError, Projection
+from .linalg import NumericalError
 from .objectives import EvaluationError
-from .params import MATRIX, ParamSpace, partition
+from .params import ParamSpace, partition
 from .streams import derive_seed
 
 MEZO = "mezo"
@@ -285,47 +282,6 @@ def step(kind: str, obj, x: ParamSpace, cfg: OptimizerConfig, state: OptimizerSt
     direction = _KINDS[kind][0](obj, x, cfg, state)
     state.step += 1
     return x.updated({name: x[name] - cfg.learning_rate * d for name, d in direction.items()})
-
-
-def step_fo_sgd(grad_oracle, x, learning_rate):
-    """Plain first-order descent, used as a reference only."""
-    grads = grad_oracle(x)
-    return x.updated(
-        {name: x[name] - learning_rate * grads[name] for name in x.names}
-    )
-
-
-def step_fo_muon(grad_oracle, x, learning_rate, backend="svd", ns_iterations=5):
-    """Basic spectral step X <- X - eta * msign(G) on matrix blocks.
-
-    Vector blocks take the plain gradient step; msign of a vector would
-    collapse it to its direction, which is not the reference behaviour.
-    """
-    grads = grad_oracle(x)
-    updates = {}
-    for name in x.names:
-        g = grads[name]
-        if x.kind(name) == MATRIX:
-            if backend == "svd":
-                g = linalg.msign_svd(g)
-            else:
-                g = linalg.msign_ns(g, iterations=ns_iterations)
-        updates[name] = x[name] - learning_rate * g
-    return x.updated(updates)
-
-
-def step_fo_lowrank_muon(grad_oracle, x, projections, learning_rate):
-    """Projected spectral step X <- X - eta * P msign(P^T G)."""
-    grads = grad_oracle(x)
-    updates = {}
-    for name in x.names:
-        g = grads[name]
-        proj = projections.get(name) if hasattr(projections, "get") else projections
-        if proj is not None and x.kind(name) == MATRIX:
-            p = proj.matrix if isinstance(proj, Projection) else np.asarray(proj)
-            g = p @ linalg.msign_svd(p.T @ g)
-        updates[name] = x[name] - learning_rate * g
-    return x.updated(updates)
 
 
 def queries_per_step(kind: str, cfg: OptimizerConfig) -> int:

@@ -20,14 +20,12 @@ seeds); the grids and the winning values are recorded in the README.
 
 from __future__ import annotations
 
-import dataclasses
-
 from .harness import ExperimentConfig, ObjectiveSpec, OptimizerEntry
 from .optimizers import LOZO, MEZO, SUBSPACE_MEZO, ZO_MUON, OptimizerConfig
 
 #: objective geometry of the race preset
 RACE_OBJECTIVE = dict(
-    m=64, n=64, k=8, delta=0.0, block_condition=100.0, init_offset=0.12
+    m=64, n=64, rank=8, delta=0.0, block_condition=100.0, init_offset=0.12
 )
 
 RACE_BUDGET = 20_000
@@ -58,6 +56,21 @@ def race_optimizer_entry(kind: str, rank: int = 8, label: str | None = None,
     return OptimizerEntry(label=label or kind, kind=kind, config=OptimizerConfig(**fields))
 
 
+def _race_experiment(name, entries, objective_seed, run_seed, budget) -> ExperimentConfig:
+    """The race objective and experiment fields around the given optimizers."""
+    return ExperimentConfig(
+        name=name,
+        seed=run_seed,
+        query_budget=budget,
+        objective=ObjectiveSpec(
+            kind="quadratic", options=dict(RACE_OBJECTIVE, seed=objective_seed)
+        ),
+        optimizers=tuple(entries),
+        eval_every=RACE_EVAL_EVERY,
+        loss_threshold_fractions=(0.01,),
+    )
+
+
 def quadratic_race_config(
     objective_seed: int = 100,
     run_seed: int = 0,
@@ -66,17 +79,8 @@ def quadratic_race_config(
     name: str = "quadrace",
 ) -> ExperimentConfig:
     """The comparison experiment the acceptance ordering is checked on."""
-    return ExperimentConfig(
-        name=name,
-        seed=run_seed,
-        query_budget=budget,
-        objective=ObjectiveSpec(
-            kind="quadratic", options=dict(seed=objective_seed, **RACE_OBJECTIVE)
-        ),
-        optimizers=tuple(race_optimizer_entry(kind) for kind in kinds),
-        eval_every=RACE_EVAL_EVERY,
-        loss_threshold_fractions=(0.01,),
-    )
+    entries = [race_optimizer_entry(kind) for kind in kinds]
+    return _race_experiment(name, entries, objective_seed, run_seed, budget)
 
 
 def rank_study_config(
@@ -89,19 +93,8 @@ def rank_study_config(
     several subspace ranks, sharing everything else.  The planted curvature
     rank (8) should win; too small a rank discards gradient directions, too
     large a rank spends the whitened step on noise."""
-    return ExperimentConfig(
-        name="rankstudy",
-        seed=run_seed,
-        query_budget=budget,
-        objective=ObjectiveSpec(
-            kind="quadratic", options=dict(seed=objective_seed, **RACE_OBJECTIVE)
-        ),
-        optimizers=tuple(
-            race_optimizer_entry(ZO_MUON, rank=r, label=f"zo_muon_r{r}") for r in ranks
-        ),
-        eval_every=RACE_EVAL_EVERY,
-        loss_threshold_fractions=(0.01,),
-    )
+    entries = [race_optimizer_entry(ZO_MUON, rank=r, label=f"zo_muon_r{r}") for r in ranks]
+    return _race_experiment("rankstudy", entries, objective_seed, run_seed, budget)
 
 
 def query_count_study_config(
@@ -121,51 +114,4 @@ def query_count_study_config(
         for q in n_queries
     ]
     entries.append(race_optimizer_entry(SUBSPACE_MEZO))
-    return ExperimentConfig(
-        name="nqstudy",
-        seed=run_seed,
-        query_budget=budget,
-        objective=ObjectiveSpec(
-            kind="quadratic", options=dict(seed=objective_seed, **RACE_OBJECTIVE)
-        ),
-        optimizers=tuple(entries),
-        eval_every=RACE_EVAL_EVERY,
-        loss_threshold_fractions=(0.01,),
-    )
-
-
-def quadratic_race_ini(objective_seed: int = 100, run_seed: int = 0) -> str:
-    """INI text equivalent of :func:`quadratic_race_config` (for the CLI)."""
-    obj = RACE_OBJECTIVE
-    lines = [
-        "[experiment]",
-        "name = quadrace",
-        f"seed = {run_seed}",
-        f"query_budget = {RACE_BUDGET}",
-        f"eval_every = {RACE_EVAL_EVERY}",
-        "loss_threshold_fractions = 0.01",
-        "",
-        "[objective]",
-        "kind = quadratic",
-        f"m = {obj['m']}",
-        f"n = {obj['n']}",
-        f"rank = {obj['k']}",
-        f"seed = {objective_seed}",
-        f"delta = {obj['delta']}",
-        f"block_condition = {obj['block_condition']}",
-        f"init_offset = {obj['init_offset']}",
-        "",
-    ]
-    for kind in (MEZO, SUBSPACE_MEZO, LOZO, ZO_MUON):
-        entry = race_optimizer_entry(kind)
-        lines += [f"[optimizer:{kind}]", f"kind = {kind}"]
-        cfg = dataclasses.asdict(entry.config)
-        lines.append(f"learning_rate = {cfg['learning_rate']}")
-        lines.append(f"mu = {cfg['mu']}")
-        lines.append(f"rank = {cfg['rank']}")
-        lines.append(f"resample_interval = {cfg['resample_interval']}")
-        if kind == ZO_MUON:
-            lines.append(f"n_queries = {cfg['n_queries']}")
-            lines.append(f"msign_backend = {cfg['msign_backend']}")
-        lines.append("")
-    return "\n".join(lines)
+    return _race_experiment("nqstudy", entries, objective_seed, run_seed, budget)

@@ -16,6 +16,7 @@ from zomat import linalg, objectives, presets
 from zomat.estimators import EstimatorConfig, subspace_rge
 from zomat.harness import (
     build_objective,
+    config_to_ini,
     parse_config_text,
     queries_to_threshold,
     run_experiment,
@@ -253,8 +254,7 @@ def test_c8_rank_sensitivity():
 
 
 def test_c9_trace_determinism(tmp_path):
-    ini = presets.quadratic_race_ini(objective_seed=100, run_seed=0)
-    ini = ini.replace("query_budget = 20000", "query_budget = 2000")
+    ini = config_to_ini(presets.quadratic_race_config(objective_seed=100, run_seed=0, budget=2000))
     exp = parse_config_text(ini)
     run_experiment(exp, out_dir=tmp_path / "a")
     run_experiment(exp, out_dir=tmp_path / "b")

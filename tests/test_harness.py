@@ -5,18 +5,25 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zomat import cli, harness, linalg, presets
 from zomat.linalg import NumericalError
 from zomat.harness import (
     ConfigError,
+    ExperimentConfig,
+    ObjectiveSpec,
+    OptimizerEntry,
+    build_objective,
+    config_to_ini,
     parse_config_text,
     queries_to_threshold,
     read_trace_csv,
     run_experiment,
     write_trace_csv,
 )
-from zomat.optimizers import StepRecord
+from zomat.optimizers import MEZO, OPTIMIZER_KINDS, OptimizerConfig, StepRecord
 
 TINY_CONFIG = """
 [experiment]
@@ -204,13 +211,104 @@ class TestParsing:
             parse_config_text(text)
 
     def test_race_preset_and_readme_example_parse(self):
-        exp = parse_config_text(presets.quadratic_race_ini())
-        assert exp == presets.quadratic_race_config()
+        race = presets.quadratic_race_config()
+        assert parse_config_text(config_to_ini(race)) == race
         readme = (Path(__file__).parents[1] / "README.md").read_text()
-        example = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
-        exp = parse_config_text(example)
-        assert exp.optimizers[0].config.n_queries == 4
-        assert exp.objective.options["k"] == 8
+        example = parse_config_text(re.search(r"```ini\n(.*?)```", readme, re.S).group(1))
+        assert example.optimizers[0].config.n_queries == 4
+        assert example.objective.options["rank"] == 8
+        assert parse_config_text(config_to_ini(example)) == example
+
+    @pytest.mark.parametrize("name", ["run_100%", "%(seed)s", "50%%"])
+    def test_percent_in_a_value_is_literal(self, name):
+        exp = parse_config_text(TINY_CONFIG.replace("name = tiny", f"name = {name}"))
+        assert exp.name == name
+        assert parse_config_text(config_to_ini(exp)) == exp
+
+    @pytest.mark.parametrize(
+        "line, bad, key",
+        [
+            ("seed = 1", "seed = -1", "seed"),
+            ("query_budget = 40", "query_budget = -5", "query_budget"),
+            ("eval_every = 2", "eval_every = 0", "eval_every"),
+        ],
+    )
+    def test_out_of_range_experiment_field_rejected(self, line, bad, key):
+        text = TINY_CONFIG.replace(line, bad)
+        with pytest.raises(ConfigError, match=rf"\[experiment\] field '{key}' has invalid value"):
+            parse_config_text(text)
+
+    def test_objective_factory_error_names_section_and_key(self):
+        exp = parse_config_text(TINY_CONFIG.replace("rank = 2\nseed = 4", "rank = 80\nseed = 4"))
+        with pytest.raises(ConfigError, match=r"^\[objective\] need 1 <= rank <= m, got rank=80, m=6"):
+            build_objective(exp.objective)
+
+
+#: single-line values without inline-comment markers, '%' included
+_words = st.text("abcXYZ019_-.%()/", min_size=1, max_size=12)
+_magnitudes = st.floats(min_value=1e-300, max_value=1e300)
+_signed = _magnitudes | _magnitudes.map(lambda v: -v)
+_counts = st.integers(0, 10**6)
+
+
+def _drop_none(**options):
+    return {key: value for key, value in options.items() if value is not None}
+
+
+_objective_specs = st.one_of(
+    st.builds(
+        lambda options: ObjectiveSpec("quadratic", _drop_none(**options)),
+        st.fixed_dictionaries({
+            "m": st.integers(1, 128), "n": st.integers(1, 128), "rank": st.integers(1, 128),
+            "seed": _counts, "delta": st.none() | _magnitudes,
+            "block_condition": st.none() | _magnitudes, "init_offset": st.none() | _signed,
+        }),
+    ),
+    st.builds(lambda a, b, s: ObjectiveSpec("logreg", dict(n_samples=a, n_features=b, seed=s)),
+              st.integers(1, 500), st.integers(1, 50), _counts),
+    st.builds(lambda w, a, s: ObjectiveSpec("mlp", dict(widths=w, n_samples=a, seed=s)),
+              st.lists(st.integers(1, 64), min_size=2, max_size=4).map(tuple),
+              st.integers(1, 500), _counts),
+    st.builds(lambda path: ObjectiveSpec("logreg_csv", dict(path=path)), _words),
+)
+
+
+@st.composite
+def _optimizer_entry(draw, label):
+    kind = draw(st.sampled_from(OPTIMIZER_KINDS))
+    config = OptimizerConfig(
+        learning_rate=draw(_magnitudes),
+        mu=draw(_magnitudes),
+        n_queries=1 if kind == MEZO else draw(st.integers(1, 16)),
+        rank=draw(st.integers(1, 64)),
+        resample_interval=draw(st.integers(1, 1000)),
+        msign_backend=draw(st.sampled_from(["svd", "ns"])),
+        ns_iterations=draw(st.integers(1, 12)),
+    )
+    return OptimizerEntry(label=label, kind=kind, config=config)
+
+
+@st.composite
+def experiment_configs(draw):
+    labels = draw(st.lists(_words, min_size=1, max_size=4, unique=True))
+    return ExperimentConfig(
+        name=draw(_words),
+        seed=draw(_counts),
+        query_budget=draw(_counts),
+        objective=draw(_objective_specs),
+        optimizers=tuple(draw(_optimizer_entry(label)) for label in labels),
+        eval_every=draw(st.integers(1, 100)),
+        out_dir=draw(st.none() | _words),
+        loss_thresholds=tuple(draw(st.lists(_signed, max_size=3))),
+        loss_threshold_fractions=tuple(draw(st.lists(_magnitudes, max_size=3))),
+    )
+
+
+class TestConfigToIni:
+    @settings(max_examples=300, deadline=None)
+    @given(experiment_configs())
+    def test_round_trip(self, exp):
+        assert parse_config_text(config_to_ini(exp)) == exp
 
 
 class TestTraceCsv:
@@ -227,6 +325,12 @@ class TestTraceCsv:
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c,d\n")
         with pytest.raises(ValueError, match="header"):
+            read_trace_csv(path)
+
+    def test_empty_file_names_the_path(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: empty file")):
             read_trace_csv(path)
 
 
@@ -355,6 +459,12 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="unknown optimizer kind 'adam'"):
             run_experiment(dataclasses.replace(exp, optimizers=(bad,)), out_dir=tmp_path)
 
+    def test_no_optimizers_rejected_up_front(self, tmp_path):
+        exp = dataclasses.replace(parse_config_text(TINY_CONFIG), optimizers=())
+        with pytest.raises(ConfigError, match="'tiny' has no optimizers"):
+            run_experiment(exp, out_dir=tmp_path)
+        assert not (tmp_path / "summary.json").exists()
+
     def test_initial_loss_read_from_trace(self, tmp_path, monkeypatch):
         calls = []
         loss = harness.objectives_mod.Objective.loss
@@ -409,6 +519,15 @@ learning_rate = 1e-1
         summary = run_experiment(exp, out_dir=tmp_path / "out")
         assert summary["results"]["mezo"]["queries"] == 20
         assert summary["initial_loss"] == pytest.approx(np.log(2.0))
+
+    def test_logreg_csv_path_with_percent(self, tmp_path):
+        data = tmp_path / "run_100%" / "d.csv"
+        data.parent.mkdir()
+        data.write_text("a,label\n1.0,1\n-1.0,0\n")
+        text = f"[experiment]\nquery_budget = 4\n[objective]\nkind = logreg_csv\npath = {data}\n"
+        exp = parse_config_text(text + "[optimizer:mezo]\nlearning_rate = 1e-1\n")
+        assert exp.objective.options["path"] == str(data)
+        assert build_objective(exp.objective).initial_params["w"].shape == (1, 1)
 
     def test_mlp_objective_parses_and_runs(self, tmp_path):
         text = """
@@ -531,6 +650,28 @@ class TestCli:
         code = cli.main(["run", str(path)])
         assert code == 2
         assert "adam" in capsys.readouterr().err
+
+    def test_bad_objective_geometry_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "bad.ini"
+        path.write_text(TINY_CONFIG.replace("rank = 2\nseed = 4", "rank = 80\nseed = 4"))
+        code = cli.main(["run", str(path), "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert "config error: [objective] need 1 <= rank <= m" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_negative_seed_flag_usage_error(self, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main([command, str(self.write_config(tmp_path)), "--seed", "-5"])
+        assert excinfo.value.code == 2
+        assert "must be non-negative, got -5" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    def test_percent_in_name_runs(self, tmp_path, capsys):
+        path = tmp_path / "pct.ini"
+        path.write_text(TINY_CONFIG.replace("name = tiny", "name = run_100%"))
+        code = cli.main(["run", str(path), "--out-dir", str(tmp_path / "out")])
+        assert code == 0
+        assert (tmp_path / "out" / "run_100%_mezo.csv").exists()
 
     def test_missing_file_exits_two(self, tmp_path, capsys):
         code = cli.main(["run", str(tmp_path / "nope.ini")])

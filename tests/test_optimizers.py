@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
-from zomat import linalg, objectives, optimizers
+from zomat import objectives, optimizers
 from zomat.objectives import Objective
 from zomat.optimizers import (
     LOZO,
@@ -299,62 +298,6 @@ class TestResampling:
             OptimizerState(rng_root_seed=0), cfg, {"x": (8, 6)}
         )
         assert state.projections["x"].matrix.shape == (8, 6)
-
-
-class TestFirstOrderReferences:
-    def test_basic_spectral_step_on_identity_gradient(self):
-        x = ParamSpace({"x": np.zeros((3, 3))})
-        new_x = optimizers.step_fo_muon(lambda _: {"x": np.eye(3)}, x, 0.1)
-        assert_allclose(new_x["x"], -0.1 * np.eye(3), atol=1e-12)
-
-    def test_diagonal_gradient_equalized(self):
-        x = ParamSpace({"x": np.zeros((2, 2))})
-        new_x = optimizers.step_fo_muon(lambda _: {"x": np.diag([3.0, 0.5])}, x, 0.1)
-        assert_allclose(new_x["x"], -0.1 * np.eye(2), atol=1e-12)
-
-    def test_rank_deficient_gradient_confines_step(self):
-        rng = np.random.default_rng(14)
-        g = np.outer(rng.standard_normal(6), rng.standard_normal(5))
-        x = ParamSpace({"x": np.zeros((6, 5))})
-        new_x = optimizers.step_fo_muon(lambda _: {"x": g}, x, 1.0)
-        delta = new_x["x"]
-        residual = (np.eye(6) - g @ np.linalg.pinv(g)) @ delta
-        assert np.max(np.abs(residual)) <= 1e-10
-
-    def test_lowrank_with_svd_projection_matches_full(self):
-        rng = np.random.default_rng(15)
-        g = rng.standard_normal((8, 3)) @ rng.standard_normal((3, 6))
-        u, _, _ = np.linalg.svd(g, full_matrices=False)
-        x = ParamSpace({"x": np.zeros((8, 6))})
-        full = optimizers.step_fo_muon(lambda _: {"x": g}, x, 0.5)
-        low = optimizers.step_fo_lowrank_muon(
-            lambda _: {"x": g}, x, {"x": u[:, :3]}, 0.5
-        )
-        assert np.max(np.abs(full["x"] - low["x"])) <= 1e-8
-
-    def test_orthogonal_projection_gives_zero_step(self):
-        rng = np.random.default_rng(16)
-        g = np.zeros((6, 4))
-        g[:3] = rng.standard_normal((3, 4))
-        p = np.zeros((6, 2))
-        p[3:5] = np.eye(2)  # col(P) orthogonal to col(G)
-        x = ParamSpace({"x": np.ones((6, 4))})
-        new_x = optimizers.step_fo_lowrank_muon(lambda _: {"x": g}, x, {"x": p}, 0.5)
-        assert np.array_equal(new_x["x"], x["x"])
-
-    def test_random_projection_step_in_column_space(self):
-        rng = np.random.default_rng(17)
-        g = rng.standard_normal((8, 5))
-        p = linalg.sample_projection(8, 3, seed=1).matrix
-        x = ParamSpace({"x": np.zeros((8, 5))})
-        new_x = optimizers.step_fo_lowrank_muon(lambda _: {"x": g}, x, {"x": p}, 1.0)
-        delta = new_x["x"]
-        assert np.max(np.abs(delta - p @ (p.T @ delta))) <= 1e-10
-
-    def test_plain_sgd(self):
-        x = ParamSpace({"x": np.zeros((2, 2))})
-        new_x = optimizers.step_fo_sgd(lambda _: {"x": np.ones((2, 2))}, x, 0.25)
-        assert_allclose(new_x["x"], -0.25 * np.ones((2, 2)), atol=1e-15)
 
 
 class TestRun:

@@ -1,5 +1,5 @@
 from zomat import presets
-from zomat.harness import parse_config_text, run_experiment
+from zomat.harness import config_to_ini, parse_config_text, run_experiment
 from zomat.optimizers import LOZO, MEZO, SUBSPACE_MEZO, ZO_MUON
 
 
@@ -17,16 +17,12 @@ def test_race_config_structure():
 
 
 def test_race_ini_round_trips_to_equivalent_config():
-    exp = presets.quadratic_race_config(objective_seed=7, run_seed=3)
-    parsed = parse_config_text(presets.quadratic_race_ini(objective_seed=7, run_seed=3))
-    assert parsed.seed == exp.seed
-    assert parsed.query_budget == exp.query_budget
-    assert parsed.objective.options["seed"] == 7
-    assert [e.kind for e in parsed.optimizers] == [e.kind for e in exp.optimizers]
-    for a, b in zip(parsed.optimizers, exp.optimizers):
-        assert a.config.learning_rate == b.config.learning_rate
-        assert a.config.mu == b.config.mu
-        assert a.config.rank == b.config.rank
+    for exp in (
+        presets.quadratic_race_config(objective_seed=7, run_seed=3),
+        presets.rank_study_config(),
+        presets.query_count_study_config(),
+    ):
+        assert parse_config_text(config_to_ini(exp)) == exp
 
 
 def test_rank_study_labels_and_ranks():
