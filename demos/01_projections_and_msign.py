@@ -17,12 +17,12 @@ rng = np.random.default_rng(0)
 # 1. Random projections: orthonormal columns, reproducible from a seed
 # ---------------------------------------------------------------------------
 proj = sample_projection(m=64, r=8, seed=7)
-gram_err = np.max(np.abs(proj.matrix.T @ proj.matrix - np.eye(8)))
+gram_err = np.max(np.abs(proj.T @ proj - np.eye(8)))
 again = sample_projection(m=64, r=8, seed=7)
 
 print("projection P is 64x8 with P^T P = I_8")
 print(f"  max |P^T P - I| = {gram_err:.2e}")
-print(f"  bit-identical on replay of seed 7: {np.array_equal(proj.matrix, again.matrix)}")
+print(f"  bit-identical on replay of seed 7: {np.array_equal(proj, again)}")
 print()
 
 # ---------------------------------------------------------------------------

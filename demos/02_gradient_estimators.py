@@ -33,8 +33,8 @@ est = rge_full(obj, obj.initial_params, cfg, seed=5)["x"]
 psi = perturbation(5, 0, 0, (6, 4))
 exact = np.vdot(c, psi) * psi
 print("single-query estimate on a linear objective:")
-print(f"  max |estimate - <C,Psi> Psi| = {np.max(np.abs(est.grad - exact)):.2e}")
-print(f"  queries consumed: {est.queries_used} (one perturbed + one base)")
+print(f"  max |estimate - <C,Psi> Psi| = {np.max(np.abs(est - exact)):.2e}")
+print(f"  queries consumed: {obj.query_count} (one perturbed + one base)")
 print()
 
 # ---------------------------------------------------------------------------
@@ -44,12 +44,12 @@ quad = make_quadratic(32, 16, 4, seed=2)
 x = quad.initial_params
 proj = sample_projection(32, 4, seed=3)
 cfg = EstimatorConfig(mu=1e-5, n_queries=4000)
-_, lifted = subspace_rge(quad, x, {"x": proj}, cfg, seed=4)
+g_z = subspace_rge(quad, x, {"x": proj}, cfg, seed=4)["x"]  # r x n, in the subspace
+lifted = proj @ g_z
 grad = quad.analytic_gradient(x)["x"]
-p = proj.matrix
-projected = p @ (p.T @ grad)
-err_vs_projected = np.linalg.norm(lifted["x"].grad - projected) / np.linalg.norm(projected)
-err_vs_full = np.linalg.norm(lifted["x"].grad - grad) / np.linalg.norm(grad)
+projected = proj @ (proj.T @ grad)
+err_vs_projected = np.linalg.norm(lifted - projected) / np.linalg.norm(projected)
+err_vs_full = np.linalg.norm(lifted - grad) / np.linalg.norm(grad)
 print("mean of 4000 lifted subspace queries on a quadratic:")
 print(f"  relative error vs projected gradient P P^T G: {err_vs_projected:.3f}")
 print(f"  relative error vs full gradient G:            {err_vs_full:.3f}")

@@ -11,14 +11,12 @@ from .estimators import (
     CENTRAL,
     FORWARD,
     EstimatorConfig,
-    GradEstimate,
     lge_lozo,
     rge_full,
     subspace_rge,
 )
 from .linalg import (
     NumericalError,
-    Projection,
     effective_rank,
     msign_ns,
     msign_svd,
@@ -63,14 +61,12 @@ __all__ = [
     "ZO_SGD",
     "EstimatorConfig",
     "EvaluationError",
-    "GradEstimate",
     "NumericalError",
     "Objective",
     "OptimizerConfig",
     "OptimizerState",
     "ParamPartition",
     "ParamSpace",
-    "Projection",
     "RunResult",
     "StepRecord",
     "effective_rank",

@@ -3,9 +3,14 @@
 Three estimator families share one perturbation discipline:
 
   - full-space randomized estimates from forward or central differences,
-  - the subspace estimator, which perturbs a low-dimensional variable through
-    a column-orthonormal projection and lifts the result back, and
+  - the subspace estimator, which perturbs a low-dimensional variable Z
+    through a column-orthonormal projection P and returns its estimate g_Z
+    (the caller lifts it, P g_Z), and
   - the two-factor low-rank baseline with a lazily held left factor.
+
+Each returns a plain ``{block name: ndarray}`` dict in its draw space; the
+objective's ``query_count`` records the queries.  Forward differences run
+through one loop, :func:`_forward`, and central ones share :func:`_central_coef`.
 
 Perturbations are never stored across a call: each Gaussian draw is
 regenerated from a counter-based split of the call seed per (query index,
@@ -25,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Projection
 from .objectives import EvaluationError
 from .params import ParamSpace
 from .streams import gaussian, perturbation
@@ -60,24 +64,6 @@ class EstimatorConfig:
         if self.scheme == CENTRAL and self.n_queries != 1:
             raise ValueError("central differences are only defined for n_queries=1")
 
-    @property
-    def queries_per_call(self) -> int:
-        if self.scheme == FORWARD:
-            return self.n_queries + 1
-        return 2 * self.n_queries
-
-
-@dataclass(frozen=True)
-class GradEstimate:
-    """A per-block gradient estimate plus the accounting for the call.
-
-    ``queries_used`` is the total number of function evaluations the estimate
-    call consumed; blocks estimated jointly in one call share the number.
-    """
-
-    grad: np.ndarray
-    queries_used: int
-
 
 def _draw(seed, words, query_index, block_index, shape):
     """The (query, block) slot's draw, from precomputed ``words`` when given."""
@@ -94,40 +80,31 @@ def _evaluate(obj, x, seed):
         raise
 
 
-def rge_full(obj, x: ParamSpace, cfg: EstimatorConfig, seed: int, words=None) -> dict:
-    """Full-space randomized gradient estimate, one GradEstimate per block.
+def _forward(obj, x, lifts, cfg, seed, words):
+    """(1/Nq) sum_i [(f(X + mu L Psi_i) - f(X)) / mu] Psi_i per block.
 
-    Forward scheme: (1/Nq) sum_i [(f(X + mu Psi_i) - f(X)) / mu] Psi_i with
-    Psi_i standard Gaussian per block.  Central scheme (single query):
-    [(f(X + mu Psi) - f(X - mu Psi)) / (2 mu)] Psi.  ``words``, when given,
-    holds the (query, block) slot words of ``seed`` from
-    :func:`zomat.streams.slot_words`.
+    A block in ``lifts`` (m-by-r L) draws r-by-n Psi_i and is shifted by
+    mu L Psi_i; any other block draws Psi_i of its own shape and is shifted
+    by mu Psi_i.  One base evaluation and one per query, all blocks jointly.
     """
-    used = cfg.queries_per_call
-    if cfg.scheme == CENTRAL:
-        deltas = {
-            name: _draw(seed, words, 0, x.index(name), value.shape)
-            for name, value in x.items()
-        }
-        coef = _central_coef(obj, x, deltas, cfg.mu, seed)
-        return {name: GradEstimate(coef * d, used) for name, d in deltas.items()}
-    accum = {name: np.zeros_like(value) for name, value in x.items()}
+    shapes = {
+        name: (lifts[name].shape[1], value.shape[1]) if name in lifts else value.shape
+        for name, value in x.items()
+    }
+    accum = {name: np.zeros(shape) for name, shape in shapes.items()}
     base = _evaluate(obj, x, seed)
     for i in range(cfg.n_queries):
         deltas = {
-            name: _draw(seed, words, i, x.index(name), value.shape)
-            for name, value in x.items()
+            name: _draw(seed, words, i, x.index(name), shape) for name, shape in shapes.items()
         }
-        shifted = x.updated(
-            {name: x[name] + cfg.mu * d for name, d in deltas.items()}
-        )
+        shifted = x.updated({
+            name: x[name] + cfg.mu * (lifts[name] @ d if name in lifts else d)
+            for name, d in deltas.items()
+        })
         coef = (_evaluate(obj, shifted, seed) - base) / cfg.mu
         for name, d in deltas.items():
             accum[name] += coef * d
-    return {
-        name: GradEstimate(grad=accum[name] / cfg.n_queries, queries_used=used)
-        for name in x.names
-    }
+    return {name: accum[name] / cfg.n_queries for name in x.names}
 
 
 def _central_coef(obj, x, deltas, mu, seed):
@@ -138,27 +115,40 @@ def _central_coef(obj, x, deltas, mu, seed):
     return (_evaluate(obj, plus, seed) - _evaluate(obj, minus, seed)) / (2.0 * mu)
 
 
+def rge_full(obj, x: ParamSpace, cfg: EstimatorConfig, seed: int, words=None) -> dict:
+    """Full-space randomized gradient estimate, one array per block.
+
+    Forward scheme: (1/Nq) sum_i [(f(X + mu Psi_i) - f(X)) / mu] Psi_i with
+    Psi_i standard Gaussian per block.  Central scheme (single query):
+    [(f(X + mu Psi) - f(X - mu Psi)) / (2 mu)] Psi.  ``words``, when given,
+    holds the (query, block) slot words of ``seed`` from
+    :func:`zomat.streams.slot_words`.
+    """
+    if cfg.scheme == FORWARD:
+        return _forward(obj, x, {}, cfg, seed, words)
+    deltas = {
+        name: _draw(seed, words, 0, x.index(name), value.shape) for name, value in x.items()
+    }
+    coef = _central_coef(obj, x, deltas, cfg.mu, seed)
+    return {name: coef * d for name, d in deltas.items()}
+
+
 def subspace_rge(
     obj, x: ParamSpace, projections: dict, cfg: EstimatorConfig, seed: int, words=None
-):
-    """Subspace randomized gradient estimate with lifting.
+) -> dict:
+    """Subspace randomized gradient estimate g_Z, one array per block.
 
-    Blocks with a projection P (m-by-r) are perturbed by mu * P @ Psi_i with
-    Psi_i an r-by-n Gaussian; the low-dimensional estimate g_Z accumulates
-    Psi-weighted forward differences, and the lifted estimate is P @ g_Z,
-    which lies in col(P) by construction and targets the projected gradient
-    P P^T grad f.  Blocks without a projection fall back to full-space
-    Gaussian perturbations inside the same queries, so one call on a mixed
-    space still costs n_queries + 1 evaluations.
-
-    Returns (z_estimates, lifted_estimates), both keyed by block name; for
-    fallback blocks the two entries are the same full-space estimate.
-    ``words`` is as in :func:`rge_full`.
+    Blocks with a projection P (an m-by-r array) are perturbed by
+    mu * P @ Psi_i with Psi_i an r-by-n Gaussian; their entry is the r-by-n
+    g_Z of Psi-weighted forward differences.  Its lift P @ g_Z, which the
+    caller makes after any map in Z's space (``zo_muon``'s msign), targets
+    the projected gradient P P^T grad f.  Blocks without a projection get the
+    full-space estimate from the same queries, so one call on a mixed space
+    still costs n_queries + 1 evaluations.  ``words`` is as in :func:`rge_full`.
     """
     if cfg.scheme != FORWARD:
         raise ValueError("the subspace estimator is defined with forward differences")
-    for name, proj in projections.items():
-        p = proj.matrix if isinstance(proj, Projection) else proj
+    for name, p in projections.items():
         if name not in x:
             raise KeyError(f"projection given for unknown block {name!r}")
         if p.shape[0] != x[name].shape[0]:
@@ -166,44 +156,7 @@ def subspace_rge(
                 f"projection for block {name!r} has {p.shape[0]} rows, "
                 f"block has {x[name].shape[0]}"
             )
-
-    mats = {
-        name: (proj.matrix if isinstance(proj, Projection) else np.asarray(proj))
-        for name, proj in projections.items()
-    }
-    accum_z = {}
-    for name, value in x.items():
-        if name in mats:
-            accum_z[name] = np.zeros((mats[name].shape[1], value.shape[1]))
-        else:
-            accum_z[name] = np.zeros_like(value)
-
-    base = _evaluate(obj, x, seed)
-    for i in range(cfg.n_queries):
-        deltas = {}
-        shifts = {}
-        for name, value in x.items():
-            if name in mats:
-                psi = _draw(
-                    seed, words, i, x.index(name), (mats[name].shape[1], value.shape[1])
-                )
-                shifts[name] = value + cfg.mu * (mats[name] @ psi)
-            else:
-                psi = _draw(seed, words, i, x.index(name), value.shape)
-                shifts[name] = value + cfg.mu * psi
-            deltas[name] = psi
-        coef = (_evaluate(obj, x.updated(shifts), seed) - base) / cfg.mu
-        for name, psi in deltas.items():
-            accum_z[name] += coef * psi
-
-    used = cfg.n_queries + 1
-    z_est, lifted_est = {}, {}
-    for name in x.names:
-        gz = accum_z[name] / cfg.n_queries
-        z_est[name] = GradEstimate(gz, used)
-        lifted = mats[name] @ gz if name in mats else gz
-        lifted_est[name] = GradEstimate(lifted, used)
-    return z_est, lifted_est
+    return _forward(obj, x, projections, cfg, seed, words)
 
 
 def lge_lozo(obj, x: ParamSpace, a_factors, b_factors, mu: float, seed: int = 0,
@@ -236,4 +189,4 @@ def lge_lozo(obj, x: ParamSpace, a_factors, b_factors, mu: float, seed: int = 0,
             deltas[name] = _draw(seed, words, 0, x.index(name), value.shape)
 
     coef = _central_coef(obj, x, deltas, mu, seed)
-    return {name: GradEstimate(coef * d, 2) for name, d in deltas.items()}
+    return {name: coef * d for name, d in deltas.items()}

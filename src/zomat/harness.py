@@ -51,6 +51,7 @@ import dataclasses
 import difflib
 import json
 import os
+import re
 import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -287,22 +288,34 @@ def _sections(exp: ExperimentConfig) -> dict:
     return sections
 
 
-def _ini_value(value) -> str:
+#: a string the parser reads back differently: a line break, outer whitespace,
+#: or a comment marker at the start or after whitespace
+_UNREADABLE = re.compile(r"[\n\r]|^\s|\s$|(^|\s)[;#]")
+
+
+def _ini_value(section, key, value) -> str:
+    if isinstance(value, tuple):
+        return ", ".join(map(str, value))
+    if isinstance(value, str) and _UNREADABLE.search(value):
+        raise ValueError(f"[{section}] {key} = {value!r} would not read back the same")
     # str of a float is its repr, the shortest text that reads back exactly
-    return ", ".join(map(str, value)) if isinstance(value, tuple) else str(value)
+    return str(value)
 
 
 def config_to_ini(exp: ExperimentConfig) -> str:
     """INI text that :func:`parse_config_text` reads back to ``exp``.
 
     Every field is written (floats by ``repr``, tuples comma-joined) except
-    an unset ``out_dir`` and empty threshold lists.  String values must fit
-    on one line and hold no inline comment (a ``;`` or ``#`` after a space).
+    an unset ``out_dir`` and empty threshold lists.  A string value or label
+    that would read back differently is a ``ValueError`` naming the section
+    (and the key).
     """
     lines = []
     for name, values in _sections(exp).items():
+        if _UNREADABLE.search(f"[{name}]"):
+            raise ValueError(f"section {name!r} would not read back the same")
         lines.append(f"[{name}]")
-        lines += [f"{key} = {_ini_value(value)}" for key, value in values.items()
+        lines += [f"{key} = {_ini_value(name, key, value)}" for key, value in values.items()
                   if value is not None and value != ()]
         lines.append("")
     return "\n".join(lines)
@@ -389,9 +402,12 @@ def run_experiment(exp: ExperimentConfig, out_dir=None, seed=None, eval_every=No
     """
     if not exp.optimizers:
         raise ConfigError(f"experiment {exp.name!r} has no optimizers")
+    try:
+        seed = exp.seed if seed is None else _EXPERIMENT_FIELDS["seed"][0](seed)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"seed override {seed!r} is invalid: {exc}") from exc
     out_path = resolve_out_dir(out_dir, exp.out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
-    seed = exp.seed if seed is None else int(seed)
     eval_every = exp.eval_every if eval_every is None else int(eval_every)
 
     results, traces = {}, {}

@@ -2,7 +2,8 @@
 
 This module contains:
   - random column-orthonormal projection sampling (QR of a Gaussian matrix,
-    with a fixed sign convention so results are reproducible),
+    with a fixed sign convention so results are reproducible); a projection
+    is a plain m-by-r array,
   - the matrix sign function ``msign`` computed exactly via SVD and
     approximately via quintic Newton-Schulz iterations,
   - the effective-rank measurement.
@@ -11,8 +12,6 @@ All functions are pure and safe to call concurrently.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,35 +43,14 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class Projection:
-    """A column-orthonormal m-by-r matrix together with its provenance.
+def sample_projection(m: int, r: int, seed: int) -> np.ndarray:
+    """Draw a random column-orthonormal m-by-r projection matrix P.
 
-    ``matrix.T @ matrix`` equals the r-by-r identity to 1e-10 per entry.
-    ``seed`` is the value the matrix was drawn from and ``born_at_step`` the
-    optimizer step at which it was (re)sampled.
-    """
-
-    matrix: np.ndarray
-    seed: int
-    born_at_step: int = 0
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def rank(self) -> int:
-        return self.matrix.shape[1]
-
-
-def sample_projection(m: int, r: int, seed: int, born_at_step: int = 0) -> Projection:
-    """Draw a random column-orthonormal m-by-r projection matrix.
-
-    The matrix is the Q factor of the QR decomposition of an m-by-r standard
-    Gaussian matrix, with column signs flipped so the diagonal of R is
-    non-negative.  The sign convention makes the output unique, so a fixed
-    seed reproduces the projection bit-for-bit.
+    ``P.T @ P`` equals the r-by-r identity to 1e-10 per entry.  P is the Q
+    factor of the QR decomposition of an m-by-r standard Gaussian matrix,
+    with column signs flipped so the diagonal of R is non-negative.  The sign
+    convention makes the output unique, so a fixed seed reproduces the
+    projection bit-for-bit.
     """
     if m < 1 or r < 1:
         raise ValueError(f"projection dimensions must be positive, got m={m}, r={r}")
@@ -82,7 +60,7 @@ def sample_projection(m: int, r: int, seed: int, born_at_step: int = 0) -> Proje
     q, rr = np.linalg.qr(rng.standard_normal((m, r)))
     signs = np.sign(np.diag(rr))
     signs[signs == 0] = 1.0
-    return Projection(matrix=q * signs, seed=int(seed), born_at_step=int(born_at_step))
+    return q * signs
 
 
 #: Smallest ratio of the extreme eigenvalues of the normalized Gram (squared

@@ -30,13 +30,11 @@ class Objective:
     thread-safe: the counters are plain integers with a single caller.
     """
 
-    def __init__(self, name, loss_fn, initial_params, gradient_fn=None, descriptor=None):
+    def __init__(self, name, loss_fn, initial_params, gradient_fn=None):
         self.name = name
         self._loss_fn = loss_fn
         self._gradient_fn = gradient_fn
         self._initial = initial_params
-        self.descriptor = dict(descriptor or {})
-        self.descriptor.setdefault("name", name)
         self._query_count = 0
         self._eval_count = 0
 
@@ -52,10 +50,6 @@ class Objective:
     def eval_count(self) -> int:
         """Evaluations made through the un-counted loss channel."""
         return self._eval_count
-
-    @property
-    def has_gradient(self) -> bool:
-        return self._gradient_fn is not None
 
     def evaluate(self, x: ParamSpace) -> float:
         value = float(self._loss_fn(x))
@@ -134,11 +128,6 @@ def make_quadratic(
         loss_fn=loss_fn,
         initial_params=ParamSpace({"x": x0}),
         gradient_fn=gradient_fn,
-        descriptor={
-            "kind": "quadratic", "m": m, "n": n, "rank": rank, "seed": int(seed),
-            "delta": delta, "block_condition": block_condition,
-            "init_offset": init_offset,
-        },
     )
     obj.minimizer = ParamSpace({"x": x_star})
     return obj
@@ -153,7 +142,7 @@ def _sigmoid(z):
     return out
 
 
-def make_logreg_from_data(features, labels, name="logreg", seed=0) -> Objective:
+def make_logreg_from_data(features, labels, name="logreg") -> Objective:
     """Binary cross-entropy objective from an explicit dense dataset.
 
     The weight is a single (n_features, 1) matrix block; labels must be 0/1.
@@ -183,10 +172,6 @@ def make_logreg_from_data(features, labels, name="logreg", seed=0) -> Objective:
         loss_fn=loss_fn,
         initial_params=ParamSpace({"w": w0}),
         gradient_fn=gradient_fn,
-        descriptor={
-            "kind": "logreg", "n_samples": n_samples,
-            "n_features": a.shape[1], "seed": int(seed),
-        },
     )
 
 
@@ -199,7 +184,7 @@ def make_logreg(n_samples: int, n_features: int, seed: int) -> Objective:
     w_true = rng.standard_normal((n_features, 1))
     margin = a @ w_true + 0.3 * rng.standard_normal((n_samples, 1))
     y = (margin > 0).astype(float)
-    return make_logreg_from_data(a, y, seed=seed)
+    return make_logreg_from_data(a, y)
 
 
 def load_csv_dataset(path):
@@ -308,8 +293,4 @@ def make_mlp(widths, n_samples: int, seed: int) -> Objective:
         loss_fn=loss_fn,
         initial_params=ParamSpace(blocks, kinds=kinds),
         gradient_fn=gradient_fn,
-        descriptor={
-            "kind": "mlp", "widths": widths, "n_samples": n_samples,
-            "seed": int(seed),
-        },
     )

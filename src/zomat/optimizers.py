@@ -9,6 +9,7 @@ the kinds differ only in the direction map that estimates d from queries
   - ``zo_muon``: the same estimate whitened before the lift, P msign(g_Z).
   - ``lozo``: two-factor low-rank estimate, lazily resampled left factor.
 
+The estimators return g_Z in the subspace; the direction map lifts it.
 Vector blocks take the full-space estimate from the same shared queries.
 
 Seeds: a run owns one root seed.  Every estimate, projection and factor
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import estimators, linalg, streams
-from .estimators import CENTRAL, FORWARD, EstimatorConfig
+from .estimators import CENTRAL, FORWARD, MIN_MU, EstimatorConfig
 from .linalg import NumericalError
 from .objectives import EvaluationError
 from .params import ParamSpace, partition
@@ -70,8 +71,8 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        if self.mu <= 0:
-            raise ValueError("mu must be positive")
+        if self.mu < MIN_MU:
+            raise ValueError(f"mu={self.mu} is below the underflow floor {MIN_MU}")
         if self.n_queries < 1:
             raise ValueError("n_queries must be positive")
         if self.rank < 1:
@@ -82,14 +83,16 @@ class OptimizerConfig:
             raise ValueError("total_steps must be non-negative")
         if self.msign_backend not in ("svd", "ns"):
             raise ValueError(f"msign_backend must be svd or ns, got {self.msign_backend!r}")
+        if self.ns_iterations < 1:
+            raise ValueError("ns_iterations must be positive")
 
 
 @dataclass
 class OptimizerState:
-    """Mutable per-run state: step counter, live projections, the LOZO left
-    factors, each kept as (epoch, A) per block name, and the per-run
-    constants (estimator configs, block layouts, bulk-derived stream tables)
-    keyed by what they hold."""
+    """Mutable per-run state: step counter, live projections (m-by-r arrays)
+    and LOZO left factors (each kept as (epoch, A)) per block name, and the
+    per-run constants (estimator configs, block layouts, bulk-derived stream
+    tables) keyed by what they hold."""
 
     rng_root_seed: int = 0
     step: int = 0
@@ -173,9 +176,7 @@ def resample_projection(state: OptimizerState, cfg: OptimizerConfig, shapes: dic
     t = state.step
     for idx, (name, shape) in enumerate(shapes.items()):
         seed = derive_seed(state.rng_root_seed, _TAG_PROJECTION, t, idx)
-        state.projections[name] = linalg.sample_projection(
-            shape[0], _block_rank(cfg, shape), seed, born_at_step=t
-        )
+        state.projections[name] = linalg.sample_projection(shape[0], _block_rank(cfg, shape), seed)
     return state
 
 
@@ -200,8 +201,7 @@ def _full_space(scheme):
     def direction(obj, x, cfg, state):
         est_cfg = _estimator_config(state, cfg, scheme)
         seed, words = estimate_streams(state, cfg.n_queries, len(x.names))
-        grads = estimators.rge_full(obj, x, est_cfg, seed, words)
-        return {name: est.grad for name, est in grads.items()}
+        return estimators.rge_full(obj, x, est_cfg, seed, words)
 
     return direction
 
@@ -217,11 +217,9 @@ def _subspace(whiten):
         _ensure_projections(state, cfg, x)
         est_cfg = _estimator_config(state, cfg, FORWARD)
         seed, words = estimate_streams(state, cfg.n_queries, len(x.names))
-        z_est, lifted = estimators.subspace_rge(obj, x, state.projections, est_cfg, seed, words)
-        d = {name: est.grad for name, est in lifted.items()}
-        if whiten:
-            for name, proj in state.projections.items():
-                d[name] = proj.matrix @ _msign(z_est[name].grad, cfg, name)
+        d = estimators.subspace_rge(obj, x, state.projections, est_cfg, seed, words)
+        for name, p in state.projections.items():
+            d[name] = p @ (_msign(d[name], cfg, name) if whiten else d[name])
         return d
 
     return direction
@@ -253,8 +251,7 @@ def _lozo(obj, x, cfg, state):
         a_factors[name] = held[1]
         b_factors[name] = streams.gaussian(right[j], (r, n))
     seed, words = estimate_streams(state, 1, len(x.names))
-    grads = estimators.lge_lozo(obj, x, a_factors, b_factors, cfg.mu, seed=seed, words=words)
-    return {name: est.grad for name, est in grads.items()}
+    return estimators.lge_lozo(obj, x, a_factors, b_factors, cfg.mu, seed=seed, words=words)
 
 
 #: kind -> (direction map (obj, x, cfg, state) -> {block: d}, queries per step)

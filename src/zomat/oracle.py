@@ -121,12 +121,10 @@ def gradient_aligned_projection(objective, x: ParamSpace, rank: int,
 def _sample_estimate(spec, objective, x, seed, words, projection):
     name = x.names[0]
     if spec.kind == FULL_RGE:
-        return estimators.rge_full(objective, x, spec.config, seed, words)[name].grad
+        return estimators.rge_full(objective, x, spec.config, seed, words)[name]
     if spec.kind == SUBSPACE_RGE:
-        _, lifted = estimators.subspace_rge(
-            objective, x, {name: projection}, spec.config, seed, words
-        )
-        return lifted[name].grad
+        g_z = estimators.subspace_rge(objective, x, {name: projection}, spec.config, seed, words)
+        return projection @ g_z[name]
     raise ValueError(f"unknown estimator kind {spec.kind!r}")
 
 
@@ -279,7 +277,7 @@ def verify_prop1(seed: int = 0) -> list:
     )
     rng = np.random.default_rng(seed + 2)
     g = exact_rank_matrix(64, 32, 32, rng)
-    p = linalg.sample_projection(64, 8, seed + 3).matrix
+    p = linalg.sample_projection(64, 8, seed + 3)
     err = float(np.max(np.abs(p @ linalg.msign_svd(p.T @ g) - linalg.msign_svd(g))))
     checks.append(
         CheckResult(

@@ -23,6 +23,7 @@ from zomat.harness import (
     run_experiment,
     write_trace_csv,
 )
+from zomat.estimators import MIN_MU
 from zomat.optimizers import MEZO, OPTIMIZER_KINDS, OptimizerConfig, StepRecord
 
 TINY_CONFIG = """
@@ -162,6 +163,17 @@ class TestParsing:
         with pytest.raises(ConfigError, match=r"\[optimizer:spectral\]"):
             parse_config_text(text)
 
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            ("mu = 1e-13", "mu=1e-13 is below the underflow floor 1e-12"),
+            ("msign_backend = ns\nns_iterations = 0", "ns_iterations must be positive"),
+        ],
+    )
+    def test_optimizer_value_that_fails_at_step_zero_rejected(self, lines, message):
+        with pytest.raises(ConfigError, match=rf"^\[optimizer:spectral\]: {message}"):
+            parse_config_text(TINY_CONFIG + lines + "\n")
+
     def test_misspelt_optimizer_key_suggests_the_real_one(self):
         text = TINY_CONFIG.replace("n_queries = 4", "n_querys = 16")
         with pytest.raises(
@@ -278,7 +290,7 @@ def _optimizer_entry(draw, label):
     kind = draw(st.sampled_from(OPTIMIZER_KINDS))
     config = OptimizerConfig(
         learning_rate=draw(_magnitudes),
-        mu=draw(_magnitudes),
+        mu=draw(st.floats(min_value=MIN_MU, max_value=1e300)),
         n_queries=1 if kind == MEZO else draw(st.integers(1, 16)),
         rank=draw(st.integers(1, 64)),
         resample_interval=draw(st.integers(1, 1000)),
@@ -308,6 +320,30 @@ class TestConfigToIni:
     @settings(max_examples=300, deadline=None)
     @given(experiment_configs())
     def test_round_trip(self, exp):
+        assert parse_config_text(config_to_ini(exp)) == exp
+
+    @pytest.mark.parametrize("name", ["a ;b", "a #b", ";a", "#a", " a", "a\t", "a\nb", "a\r"])
+    def test_rejects_a_name_that_would_not_read_back(self, name):
+        exp = dataclasses.replace(presets.quadratic_race_config(), name=name)
+        with pytest.raises(ValueError, match=r"^\[experiment\] name = .* would not read back"):
+            config_to_ini(exp)
+
+    def test_rejects_a_path_that_would_not_read_back(self):
+        csv_path = ObjectiveSpec("logreg_csv", {"path": "d.csv ;x"})
+        exp = dataclasses.replace(presets.quadratic_race_config(), objective=csv_path)
+        with pytest.raises(ValueError, match=r"^\[objective\] path = 'd.csv ;x'"):
+            config_to_ini(exp)
+
+    @pytest.mark.parametrize("label", ["a ;b", "a\nb"])
+    def test_rejects_a_label_that_would_not_read_back(self, label):
+        race = presets.quadratic_race_config()
+        entry = dataclasses.replace(race.optimizers[0], label=label)
+        with pytest.raises(ValueError, match=r"^section 'optimizer:a.*b' would not read back"):
+            config_to_ini(dataclasses.replace(race, optimizers=(entry,)))
+
+    @pytest.mark.parametrize("name", ["a;b", "a#b", ""])
+    def test_accepts_markers_not_after_whitespace(self, name):
+        exp = dataclasses.replace(presets.quadratic_race_config(), name=name)
         assert parse_config_text(config_to_ini(exp)) == exp
 
 
@@ -458,6 +494,13 @@ class TestRunExperiment:
         bad = dataclasses.replace(exp.optimizers[0], kind="adam")
         with pytest.raises(ValueError, match="unknown optimizer kind 'adam'"):
             run_experiment(dataclasses.replace(exp, optimizers=(bad,)), out_dir=tmp_path)
+
+    @pytest.mark.parametrize("seed", [-1, "x"])
+    def test_bad_seed_override_rejected_up_front(self, tmp_path, seed):
+        exp = parse_config_text(TINY_CONFIG)
+        with pytest.raises(ConfigError, match=rf"^seed override {seed!r} is invalid"):
+            run_experiment(exp, out_dir=tmp_path / "out", seed=seed)
+        assert not (tmp_path / "out").exists()
 
     def test_no_optimizers_rejected_up_front(self, tmp_path):
         exp = dataclasses.replace(parse_config_text(TINY_CONFIG), optimizers=())
@@ -657,6 +700,15 @@ class TestCli:
         code = cli.main(["run", str(path), "--out-dir", str(tmp_path / "out")])
         assert code == 2
         assert "config error: [objective] need 1 <= rank <= m" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lines", ["mu = 1e-13", "msign_backend = ns\nns_iterations = 0"])
+    def test_optimizer_value_out_of_range_exits_two(self, tmp_path, capsys, lines):
+        path = tmp_path / "bad.ini"
+        path.write_text(TINY_CONFIG + lines + "\n")
+        code = cli.main(["run", str(path), "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert "config error: [optimizer:spectral]: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["run", "compare"])
     def test_negative_seed_flag_usage_error(self, tmp_path, capsys, command):

@@ -12,23 +12,23 @@ class TestSampleProjection:
         # sign convention forces the single entry positive
         for seed in (0, 1, 123456):
             proj = linalg.sample_projection(1, 1, seed)
-            assert_allclose(proj.matrix, [[1.0]], atol=1e-14)
+            assert_allclose(proj, [[1.0]], atol=1e-14)
 
     @pytest.mark.parametrize("m,r,seed", [(5, 3, 7), (64, 8, 0), (16, 16, 3), (40, 1, 9)])
     def test_orthonormality(self, m, r, seed):
         proj = linalg.sample_projection(m, r, seed)
-        gram = proj.matrix.T @ proj.matrix
+        gram = proj.T @ proj
         assert np.max(np.abs(gram - np.eye(r))) <= 1e-10
 
     def test_deterministic_bit_for_bit(self):
         a = linalg.sample_projection(64, 8, seed=0)
         b = linalg.sample_projection(64, 8, seed=0)
-        assert np.array_equal(a.matrix, b.matrix)
+        assert np.array_equal(a, b)
 
     def test_different_seeds_differ(self):
         a = linalg.sample_projection(16, 4, seed=0)
         b = linalg.sample_projection(16, 4, seed=1)
-        assert not np.array_equal(a.matrix, b.matrix)
+        assert not np.array_equal(a, b)
 
     def test_rank_exceeds_dim(self):
         with pytest.raises(ValueError, match="exceeds"):
@@ -38,12 +38,6 @@ class TestSampleProjection:
     def test_invalid_dimensions(self, m, r):
         with pytest.raises(ValueError, match="positive"):
             linalg.sample_projection(m, r, seed=0)
-
-    def test_metadata(self):
-        proj = linalg.sample_projection(6, 2, seed=11, born_at_step=300)
-        assert proj.seed == 11
-        assert proj.born_at_step == 300
-        assert proj.dim == 6 and proj.rank == 2
 
 
 class TestMsignSvd:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from zomat import objectives, optimizers
+from zomat import estimators, linalg, objectives, optimizers
+from zomat.estimators import EstimatorConfig
 from zomat.objectives import Objective
 from zomat.optimizers import (
     LOZO,
@@ -14,7 +15,7 @@ from zomat.optimizers import (
     run,
     steps_for_budget,
 )
-from zomat.params import ParamSpace
+from zomat.params import VECTOR, ParamSpace
 
 
 def constant_objective(shape=(6, 5), value=2.5, kinds=None):
@@ -96,7 +97,7 @@ class TestSubspaceMezo:
         x = obj.initial_params
         state = OptimizerState(rng_root_seed=1)
         new_x = optimizers.step(SUBSPACE_MEZO, obj, x, cfg_for(SUBSPACE_MEZO), state)
-        p = state.projections["x"].matrix
+        p = state.projections["x"]
         delta = new_x["x"] - x["x"]
         assert np.max(np.abs(delta - p @ (p.T @ delta))) <= 1e-10
 
@@ -175,7 +176,7 @@ class TestZoMuon:
         cfg = cfg_for(ZO_MUON, rank=4)
         new_x = optimizers.step(ZO_MUON, obj, x, cfg, state)
         delta = new_x["x"] - x["x"]
-        p = state.projections["x"].matrix
+        p = state.projections["x"]
         assert np.max(np.abs(delta - p @ (p.T @ delta))) <= 1e-10
         s = np.linalg.svd(delta / cfg.learning_rate, compute_uv=False)
         nonzero = s[s > 1e-10]
@@ -247,6 +248,45 @@ class TestZoMuon:
         assert obj_a.query_count == obj_b.query_count
 
 
+class TestSubspaceDirections:
+    """One step of a subspace kind is x - lr P g (subspace_mezo) or
+    x - lr P msign(g) (zo_muon) for the estimator's g_Z, and x - lr g for a
+    vector block."""
+
+    @staticmethod
+    def mixed_objective():
+        rng = np.random.default_rng(4)
+        targets = {"a": rng.standard_normal((6, 4)), "v": rng.standard_normal((1, 4)),
+                   "b": rng.standard_normal((5, 3))}
+
+        def loss_fn(x):
+            return 0.5 * sum(float(np.sum((x[n] - t) ** 2)) for n, t in targets.items())
+
+        start = {name: np.zeros_like(t) for name, t in targets.items()}
+        return Objective("mixed", loss_fn, ParamSpace(start, kinds={"v": VECTOR}))
+
+    @pytest.mark.parametrize("kind", [SUBSPACE_MEZO, ZO_MUON])
+    def test_step_is_lifted_estimate(self, kind):
+        cfg = cfg_for(kind, rank=2, n_queries=3)
+        obj = self.mixed_objective()
+        x = obj.initial_params
+        state = OptimizerState(rng_root_seed=9)
+        new_x = optimizers.step(kind, obj, x, cfg, state)
+        assert set(state.projections) == {"a", "b"}
+
+        seed, words = optimizers.estimate_streams(OptimizerState(rng_root_seed=9), 3, 3)
+        g = estimators.subspace_rge(
+            self.mixed_objective(), x, state.projections,
+            EstimatorConfig(mu=cfg.mu, n_queries=3), seed, words,
+        )
+        for name in x.names:
+            d = g[name]
+            if name in state.projections:
+                p = state.projections[name]
+                d = p @ (linalg.msign_svd(d) if kind == ZO_MUON else d)
+            assert np.array_equal(new_x[name], x[name] - cfg.learning_rate * d), name
+
+
 class TestResampling:
     @pytest.mark.parametrize("interval", [1, 3, 100])
     def test_schedule_matches_interval(self, interval):
@@ -259,7 +299,7 @@ class TestResampling:
         for _ in range(total):
             snapshots.append(None)
             optimizers._ensure_projections(state, cfg, x)
-            snapshots[-1] = state.projections["x"].matrix.copy()
+            snapshots[-1] = state.projections["x"].copy()
             x = optimizers.step(ZO_MUON, obj, x, cfg, state)
         for t in range(1, len(snapshots)):
             same = np.array_equal(snapshots[t], snapshots[t - 1])
@@ -276,7 +316,7 @@ class TestResampling:
         seen = []
         for _ in range(101):
             x = optimizers.step(ZO_MUON, obj, x, cfg, state)
-            seen.append(state.projections["x"].matrix.copy())
+            seen.append(state.projections["x"].copy())
         for t in range(99):
             assert np.array_equal(seen[t], seen[t + 1])
         assert not np.array_equal(seen[99], seen[100])
@@ -290,14 +330,14 @@ class TestResampling:
         b = optimizers.resample_projection(
             OptimizerState(rng_root_seed=3, step=7), cfg, shapes
         )
-        assert np.array_equal(a.projections["x"].matrix, b.projections["x"].matrix)
+        assert np.array_equal(a.projections["x"], b.projections["x"])
 
     def test_rank_clamped_to_block_dims(self):
         cfg = cfg_for(ZO_MUON, rank=50)
         state = optimizers.resample_projection(
             OptimizerState(rng_root_seed=0), cfg, {"x": (8, 6)}
         )
-        assert state.projections["x"].matrix.shape == (8, 6)
+        assert state.projections["x"].shape == (8, 6)
 
 
 class TestRun:
@@ -435,6 +475,8 @@ class TestConfigValidation:
             dict(learning_rate=1e-2, resample_interval=0),
             dict(learning_rate=1e-2, total_steps=-1),
             dict(learning_rate=1e-2, msign_backend="qr"),
+            dict(learning_rate=1e-2, mu=1e-13),
+            dict(learning_rate=1e-2, msign_backend="ns", ns_iterations=0),
         ],
     )
     def test_rejects_bad_values(self, kwargs):

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zomat import estimators, optimizers, oracle, streams
+from zomat.estimators import EstimatorConfig
 from zomat.objectives import Objective
 from zomat.optimizers import (
     MEZO,
@@ -174,3 +175,20 @@ class TestStepTables:
         )
         for name in x.names:
             assert np.array_equal(bulk[name], scalar[name])
+
+
+class TestOneForwardLoop:
+    @pytest.mark.parametrize("bulk", [False, True])
+    def test_full_estimate_is_subspace_estimate_without_projections(self, bulk):
+        # rge_full's forward scheme and subspace_rge with no projection run
+        # the same loop over the same draws
+        cfg = EstimatorConfig(mu=1e-3, n_queries=3)
+        seed = derive_seed(8, 1, 5)
+        words = streams.slot_words(np.array([seed], dtype=np.uint64), 3, 3)[0] if bulk else None
+        obj = mixed_objective()
+        full = estimators.rge_full(obj, obj.initial_params, cfg, seed, words)
+        sub = estimators.subspace_rge(obj, obj.initial_params, {}, cfg, seed, words)
+        assert obj.query_count == 8
+        assert list(full) == list(sub) == ["a", "v", "b"]
+        for name in full:
+            assert np.array_equal(full[name], sub[name])
