@@ -22,6 +22,13 @@ def non_negative_int(raw) -> int:
     return value
 
 
+def positive_int(raw) -> int:
+    value = int(raw)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
 def _add_common(parser):
     parser.add_argument("config", help="experiment config file (INI-style)")
     parser.add_argument(
@@ -29,7 +36,7 @@ def _add_common(parser):
     )
     parser.add_argument("--out-dir", default=None, help="output directory")
     parser.add_argument(
-        "--eval-every", type=int, default=None, help="steps between loss recordings"
+        "--eval-every", type=positive_int, default=None, help="steps between loss recordings"
     )
 
 

@@ -9,8 +9,10 @@ Three estimator families share one perturbation discipline:
   - the two-factor low-rank baseline with a lazily held left factor.
 
 Each returns a plain ``{block name: ndarray}`` dict in its draw space; the
-objective's ``query_count`` records the queries.  Forward differences run
-through one loop, :func:`_forward`, and central ones share :func:`_central_coef`.
+objective's ``query_count`` records the queries.  All three set up each
+block's draws and run one finite-difference core, :func:`_estimate`, which
+evaluates the shifted points and returns the coefficient-weighted mean of
+the directions.
 
 Perturbations are never stored across a call: each Gaussian draw is
 regenerated from a counter-based split of the call seed per (query index,
@@ -65,13 +67,6 @@ class EstimatorConfig:
             raise ValueError("central differences are only defined for n_queries=1")
 
 
-def _draw(seed, words, query_index, block_index, shape):
-    """The (query, block) slot's draw, from precomputed ``words`` when given."""
-    if words is None:
-        return perturbation(seed, query_index, block_index, shape)
-    return gaussian(words[query_index, block_index], shape)
-
-
 def _evaluate(obj, x, seed):
     try:
         return obj.evaluate(x)
@@ -80,39 +75,39 @@ def _evaluate(obj, x, seed):
         raise
 
 
-def _forward(obj, x, lifts, cfg, seed, words):
-    """(1/Nq) sum_i [(f(X + mu L Psi_i) - f(X)) / mu] Psi_i per block.
+def _estimate(obj, x, draws, lifts, scheme, mu, n_queries, seed, words):
+    """(1/Nq) sum_i c_i D_i per block, the one finite-difference core.
 
-    A block in ``lifts`` (m-by-r L) draws r-by-n Psi_i and is shifted by
-    mu L Psi_i; any other block draws Psi_i of its own shape and is shifted
-    by mu Psi_i.  One base evaluation and one per query, all blocks jointly.
+    ``draws`` maps each block of ``x``, in order, to the shape of its
+    Gaussian D_i (the (query i, block) slot of ``seed``, or of ``words``) or,
+    central only, to a fixed direction D.  A block in ``lifts`` (m-by-r L) is
+    shifted by mu L D_i, any other by mu D_i.  Forward: one shared base f(X),
+    c_i = (f(X + mu L D_i) - f(X)) / mu.  Central: c = (f(X + mu D) - f(X - mu D)) / (2 mu).
     """
-    shapes = {
-        name: (lifts[name].shape[1], value.shape[1]) if name in lifts else value.shape
-        for name, value in x.items()
-    }
-    accum = {name: np.zeros(shape) for name, shape in shapes.items()}
-    base = _evaluate(obj, x, seed)
-    for i in range(cfg.n_queries):
+    if scheme == FORWARD:
+        base = _evaluate(obj, x, seed)
+        accum = {name: np.zeros(shape) for name, shape in draws.items()}
+    for i in range(n_queries):
         deltas = {
-            name: _draw(seed, words, i, x.index(name), shape) for name, shape in shapes.items()
+            name: d if isinstance(d, np.ndarray)
+            else perturbation(seed, i, x.index(name), d) if words is None
+            else gaussian(words[i, x.index(name)], d)
+            for name, d in draws.items()
         }
+        if scheme == CENTRAL:  # one query, so return c D
+            steps = {name: mu * d for name, d in deltas.items()}
+            plus = x.updated({name: x[name] + s for name, s in steps.items()})
+            minus = x.updated({name: x[name] - s for name, s in steps.items()})
+            coef = (_evaluate(obj, plus, seed) - _evaluate(obj, minus, seed)) / (2.0 * mu)
+            return {name: coef * d for name, d in deltas.items()}
         shifted = x.updated({
-            name: x[name] + cfg.mu * (lifts[name] @ d if name in lifts else d)
+            name: x[name] + mu * (lifts[name] @ d if name in lifts else d)
             for name, d in deltas.items()
         })
-        coef = (_evaluate(obj, shifted, seed) - base) / cfg.mu
+        coef = (_evaluate(obj, shifted, seed) - base) / mu
         for name, d in deltas.items():
             accum[name] += coef * d
-    return {name: accum[name] / cfg.n_queries for name in x.names}
-
-
-def _central_coef(obj, x, deltas, mu, seed):
-    """(f(X + mu D) - f(X - mu D)) / (2 mu) for the per-block directions D."""
-    steps = {name: mu * d for name, d in deltas.items()}
-    plus = x.updated({name: x[name] + s for name, s in steps.items()})
-    minus = x.updated({name: x[name] - s for name, s in steps.items()})
-    return (_evaluate(obj, plus, seed) - _evaluate(obj, minus, seed)) / (2.0 * mu)
+    return {name: accum[name] / n_queries for name in x.names}
 
 
 def rge_full(obj, x: ParamSpace, cfg: EstimatorConfig, seed: int, words=None) -> dict:
@@ -124,13 +119,8 @@ def rge_full(obj, x: ParamSpace, cfg: EstimatorConfig, seed: int, words=None) ->
     holds the (query, block) slot words of ``seed`` from
     :func:`zomat.streams.slot_words`.
     """
-    if cfg.scheme == FORWARD:
-        return _forward(obj, x, {}, cfg, seed, words)
-    deltas = {
-        name: _draw(seed, words, 0, x.index(name), value.shape) for name, value in x.items()
-    }
-    coef = _central_coef(obj, x, deltas, cfg.mu, seed)
-    return {name: coef * d for name, d in deltas.items()}
+    shapes = {name: v.shape for name, v in x.items()}
+    return _estimate(obj, x, shapes, {}, cfg.scheme, cfg.mu, cfg.n_queries, seed, words)
 
 
 def subspace_rge(
@@ -148,6 +138,7 @@ def subspace_rge(
     """
     if cfg.scheme != FORWARD:
         raise ValueError("the subspace estimator is defined with forward differences")
+    draws = {name: v.shape for name, v in x.items()}
     for name, p in projections.items():
         if name not in x:
             raise KeyError(f"projection given for unknown block {name!r}")
@@ -156,7 +147,8 @@ def subspace_rge(
                 f"projection for block {name!r} has {p.shape[0]} rows, "
                 f"block has {x[name].shape[0]}"
             )
-    return _forward(obj, x, projections, cfg, seed, words)
+        draws[name] = (p.shape[1], x[name].shape[1])
+    return _estimate(obj, x, draws, projections, FORWARD, cfg.mu, cfg.n_queries, seed, words)
 
 
 def lge_lozo(obj, x: ParamSpace, a_factors, b_factors, mu: float, seed: int = 0,
@@ -174,7 +166,7 @@ def lge_lozo(obj, x: ParamSpace, a_factors, b_factors, mu: float, seed: int = 0,
     if set(a_factors) != set(b_factors):
         raise ValueError("a_factors and b_factors must cover the same blocks")
 
-    deltas = {}
+    draws = {}
     for name, value in x.items():
         if name in a_factors:
             a, b = a_factors[name], b_factors[name]
@@ -184,9 +176,7 @@ def lge_lozo(obj, x: ParamSpace, a_factors, b_factors, mu: float, seed: int = 0,
                 )
             if a.shape[1] != b.shape[0]:
                 raise ValueError(f"factor inner dimensions differ for {name!r}")
-            deltas[name] = a @ b
+            draws[name] = a @ b
         else:
-            deltas[name] = _draw(seed, words, 0, x.index(name), value.shape)
-
-    coef = _central_coef(obj, x, deltas, mu, seed)
-    return {name: coef * d for name, d in deltas.items()}
+            draws[name] = value.shape
+    return _estimate(obj, x, draws, {}, CENTRAL, mu, 1, seed, words)

@@ -357,15 +357,10 @@ def read_trace_csv(path):
             raise ValueError(f"{path}: empty file, no trace header")
         if header != ["step", "queries", "loss", "elapsed_ms"]:
             raise ValueError(f"{path}: unexpected header {header}")
-        for row in reader:
-            records.append(
-                StepRecord(
-                    step=int(row[0]),
-                    queries=int(row[1]),
-                    loss=float(row[2]),
-                    elapsed_ms=float(row[3]),
-                )
-            )
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != 4:
+                raise ValueError(f"{path}:{lineno}: expected 4 columns, got {len(row)}")
+            records.append(StepRecord(int(row[0]), int(row[1]), float(row[2]), float(row[3])))
     return records
 
 
@@ -398,17 +393,22 @@ def run_experiment(exp: ExperimentConfig, out_dir=None, seed=None, eval_every=No
     and its traceback.
     Either way its ``steps`` are the steps it completed, its CSV and results
     cover the rows recorded before it failed, and the next optimizer runs.
+    The ``seed`` and ``eval_every`` overrides are checked by their
+    [experiment] casts before the output directory is made.
     Returns the summary dict.
     """
     if not exp.optimizers:
         raise ConfigError(f"experiment {exp.name!r} has no optimizers")
-    try:
-        seed = exp.seed if seed is None else _EXPERIMENT_FIELDS["seed"][0](seed)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"seed override {seed!r} is invalid: {exc}") from exc
+    overrides = {"seed": seed, "eval_every": eval_every}
+    for key, value in overrides.items():
+        cast = _EXPERIMENT_FIELDS[key][0]
+        try:
+            overrides[key] = getattr(exp, key) if value is None else cast(value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{key} override {value!r} is invalid: {exc}") from exc
+    seed, eval_every = overrides["seed"], overrides["eval_every"]
     out_path = resolve_out_dir(out_dir, exp.out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
-    eval_every = exp.eval_every if eval_every is None else int(eval_every)
 
     results, traces = {}, {}
     for entry in exp.optimizers:

@@ -157,10 +157,9 @@ sample_seed = derive_seed
 
 
 def measure_variance(spec: EstimatorSpec, objective, x: ParamSpace,
-                     n_samples: int, seed: int,
-                     reference: EstimatorSpec | None = None) -> VarianceReport:
-    """Monte-Carlo variance of ``spec`` with the ratio against ``reference``
-    (the single-query forward full-space estimator by default).
+                     n_samples: int, seed: int) -> VarianceReport:
+    """Monte-Carlo variance of ``spec`` with the ratio against the reference,
+    the single-query forward full-space estimator at ``spec``'s mu.
 
     The subspace estimator is measured with the gradient-aligned projection,
     which requires the objective's analytic gradient.  Ratios below
@@ -170,8 +169,7 @@ def measure_variance(spec: EstimatorSpec, objective, x: ParamSpace,
         raise ValueError(
             f"need at least {MIN_RATIO_SAMPLES} samples for a ratio, got {n_samples}"
         )
-    if reference is None:
-        reference = EstimatorSpec(FULL_RGE, EstimatorConfig(mu=spec.config.mu))
+    reference = EstimatorSpec(FULL_RGE, EstimatorConfig(mu=spec.config.mu))
     var = estimator_variance(spec, objective, x, n_samples, seed)
     ref_var = estimator_variance(reference, objective, x, n_samples, seed + 1)
     ratio = ref_var / var if var > 0 else float("nan")

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from zomat import estimators, linalg, objectives
+from zomat import estimators, linalg, objectives, streams
 from zomat.estimators import CENTRAL, FORWARD, EstimatorConfig
 from zomat.objectives import EvaluationError, Objective
-from zomat.params import ParamSpace
+from zomat.params import VECTOR, ParamSpace
+from zomat.streams import perturbation
 
 
 def constant_objective(value=3.0, shape=(4, 5)):
@@ -23,6 +24,14 @@ def linear_objective(c):
         initial_params=ParamSpace({"x": np.zeros(c.shape)}),
         gradient_fn=lambda x: {"x": c.copy()},
     )
+
+
+def exploding_objective():
+    """Finite only at its start, so every shifted point raises."""
+    def explode(x):
+        return np.inf if np.any(x["x"] != 0.0) else 0.0
+
+    return Objective("explode", explode, ParamSpace({"x": np.zeros((2, 2))}))
 
 
 def sq_norm_objective(shape):
@@ -108,13 +117,16 @@ class TestFullRge:
         assert np.array_equal(a["x"], b["x"])
 
     def test_evaluation_error_carries_seed(self):
-        def explode(x):
-            return np.inf if np.any(x["x"] != 0.0) else 0.0
-
-        obj = Objective("explode", explode, ParamSpace({"x": np.zeros((2, 2))}))
+        obj = exploding_objective()
         with pytest.raises(EvaluationError) as excinfo:
             estimators.rge_full(obj, obj.initial_params, EstimatorConfig(), seed=31)
         assert excinfo.value.seed == 31
+
+    def test_central_evaluation_error_carries_seed(self):
+        obj = exploding_objective()
+        with pytest.raises(EvaluationError) as excinfo:
+            estimators.rge_full(obj, obj.initial_params, EstimatorConfig(scheme=CENTRAL), seed=17)
+        assert excinfo.value.seed == 17
 
 
 class TestSubspaceRge:
@@ -292,6 +304,14 @@ class TestLozoEstimator:
                 mu=1e-3,
             )
 
+    def test_evaluation_error_carries_seed(self):
+        obj = exploding_objective()
+        rng = np.random.default_rng(0)
+        with pytest.raises(EvaluationError) as excinfo:
+            estimators.lge_lozo(obj, obj.initial_params, {"x": rng.standard_normal((2, 1))},
+                                {"x": rng.standard_normal((1, 2))}, 1e-3, seed=23)
+        assert excinfo.value.seed == 23
+
     def test_rejects_tiny_mu(self):
         obj = constant_objective()
         rng = np.random.default_rng(6)
@@ -340,3 +360,131 @@ class TestBiasConvergence:
         errors /= reps
         slope = np.polyfit(np.log(checkpoints), np.log(errors), 1)[0]
         assert -0.6 <= slope <= -0.4
+
+
+#: a smoothing scale with an inexact reciprocal: at the seeds below, dividing
+#: a difference by mu and multiplying it by 1/mu give different bits
+MU = 2.9e-3
+
+
+def mixed_space_objective():
+    """A nonlinear loss on two matrix blocks around a vector block; block
+    "a" starts at zero, the others off zero."""
+    rng = np.random.default_rng(21)
+    targets = {"a": rng.standard_normal((5, 4)), "v": rng.standard_normal((1, 4)),
+               "b": rng.standard_normal((3, 6))}
+    start = {name: 0.3 * rng.standard_normal(t.shape) for name, t in targets.items()}
+    start["a"] = np.zeros((5, 4))
+
+    def loss(x):
+        return sum(float(np.sum(np.cosh(x[n] - t))) for n, t in targets.items())
+
+    return Objective("mixed", loss, ParamSpace(start, kinds={"v": VECTOR}))
+
+
+def bulk_words(seed, n_queries, n_blocks, bulk):
+    if not bulk:
+        return None
+    return streams.slot_words(np.array([seed], dtype=np.uint64), n_queries, n_blocks)[0]
+
+
+def slot_draw(seed, words, i, k, shape):
+    if words is None:
+        return perturbation(seed, i, k, shape)
+    return streams.gaussian(words[i, k], shape)
+
+
+def reference_forward(obj, x, lifts, mu, n_queries, seed, words):
+    """Forward differences written out one query at a time, in the order of
+    the arithmetic the estimators are pinned to."""
+    shapes = {name: (lifts[name].shape[1], v.shape[1]) if name in lifts else v.shape
+              for name, v in x.items()}
+    accum = {name: np.zeros(shape) for name, shape in shapes.items()}
+    base = obj.evaluate(x)
+    for i in range(n_queries):
+        deltas = {name: slot_draw(seed, words, i, x.index(name), shape)
+                  for name, shape in shapes.items()}
+        shifted = x.updated({
+            name: x[name] + mu * (lifts[name] @ d if name in lifts else d)
+            for name, d in deltas.items()
+        })
+        coef = (obj.evaluate(shifted) - base) / mu
+        for name, d in deltas.items():
+            accum[name] += coef * d
+    return {name: accum[name] / n_queries for name in x.names}
+
+
+def reference_central(obj, x, deltas, mu):
+    """One central difference along the per-block directions ``deltas``."""
+    steps = {name: mu * d for name, d in deltas.items()}
+    plus = x.updated({name: x[name] + s for name, s in steps.items()})
+    minus = x.updated({name: x[name] - s for name, s in steps.items()})
+    coef = (obj.evaluate(plus) - obj.evaluate(minus)) / (2.0 * mu)
+    return {name: coef * d for name, d in deltas.items()}
+
+
+def assert_same_estimate(got, expected):
+    assert list(got) == list(expected)
+    for name in expected:
+        assert np.array_equal(got[name], expected[name]), name
+
+
+class TestReferenceArithmetic:
+    """Every estimator equals the per-query reference loop exactly."""
+
+    @pytest.mark.parametrize("bulk", [False, True])
+    def test_rge_full_forward(self, bulk):
+        seed, cfg = 2, EstimatorConfig(mu=MU, n_queries=3)
+        words = bulk_words(seed, 3, 3, bulk)
+        obj = mixed_space_objective()
+        got = estimators.rge_full(obj, obj.initial_params, cfg, seed, words)
+        assert obj.query_count == 4
+        ref = mixed_space_objective()
+        assert_same_estimate(got, reference_forward(ref, ref.initial_params, {}, MU, 3,
+                                                    seed, words))
+
+    @pytest.mark.parametrize("bulk", [False, True])
+    def test_rge_full_central(self, bulk):
+        seed, cfg = 3, EstimatorConfig(mu=MU, scheme=CENTRAL)
+        words = bulk_words(seed, 1, 3, bulk)
+        obj = mixed_space_objective()
+        got = estimators.rge_full(obj, obj.initial_params, cfg, seed, words)
+        assert obj.query_count == 2
+        ref = mixed_space_objective()
+        x = ref.initial_params
+        deltas = {name: slot_draw(seed, words, 0, x.index(name), v.shape) for name, v in x.items()}
+        assert_same_estimate(got, reference_central(ref, x, deltas, MU))
+
+    @pytest.mark.parametrize("bulk", [False, True])
+    def test_subspace_rge(self, bulk):
+        # a projected matrix block, a vector block and a matrix block
+        # without a projection, all from the same three queries
+        seed, cfg = 1234, EstimatorConfig(mu=MU, n_queries=3)
+        words = bulk_words(seed, 3, 3, bulk)
+        proj = {"a": linalg.sample_projection(5, 2, seed=9)}
+        obj = mixed_space_objective()
+        got = estimators.subspace_rge(obj, obj.initial_params, proj, cfg, seed, words)
+        assert obj.query_count == 4
+        assert got["a"].shape == (2, 4)
+        ref = mixed_space_objective()
+        assert_same_estimate(got, reference_forward(ref, ref.initial_params, proj, MU, 3,
+                                                    seed, words))
+
+    @pytest.mark.parametrize("bulk", [False, True])
+    def test_lge_lozo(self, bulk):
+        # a factored block, a vector block and a matrix block left to the
+        # full Gaussian fallback
+        seed = 41
+        words = bulk_words(seed, 1, 3, bulk)
+        rng = np.random.default_rng(3)
+        a, b = rng.standard_normal((5, 2)), rng.standard_normal((2, 4))
+        obj = mixed_space_objective()
+        got = estimators.lge_lozo(obj, obj.initial_params, {"a": a}, {"a": b}, MU,
+                                  seed=seed, words=words)
+        assert obj.query_count == 2
+        ref = mixed_space_objective()
+        x = ref.initial_params
+        deltas = {name: a @ b if name == "a" else slot_draw(seed, words, 0, x.index(name), v.shape)
+                  for name, v in x.items()}
+        assert_same_estimate(got, reference_central(ref, x, deltas, MU))
+

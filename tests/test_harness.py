@@ -369,6 +369,13 @@ class TestTraceCsv:
         with pytest.raises(ValueError, match=re.escape(f"{path}: empty file")):
             read_trace_csv(path)
 
+    @pytest.mark.parametrize("row,got", [("0,0,1.5", 3), ("0,0,1.5,0.1,9", 5)])
+    def test_wrong_column_count_names_path_and_line(self, tmp_path, row, got):
+        path = tmp_path / "short.csv"
+        path.write_text(f"step,queries,loss,elapsed_ms\n0,0,2.0,0.0\n{row}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: expected 4 columns, got {got}")):
+            read_trace_csv(path)
+
 
 class TestRunExperiment:
     def test_writes_traces_and_summary(self, tmp_path):
@@ -500,6 +507,13 @@ class TestRunExperiment:
         exp = parse_config_text(TINY_CONFIG)
         with pytest.raises(ConfigError, match=rf"^seed override {seed!r} is invalid"):
             run_experiment(exp, out_dir=tmp_path / "out", seed=seed)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("eval_every", [0, -3, "x"])
+    def test_bad_eval_every_override_rejected_up_front(self, tmp_path, eval_every):
+        exp = parse_config_text(TINY_CONFIG)
+        with pytest.raises(ConfigError, match=rf"^eval_every override {eval_every!r} is invalid"):
+            run_experiment(exp, out_dir=tmp_path / "out", eval_every=eval_every)
         assert not (tmp_path / "out").exists()
 
     def test_no_optimizers_rejected_up_front(self, tmp_path):
@@ -717,6 +731,16 @@ class TestCli:
         assert excinfo.value.code == 2
         assert "must be non-negative, got -5" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_eval_every_below_one_usage_error(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main([command, str(self.write_config(tmp_path)), "--out-dir", str(out),
+                      "--eval-every", "0"])
+        assert excinfo.value.code == 2
+        assert "must be positive, got 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_percent_in_name_runs(self, tmp_path, capsys):
         path = tmp_path / "pct.ini"
