@@ -165,6 +165,9 @@ def lge_lozo(obj, x: ParamSpace, a_factors, b_factors, mu: float, seed: int = 0,
         raise ValueError(f"mu={mu} is below the underflow floor {MIN_MU}")
     if set(a_factors) != set(b_factors):
         raise ValueError("a_factors and b_factors must cover the same blocks")
+    for name in a_factors:
+        if name not in x:
+            raise KeyError(f"factors given for unknown block {name!r}")
 
     draws = {}
     for name, value in x.items():

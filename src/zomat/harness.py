@@ -132,6 +132,9 @@ def _int_list(raw):
 
 def _int_at_least(low):
     def cast(raw):
+        # INI text goes through int(); a number must be integral and not a bool
+        if isinstance(raw, bool) or not isinstance(raw, str) and raw % 1 != 0:
+            raise ValueError("must be an integer")
         value = int(raw)
         if value < low:
             raise ValueError(f"must be at least {low}")
@@ -360,7 +363,10 @@ def read_trace_csv(path):
         for lineno, row in enumerate(reader, start=2):
             if len(row) != 4:
                 raise ValueError(f"{path}:{lineno}: expected 4 columns, got {len(row)}")
-            records.append(StepRecord(int(row[0]), int(row[1]), float(row[2]), float(row[3])))
+            try:
+                records.append(StepRecord(int(row[0]), int(row[1]), float(row[2]), float(row[3])))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: non-numeric value") from exc
     return records
 
 

@@ -11,13 +11,19 @@ the kinds differ only in the direction map that estimates d from queries
 
 The estimators return g_Z in the subspace; the direction map lifts it.
 Vector blocks take the full-space estimate from the same shared queries.
+The projection P and LOZO's left factor A are one object, an m-by-r factor
+per matrix block, drawn once per resample epoch and held
+(:func:`_held_factors`).
 
-Seeds: a run owns one root seed.  Every estimate, projection and factor
-stream is derived from (root, tag, step[, block]), so trajectories are
-reproducible and blocks never share a stream.  The estimate seeds, their
-(query, block) slot words and the LOZO right-factor words are derived in
-bulk, a chunk of steps at a time (:class:`zomat.streams.ChunkTable`), with
-the values of the scalar :func:`derive_seed` and ``perturbation``.
+Seeds: a run owns one root seed.  The estimate and LOZO right-factor streams
+are derived from (root, tag, step[, block index]); the held factor streams
+from (root, tag, epoch, block index), the epoch being the step rounded down
+to a multiple of ``resample_interval``.  So trajectories are reproducible,
+a run entered at any step takes the steps of a continuous one, and blocks
+never share a stream.  The estimate seeds, their (query, block) slot words
+and the LOZO right-factor words are derived in bulk, a chunk of steps at a
+time (:class:`zomat.streams.ChunkTable`), with the values of the scalar
+:func:`derive_seed` and ``perturbation``.
 """
 
 from __future__ import annotations
@@ -55,8 +61,9 @@ class OptimizerConfig:
     """Scalar hyperparameters shared across the optimizer kinds.
 
     ``rank`` is clamped per block to min(m, n); ``resample_interval`` is the
-    lazy projection refresh period; ``total_steps`` may be zero (a run that
-    records nothing and leaves the parameters untouched).
+    epoch length of the held factors (projections, LOZO's left factor);
+    ``total_steps`` may be zero (a run that records nothing and leaves the
+    parameters untouched).
     """
 
     learning_rate: float
@@ -89,15 +96,15 @@ class OptimizerConfig:
 
 @dataclass
 class OptimizerState:
-    """Mutable per-run state: step counter, live projections (m-by-r arrays)
-    and LOZO left factors (each kept as (epoch, A)) per block name, and the
-    per-run constants (estimator configs, block layouts, bulk-derived stream
-    tables) keyed by what they hold."""
+    """Mutable per-run state: step counter, the held factors as (epoch,
+    {matrix block name: m-by-r factor}) or None before the first draw, and
+    the per-run constants (estimator configs, bulk-derived stream tables)
+    keyed by what they hold.  A fresh state at any step draws the factors of
+    that step's epoch, so it steps as a continuous run does."""
 
     rng_root_seed: int = 0
     step: int = 0
-    projections: dict = field(default_factory=dict)
-    lozo_left: dict = field(default_factory=dict)
+    factors: tuple | None = None
     constants: dict = field(default_factory=dict)
 
     def constant(self, key, make):
@@ -157,10 +164,6 @@ class RunResult:
     eval_queries: int
 
 
-def _block_rank(cfg, shape) -> int:
-    return min(cfg.rank, shape[0], shape[1])
-
-
 def _msign(gz, cfg, block_name):
     try:
         if cfg.msign_backend == "svd":
@@ -170,22 +173,18 @@ def _msign(gz, cfg, block_name):
         raise NumericalError(f"msign failed on block {block_name!r}: {exc}") from exc
 
 
-def resample_projection(state: OptimizerState, cfg: OptimizerConfig, shapes: dict) -> OptimizerState:
-    """Fill in fresh projections for every matrix block: an independent
-    column-orthonormal draw per block, seeded by (root, step, block index)."""
-    t = state.step
-    for idx, (name, shape) in enumerate(shapes.items()):
-        seed = derive_seed(state.rng_root_seed, _TAG_PROJECTION, t, idx)
-        state.projections[name] = linalg.sample_projection(shape[0], _block_rank(cfg, shape), seed)
-    return state
-
-
-def _ensure_projections(state, cfg, x):
-    """Resample on every ``resample_interval``-th step, or when the state has
-    no projections yet (a run entered at a later step)."""
-    if state.step % cfg.resample_interval == 0 or not state.projections:
-        shapes = {name: x[name].shape for name in partition(x).matrix_blocks}
-        resample_projection(state, cfg, shapes)
+def _held_factors(state, cfg, x, draw) -> dict:
+    """Each matrix block's m-by-min(rank, m, n) factor for the current epoch,
+    drawn as ``draw(m, r, epoch, block index)`` when the state holds none for
+    that epoch, and held in ``state.factors`` until the next one."""
+    epoch = state.step - state.step % cfg.resample_interval
+    if state.factors is None or state.factors[0] != epoch:
+        factors = {}
+        for name in partition(x).matrix_blocks:
+            m, n = x[name].shape
+            factors[name] = draw(m, min(cfg.rank, m, n), epoch, x.index(name))
+        state.factors = (epoch, factors)
+    return state.factors[1]
 
 
 def _estimator_config(state, cfg, scheme):
@@ -214,42 +213,28 @@ def _subspace(whiten):
         if whiten and cfg.n_queries == 1:
             warnings.warn("zo_muon with n_queries=1 reduces to a sign-scaled rank-one step; "
                           "multi-query estimates are strongly recommended", stacklevel=3)
-        _ensure_projections(state, cfg, x)
+        root = state.rng_root_seed
+        projections = _held_factors(state, cfg, x, lambda m, r, epoch, idx: (
+            linalg.sample_projection(m, r, derive_seed(root, _TAG_PROJECTION, epoch, idx))))
         est_cfg = _estimator_config(state, cfg, FORWARD)
         seed, words = estimate_streams(state, cfg.n_queries, len(x.names))
-        d = estimators.subspace_rge(obj, x, state.projections, est_cfg, seed, words)
-        for name, p in state.projections.items():
+        d = estimators.subspace_rge(obj, x, projections, est_cfg, seed, words)
+        for name, p in projections.items():
             d[name] = p @ (_msign(d[name], cfg, name) if whiten else d[name])
         return d
 
     return direction
 
 
-def _matrix_layout(x):
-    """The matrix block names of ``x`` and their block indices."""
-    names = partition(x).matrix_blocks
-    return names, tuple(x.index(name) for name in names)
-
-
 def _lozo(obj, x, cfg, state):
     """Direction map of the two-factor low-rank estimate: the left factor is
-    drawn once per ``resample_interval`` epoch and held, the right every step."""
-    t = state.step
-    epoch = t - t % cfg.resample_interval
-    matrix_blocks, indices = state.constant("matrix_layout", lambda: _matrix_layout(x))
-    right = lozo_right_words(state, indices)
-    a_factors, b_factors = {}, {}
-    for j, (name, idx) in enumerate(zip(matrix_blocks, indices)):
-        m, n = x[name].shape
-        r = _block_rank(cfg, (m, n))
-        held = state.lozo_left.get(name)
-        if held is None or held[0] != epoch:
-            a_rng = np.random.default_rng(
-                np.random.SeedSequence((state.rng_root_seed, _TAG_LOZO_A, epoch, idx))
-            )
-            held = state.lozo_left[name] = (epoch, a_rng.standard_normal((m, r)))
-        a_factors[name] = held[1]
-        b_factors[name] = streams.gaussian(right[j], (r, n))
+    held per resample epoch, the right drawn every step."""
+    root = state.rng_root_seed
+    a_factors = _held_factors(state, cfg, x, lambda m, r, epoch, idx: np.random.default_rng(
+        np.random.SeedSequence((root, _TAG_LOZO_A, epoch, idx))).standard_normal((m, r)))
+    right = lozo_right_words(state, tuple(map(x.index, a_factors)))
+    b_factors = {name: streams.gaussian(words, (a.shape[1], x[name].shape[1]))
+                 for words, (name, a) in zip(right, a_factors.items())}
     seed, words = estimate_streams(state, 1, len(x.names))
     return estimators.lge_lozo(obj, x, a_factors, b_factors, cfg.mu, seed=seed, words=words)
 
@@ -269,8 +254,8 @@ def check_kind(kind: str, cfg: OptimizerConfig) -> None:
     """Reject an unknown kind, or a config its kind cannot run."""
     if kind not in _KINDS:
         raise ValueError(f"unknown optimizer kind {kind!r}; valid: {', '.join(OPTIMIZER_KINDS)}")
-    if kind == MEZO and cfg.n_queries != 1:
-        raise ValueError("mezo uses central differences and requires n_queries=1")
+    if kind in (MEZO, LOZO) and cfg.n_queries != 1:
+        raise ValueError(f"{kind} uses central differences and requires n_queries=1")
 
 
 def step(kind: str, obj, x: ParamSpace, cfg: OptimizerConfig, state: OptimizerState) -> ParamSpace:

@@ -304,6 +304,19 @@ class TestLozoEstimator:
                 mu=1e-3,
             )
 
+    def test_rejects_unknown_block(self):
+        obj = constant_objective(shape=(4, 5))
+        rng = np.random.default_rng(7)
+        with pytest.raises(KeyError, match="unknown block 'y'"):
+            estimators.lge_lozo(
+                obj,
+                obj.initial_params,
+                {"y": rng.standard_normal((4, 2))},
+                {"y": rng.standard_normal((2, 5))},
+                mu=1e-3,
+            )
+        assert obj.query_count == 0
+
     def test_evaluation_error_carries_seed(self):
         obj = exploding_objective()
         rng = np.random.default_rng(0)

@@ -24,7 +24,7 @@ from zomat.harness import (
     write_trace_csv,
 )
 from zomat.estimators import MIN_MU
-from zomat.optimizers import MEZO, OPTIMIZER_KINDS, OptimizerConfig, StepRecord
+from zomat.optimizers import LOZO, MEZO, OPTIMIZER_KINDS, OptimizerConfig, StepRecord
 
 TINY_CONFIG = """
 [experiment]
@@ -222,6 +222,12 @@ class TestParsing:
         with pytest.raises(ConfigError, match=r"\[optimizer:b\].*n_queries=1"):
             parse_config_text(text)
 
+    def test_lozo_multi_query_rejected_at_parse_time(self):
+        # lozo takes one central difference per step whatever n_queries says
+        text = TINY_CONFIG + "\n[optimizer:l]\nkind = lozo\nlearning_rate = 1e-3\nn_queries = 4\n"
+        with pytest.raises(ConfigError, match=r"\[optimizer:l\]: lozo .*n_queries=1"):
+            parse_config_text(text)
+
     def test_race_preset_and_readme_example_parse(self):
         race = presets.quadratic_race_config()
         assert parse_config_text(config_to_ini(race)) == race
@@ -291,7 +297,7 @@ def _optimizer_entry(draw, label):
     config = OptimizerConfig(
         learning_rate=draw(_magnitudes),
         mu=draw(st.floats(min_value=MIN_MU, max_value=1e300)),
-        n_queries=1 if kind == MEZO else draw(st.integers(1, 16)),
+        n_queries=1 if kind in (MEZO, LOZO) else draw(st.integers(1, 16)),
         rank=draw(st.integers(1, 64)),
         resample_interval=draw(st.integers(1, 1000)),
         msign_backend=draw(st.sampled_from(["svd", "ns"])),
@@ -374,6 +380,12 @@ class TestTraceCsv:
         path = tmp_path / "short.csv"
         path.write_text(f"step,queries,loss,elapsed_ms\n0,0,2.0,0.0\n{row}\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}:3: expected 4 columns, got {got}")):
+            read_trace_csv(path)
+
+    def test_non_numeric_value_names_path_and_line(self, tmp_path):
+        path = tmp_path / "text.csv"
+        path.write_text("step,queries,loss,elapsed_ms\n0,0,2.0,0.0\nx,0,1.5,0.1\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: non-numeric value")):
             read_trace_csv(path)
 
 
@@ -502,14 +514,15 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="unknown optimizer kind 'adam'"):
             run_experiment(dataclasses.replace(exp, optimizers=(bad,)), out_dir=tmp_path)
 
-    @pytest.mark.parametrize("seed", [-1, "x"])
+    # a bool or a non-integral number is rejected, not truncated by int()
+    @pytest.mark.parametrize("seed", [-1, "x", True, 2.7, float("inf")])
     def test_bad_seed_override_rejected_up_front(self, tmp_path, seed):
         exp = parse_config_text(TINY_CONFIG)
         with pytest.raises(ConfigError, match=rf"^seed override {seed!r} is invalid"):
             run_experiment(exp, out_dir=tmp_path / "out", seed=seed)
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("eval_every", [0, -3, "x"])
+    @pytest.mark.parametrize("eval_every", [0, -3, "x", 2.7, True, float("nan")])
     def test_bad_eval_every_override_rejected_up_front(self, tmp_path, eval_every):
         exp = parse_config_text(TINY_CONFIG)
         with pytest.raises(ConfigError, match=rf"^eval_every override {eval_every!r} is invalid"):

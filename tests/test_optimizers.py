@@ -97,7 +97,7 @@ class TestSubspaceMezo:
         x = obj.initial_params
         state = OptimizerState(rng_root_seed=1)
         new_x = optimizers.step(SUBSPACE_MEZO, obj, x, cfg_for(SUBSPACE_MEZO), state)
-        p = state.projections["x"]
+        p = state.factors[1]["x"]
         delta = new_x["x"] - x["x"]
         assert np.max(np.abs(delta - p @ (p.T @ delta))) <= 1e-10
 
@@ -176,7 +176,7 @@ class TestZoMuon:
         cfg = cfg_for(ZO_MUON, rank=4)
         new_x = optimizers.step(ZO_MUON, obj, x, cfg, state)
         delta = new_x["x"] - x["x"]
-        p = state.projections["x"]
+        p = state.factors[1]["x"]
         assert np.max(np.abs(delta - p @ (p.T @ delta))) <= 1e-10
         s = np.linalg.svd(delta / cfg.learning_rate, compute_uv=False)
         nonzero = s[s > 1e-10]
@@ -272,22 +272,26 @@ class TestSubspaceDirections:
         x = obj.initial_params
         state = OptimizerState(rng_root_seed=9)
         new_x = optimizers.step(kind, obj, x, cfg, state)
-        assert set(state.projections) == {"a", "b"}
+        epoch, projections = state.factors
+        assert epoch == 0 and set(projections) == {"a", "b"}
 
         seed, words = optimizers.estimate_streams(OptimizerState(rng_root_seed=9), 3, 3)
         g = estimators.subspace_rge(
-            self.mixed_objective(), x, state.projections,
+            self.mixed_objective(), x, projections,
             EstimatorConfig(mu=cfg.mu, n_queries=3), seed, words,
         )
         for name in x.names:
             d = g[name]
-            if name in state.projections:
-                p = state.projections[name]
+            if name in projections:
+                p = projections[name]
                 d = p @ (linalg.msign_svd(d) if kind == ZO_MUON else d)
             assert np.array_equal(new_x[name], x[name] - cfg.learning_rate * d), name
 
 
 class TestResampling:
+    """The held factors of a step: ``state.factors`` after it is
+    (epoch, {block: factor}), the factors that step used."""
+
     @pytest.mark.parametrize("interval", [1, 3, 100])
     def test_schedule_matches_interval(self, interval):
         obj = quad_objective(shape=(6, 5))
@@ -296,11 +300,11 @@ class TestResampling:
         x = obj.initial_params
         total = min(2 * interval + 2, 12) if interval > 3 else 2 * interval + 2
         snapshots = []
-        for _ in range(total):
-            snapshots.append(None)
-            optimizers._ensure_projections(state, cfg, x)
-            snapshots[-1] = state.projections["x"].copy()
+        for t in range(total):
             x = optimizers.step(ZO_MUON, obj, x, cfg, state)
+            epoch, factors = state.factors
+            assert epoch == t - t % interval
+            snapshots.append(factors["x"].copy())
         for t in range(1, len(snapshots)):
             same = np.array_equal(snapshots[t], snapshots[t - 1])
             if t % interval == 0:
@@ -316,28 +320,29 @@ class TestResampling:
         seen = []
         for _ in range(101):
             x = optimizers.step(ZO_MUON, obj, x, cfg, state)
-            seen.append(state.projections["x"].copy())
+            seen.append(state.factors[1]["x"].copy())
         for t in range(99):
             assert np.array_equal(seen[t], seen[t + 1])
         assert not np.array_equal(seen[99], seen[100])
 
     def test_resample_deterministic(self):
-        cfg = cfg_for(ZO_MUON, rank=3)
-        shapes = {"x": (8, 6)}
-        a = optimizers.resample_projection(
-            OptimizerState(rng_root_seed=3, step=7), cfg, shapes
-        )
-        b = optimizers.resample_projection(
-            OptimizerState(rng_root_seed=3, step=7), cfg, shapes
-        )
-        assert np.array_equal(a.projections["x"], b.projections["x"])
+        for kind in (SUBSPACE_MEZO, ZO_MUON, LOZO):
+            cfg = cfg_for(kind, rank=3)
+            held = []
+            for _ in range(2):
+                obj = quad_objective()
+                state = OptimizerState(rng_root_seed=3, step=7)
+                optimizers.step(kind, obj, obj.initial_params, cfg, state)
+                held.append(state.factors)
+            assert held[0][0] == held[1][0] == 0
+            assert np.array_equal(held[0][1]["x"], held[1][1]["x"]), kind
 
     def test_rank_clamped_to_block_dims(self):
-        cfg = cfg_for(ZO_MUON, rank=50)
-        state = optimizers.resample_projection(
-            OptimizerState(rng_root_seed=0), cfg, {"x": (8, 6)}
-        )
-        assert state.projections["x"].shape == (8, 6)
+        for kind in (SUBSPACE_MEZO, ZO_MUON, LOZO):
+            obj = quad_objective(shape=(8, 6))
+            state = OptimizerState(rng_root_seed=0)
+            optimizers.step(kind, obj, obj.initial_params, cfg_for(kind, rank=50), state)
+            assert state.factors[1]["x"].shape == (8, 6), kind
 
 
 class TestRun:
@@ -459,7 +464,7 @@ class TestBudgeting:
         calls = []
         evaluate = Objective.evaluate
         monkeypatch.setattr(Objective, "evaluate", lambda o, x: calls.append(1) or evaluate(o, x))
-        cfg = cfg_for(kind, n_queries=1 if kind == MEZO else 3, rank=2)
+        cfg = cfg_for(kind, n_queries=1 if kind in (MEZO, LOZO) else 3, rank=2)
         optimizers.step(kind, obj, obj.initial_params, cfg, OptimizerState(rng_root_seed=2))
         assert len(calls) == obj.query_count == optimizers.queries_per_step(kind, cfg)
 

@@ -15,6 +15,7 @@ from zomat import estimators, optimizers, oracle, streams
 from zomat.estimators import EstimatorConfig
 from zomat.objectives import Objective
 from zomat.optimizers import (
+    LOZO,
     MEZO,
     SUBSPACE_MEZO,
     ZO_MUON,
@@ -110,6 +111,13 @@ def mixed_objective():
     return Objective("mixed", loss, ParamSpace(start, kinds={"v": VECTOR}))
 
 
+def single_block_objective():
+    """One matrix block under a quadratic."""
+    target = np.random.default_rng(1).standard_normal((6, 5))
+    return Objective("single", lambda x: 0.5 * float(np.sum((x["x"] - target) ** 2)),
+                     ParamSpace({"x": np.zeros((6, 5))}))
+
+
 def scalar_estimate_streams(state, n_queries, n_blocks):
     """The per-step estimate seed derived one at a time; no words, so the
     estimators draw through ``perturbation``."""
@@ -175,6 +183,27 @@ class TestStepTables:
         )
         for name in x.names:
             assert np.array_equal(bulk[name], scalar[name])
+
+
+class TestResume:
+    @pytest.mark.parametrize("make", [single_block_objective, mixed_objective])
+    @pytest.mark.parametrize("kind", [SUBSPACE_MEZO, ZO_MUON, LOZO])
+    def test_fresh_state_mid_epoch_steps_as_continuous_run(self, kind, make):
+        # the held factors are those of the step's epoch however the state got
+        # there, so a run resumed mid-epoch replays the continuous one
+        cfg = OptimizerConfig(learning_rate=1e-2, n_queries=1 if kind == LOZO else 2, rank=2,
+                              resample_interval=3)
+        obj = make()
+        x, continuous = obj.initial_params, OptimizerState(rng_root_seed=6)
+        for _ in range(4):
+            x = optimizers.step(kind, obj, x, cfg, continuous)
+        resumed = OptimizerState(rng_root_seed=6, step=4)
+        for _ in range(3):  # steps 4 and 5 of epoch 3, then step 6 of the next
+            a = optimizers.step(kind, obj, x, cfg, continuous)
+            b = optimizers.step(kind, obj, x, cfg, resumed)
+            for name in x.names:
+                assert np.array_equal(a[name], b[name]), (resumed.step, name)
+            x = a
 
 
 class TestOneForwardLoop:
