@@ -1,18 +1,22 @@
 """Zeroth-order gradient estimators.
 
-Three estimator families share one perturbation discipline:
+Two estimates, each taken by forward or by central differences:
 
-  - full-space randomized estimates from forward or central differences,
-  - the subspace estimator, which perturbs a low-dimensional variable Z
-    through a column-orthonormal projection P and returns its estimate g_Z
-    (the caller lifts it, P g_Z), and
-  - the two-factor low-rank baseline with a lazily held left factor.
+  - the full-space randomized estimate (:func:`rge_full`, either scheme),
+    which perturbs every block by a Gaussian of its own shape, and
+  - the held-factor estimate, which perturbs a matrix block through an
+    m-by-r factor F held by the caller, X + mu F D with D a fresh r-by-n
+    Gaussian, and returns the draw-space estimate the caller lifts (F g):
+    with forward differences and a column-orthonormal projection P it is the
+    subspace estimator (:func:`subspace_rge`, g_Z); with central differences
+    and a Gaussian left factor A it is the two-factor low-rank baseline
+    (:func:`lge_lozo`, g_B, with B drawn from the block's (query 0, block)
+    slot of the call seed).
 
 Each returns a plain ``{block name: ndarray}`` dict in its draw space; the
-objective's ``query_count`` records the queries.  All three set up each
-block's draws and run one finite-difference core, :func:`_estimate`, which
-evaluates the shifted points and returns the coefficient-weighted mean of
-the directions.
+objective's ``query_count`` records the queries.  All three run one
+finite-difference core, :func:`_estimate`, which evaluates the shifted
+points and returns the coefficient-weighted mean of the draws.
 
 Perturbations are never stored across a call: each Gaussian draw is
 regenerated from a counter-based split of the call seed per (query index,
@@ -75,39 +79,54 @@ def _evaluate(obj, x, seed):
         raise
 
 
-def _estimate(obj, x, draws, lifts, scheme, mu, n_queries, seed, words):
+def _draw_shapes(x, factors) -> dict:
+    """Each block's draw shape: r-by-n for a block with an m-by-r factor in
+    ``factors``, the block's own shape otherwise."""
+    shapes = {name: v.shape for name, v in x.items()}
+    for name, f in factors.items():
+        if name not in x:
+            raise KeyError(f"factor given for unknown block {name!r}")
+        if f.shape[0] != x[name].shape[0]:
+            raise ValueError(
+                f"factor for block {name!r} has {f.shape[0]} rows, "
+                f"block has {x[name].shape[0]}"
+            )
+        shapes[name] = (f.shape[1], x[name].shape[1])
+    return shapes
+
+
+def _estimate(obj, x, factors, cfg, seed, words):
     """(1/Nq) sum_i c_i D_i per block, the one finite-difference core.
 
-    ``draws`` maps each block of ``x``, in order, to the shape of its
-    Gaussian D_i (the (query i, block) slot of ``seed``, or of ``words``) or,
-    central only, to a fixed direction D.  A block in ``lifts`` (m-by-r L) is
-    shifted by mu L D_i, any other by mu D_i.  Forward: one shared base f(X),
-    c_i = (f(X + mu L D_i) - f(X)) / mu.  Central: c = (f(X + mu D) - f(X - mu D)) / (2 mu).
+    Each block of ``x``, in order, draws the Gaussian D_i of its (query i,
+    block) slot of ``seed`` (or of ``words``) in the shape of
+    :func:`_draw_shapes`.  A block with a factor (m-by-r F) is shifted by
+    mu F D_i, any other by mu D_i.  Forward: one shared base f(X),
+    c_i = (f(X + mu F D_i) - f(X)) / mu.  Central (one query):
+    c = (f(X + mu F D) - f(X - mu F D)) / (2 mu).
     """
-    if scheme == FORWARD:
+    draws, mu = _draw_shapes(x, factors), cfg.mu
+    if cfg.scheme == FORWARD:
         base = _evaluate(obj, x, seed)
         accum = {name: np.zeros(shape) for name, shape in draws.items()}
-    for i in range(n_queries):
+    for i in range(cfg.n_queries):
         deltas = {
-            name: d if isinstance(d, np.ndarray)
-            else perturbation(seed, i, x.index(name), d) if words is None
-            else gaussian(words[i, x.index(name)], d)
-            for name, d in draws.items()
+            name: perturbation(seed, i, x.index(name), shape) if words is None
+            else gaussian(words[i, x.index(name)], shape)
+            for name, shape in draws.items()
         }
-        if scheme == CENTRAL:  # one query, so return c D
-            steps = {name: mu * d for name, d in deltas.items()}
+        steps = {name: mu * (factors[name] @ d if name in factors else d)
+                 for name, d in deltas.items()}
+        if cfg.scheme == CENTRAL:  # one query, so return c D
             plus = x.updated({name: x[name] + s for name, s in steps.items()})
             minus = x.updated({name: x[name] - s for name, s in steps.items()})
             coef = (_evaluate(obj, plus, seed) - _evaluate(obj, minus, seed)) / (2.0 * mu)
             return {name: coef * d for name, d in deltas.items()}
-        shifted = x.updated({
-            name: x[name] + mu * (lifts[name] @ d if name in lifts else d)
-            for name, d in deltas.items()
-        })
+        shifted = x.updated({name: x[name] + s for name, s in steps.items()})
         coef = (_evaluate(obj, shifted, seed) - base) / mu
         for name, d in deltas.items():
             accum[name] += coef * d
-    return {name: accum[name] / n_queries for name in x.names}
+    return {name: accum[name] / cfg.n_queries for name in x.names}
 
 
 def rge_full(obj, x: ParamSpace, cfg: EstimatorConfig, seed: int, words=None) -> dict:
@@ -119,8 +138,7 @@ def rge_full(obj, x: ParamSpace, cfg: EstimatorConfig, seed: int, words=None) ->
     holds the (query, block) slot words of ``seed`` from
     :func:`zomat.streams.slot_words`.
     """
-    shapes = {name: v.shape for name, v in x.items()}
-    return _estimate(obj, x, shapes, {}, cfg.scheme, cfg.mu, cfg.n_queries, seed, words)
+    return _estimate(obj, x, {}, cfg, seed, words)
 
 
 def subspace_rge(
@@ -138,48 +156,20 @@ def subspace_rge(
     """
     if cfg.scheme != FORWARD:
         raise ValueError("the subspace estimator is defined with forward differences")
-    draws = {name: v.shape for name, v in x.items()}
-    for name, p in projections.items():
-        if name not in x:
-            raise KeyError(f"projection given for unknown block {name!r}")
-        if p.shape[0] != x[name].shape[0]:
-            raise ValueError(
-                f"projection for block {name!r} has {p.shape[0]} rows, "
-                f"block has {x[name].shape[0]}"
-            )
-        draws[name] = (p.shape[1], x[name].shape[1])
-    return _estimate(obj, x, draws, projections, FORWARD, cfg.mu, cfg.n_queries, seed, words)
+    return _estimate(obj, x, projections, cfg, seed, words)
 
 
-def lge_lozo(obj, x: ParamSpace, a_factors, b_factors, mu: float, seed: int = 0,
+def lge_lozo(obj, x: ParamSpace, a_factors: dict, cfg: EstimatorConfig, seed: int = 0,
              words=None) -> dict:
-    """Two-factor low-rank estimate [(f(X + mu AB) - f(X - mu AB)) / (2 mu)] AB.
+    """Two-factor low-rank estimate g_B, one array per block.
 
-    ``a_factors`` and ``b_factors`` map block names to the m-by-r and r-by-n
-    Gaussian factors.  Blocks without factors are perturbed with full Gaussians
-    drawn from ``seed`` (query slot 0, or ``words`` as in :func:`rge_full`)
-    inside the same two evaluations (the fallback treatment for vectors).
-    The call consumes exactly 2 queries.
+    Blocks with a left factor A (an m-by-r array) are perturbed by
+    mu * A @ B with B the r-by-n Gaussian of the block's (query 0, block)
+    slot; their entry is g_B = c B with
+    c = [f(X + mu AB) - f(X - mu AB)] / (2 mu), whose lift A @ g_B the caller
+    makes.  Blocks without a factor get the full-space central estimate from
+    the same two evaluations.  ``words`` is as in :func:`rge_full`.
     """
-    if mu < MIN_MU:
-        raise ValueError(f"mu={mu} is below the underflow floor {MIN_MU}")
-    if set(a_factors) != set(b_factors):
-        raise ValueError("a_factors and b_factors must cover the same blocks")
-    for name in a_factors:
-        if name not in x:
-            raise KeyError(f"factors given for unknown block {name!r}")
-
-    draws = {}
-    for name, value in x.items():
-        if name in a_factors:
-            a, b = a_factors[name], b_factors[name]
-            if a.shape[0] != value.shape[0] or b.shape[1] != value.shape[1]:
-                raise ValueError(
-                    f"factors for block {name!r} do not match shape {value.shape}"
-                )
-            if a.shape[1] != b.shape[0]:
-                raise ValueError(f"factor inner dimensions differ for {name!r}")
-            draws[name] = a @ b
-        else:
-            draws[name] = value.shape
-    return _estimate(obj, x, draws, {}, CENTRAL, mu, 1, seed, words)
+    if cfg.scheme != CENTRAL:
+        raise ValueError("the two-factor estimator is defined with central differences")
+    return _estimate(obj, x, a_factors, cfg, seed, words)

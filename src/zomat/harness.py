@@ -50,6 +50,7 @@ import csv
 import dataclasses
 import difflib
 import json
+import math
 import os
 import re
 import traceback
@@ -123,7 +124,10 @@ def _get(section, key, cast, default=None):
 
 
 def _float_list(raw):
-    return tuple(float(part) for part in str(raw).split(",") if part.strip())
+    values = tuple(float(part) for part in str(raw).split(",") if part.strip())
+    if not all(map(math.isfinite, values)):
+        raise ValueError("entries must be finite")
+    return values
 
 
 def _int_list(raw):

@@ -71,8 +71,8 @@ class Objective:
 
 def planted_spectrum(k: int, block_condition: float) -> np.ndarray:
     """Log-spaced eigenvalues for the planted curvature block, largest 1."""
-    if block_condition < 1.0:
-        raise ValueError("block_condition must be >= 1")
+    if not 1.0 <= block_condition < math.inf:
+        raise ValueError(f"block_condition must be finite and >= 1, got {block_condition}")
     if k == 1 or block_condition == 1.0:
         return np.ones(k)
     return np.logspace(0.0, -np.log10(block_condition), k)
@@ -102,6 +102,8 @@ def make_quadratic(
         raise ValueError(f"need 1 <= rank <= m, got rank={rank}, m={m}")
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
+    if not 0.0 <= delta < math.inf:
+        raise ValueError(f"delta must be finite and non-negative, got {delta}")
     rng = np.random.default_rng(seed)
     basis, _ = np.linalg.qr(rng.standard_normal((m, rank)))
     factor = (basis * np.sqrt(planted_spectrum(rank, block_condition))).T

@@ -1,29 +1,30 @@
 """Step rules and run loops for the zeroth-order matrix optimizers.
 
-Every query-based optimizer takes the same :func:`step`, X <- X - eta * d;
-the kinds differ only in the direction map that estimates d from queries
-(the ``_KINDS`` table, which also holds each kind's queries per step):
+Every query-based optimizer takes the same :func:`step`, X <- X - eta * d,
+with d from one direction function over the ``_KINDS`` table.  A kind is a
+difference scheme (forward or central) and either no factor, for the
+full-space estimate, or a held m-by-r factor F per matrix block, for the
+held-factor estimate lifted back as F g:
 
-  - ``zo_sgd`` / ``mezo``: full-space forward / central-difference estimate.
-  - ``subspace_mezo``: the subspace estimate lifted back, P g_Z.
+  - ``zo_sgd`` / ``mezo``: full-space forward / central estimate.
+  - ``subspace_mezo``: forward, F a column-orthonormal projection P, P g_Z.
   - ``zo_muon``: the same estimate whitened before the lift, P msign(g_Z).
-  - ``lozo``: two-factor low-rank estimate, lazily resampled left factor.
+  - ``lozo``: central, F a Gaussian left factor A, A g_B.
 
-The estimators return g_Z in the subspace; the direction map lifts it.
-Vector blocks take the full-space estimate from the same shared queries.
-The projection P and LOZO's left factor A are one object, an m-by-r factor
-per matrix block, drawn once per resample epoch and held
-(:func:`_held_factors`).
+A central kind costs 2 queries a step and needs ``n_queries`` = 1; a
+forward one costs ``n_queries`` + 1.  Vector blocks take the full-space
+estimate from the same shared queries.  The factors are drawn once per
+resample epoch and held (:func:`_held_factors`).
 
-Seeds: a run owns one root seed.  The estimate and LOZO right-factor streams
-are derived from (root, tag, step[, block index]); the held factor streams
-from (root, tag, epoch, block index), the epoch being the step rounded down
-to a multiple of ``resample_interval``.  So trajectories are reproducible,
-a run entered at any step takes the steps of a continuous one, and blocks
-never share a stream.  The estimate seeds, their (query, block) slot words
-and the LOZO right-factor words are derived in bulk, a chunk of steps at a
-time (:class:`zomat.streams.ChunkTable`), with the values of the scalar
-:func:`derive_seed` and ``perturbation``.
+Seeds: a run owns one root seed.  The estimate stream is derived from
+(root, tag, step) and its (query, block) slots, LOZO's right factor B being
+the r-by-n draw of slot (0, block); the held factor streams from (root, tag,
+epoch, block index), the epoch being the step rounded down to a multiple of
+``resample_interval``.  So trajectories are reproducible, a run entered at
+any step takes the steps of a continuous one, and blocks never share a
+stream.  The estimate seeds and their slot words are derived in bulk, a
+chunk of steps at a time (:class:`zomat.streams.ChunkTable`), with the
+values of the scalar :func:`derive_seed` and ``perturbation``.
 """
 
 from __future__ import annotations
@@ -49,11 +50,11 @@ LOZO = "lozo"
 ZO_MUON = "zo_muon"
 
 # Tags keeping derived Gaussian streams disjoint.  A tag is part of every
-# seed derived with it, so the values are never renumbered (3 is retired).
+# seed derived with it, so the values are never renumbered (3 and 5 are
+# retired).
 _TAG_ESTIMATE = 1
 _TAG_PROJECTION = 2
 _TAG_LOZO_A = 4
-_TAG_LOZO_B = 5
 
 
 @dataclass(frozen=True)
@@ -114,33 +115,16 @@ class OptimizerState:
             value = self.constants[key] = make()
         return value
 
-    def table_row(self, key, make) -> tuple:
-        """Row of the current step in the stream table ``key``, made by
-        ``make()`` on first use."""
-        return self.constant(key, make)(self.step)
-
 
 def estimate_streams(state: OptimizerState, n_queries: int, n_blocks: int):
     """Seed ``derive_seed(root, tag, step)`` of the current step's estimate and
     the PCG64 words of its (query, block) slots."""
     root = state.rng_root_seed
-    seed, words = state.table_row(
+    seed, words = state.constant(
         (_TAG_ESTIMATE, root, n_queries, n_blocks),
         lambda: streams.slot_table((root, _TAG_ESTIMATE), n_queries, n_blocks),
-    )
+    )(state.step)
     return int(seed), words
-
-
-def lozo_right_words(state: OptimizerState, blocks: tuple):
-    """PCG64 words of the current step's right-factor draws, one row per block
-    index in ``blocks``: the stream ``SeedSequence((root, tag, step, block))``."""
-    root = state.rng_root_seed
-
-    def fill(steps):
-        parts = (root, _TAG_LOZO_B, steps[:, None], np.asarray(blocks, dtype=np.uint64))
-        return (streams.seed_states(parts, streams.PCG64_WORDS, np.uint64),)
-
-    return state.table_row((_TAG_LOZO_B, root, blocks), lambda: streams.ChunkTable(fill))[0]
 
 
 @dataclass(frozen=True)
@@ -175,16 +159,26 @@ def _msign(gz, cfg, block_name):
 
 def _held_factors(state, cfg, x, draw) -> dict:
     """Each matrix block's m-by-min(rank, m, n) factor for the current epoch,
-    drawn as ``draw(m, r, epoch, block index)`` when the state holds none for
-    that epoch, and held in ``state.factors`` until the next one."""
+    drawn as ``draw(root, m, r, epoch, block index)`` when the state holds
+    none for that epoch, and held in ``state.factors`` until the next one."""
     epoch = state.step - state.step % cfg.resample_interval
     if state.factors is None or state.factors[0] != epoch:
         factors = {}
         for name in partition(x).matrix_blocks:
             m, n = x[name].shape
-            factors[name] = draw(m, min(cfg.rank, m, n), epoch, x.index(name))
+            factors[name] = draw(state.rng_root_seed, m, min(cfg.rank, m, n), epoch,
+                                 x.index(name))
         state.factors = (epoch, factors)
     return state.factors[1]
+
+
+def _projection(root, m, r, epoch, idx):
+    return linalg.sample_projection(m, r, derive_seed(root, _TAG_PROJECTION, epoch, idx))
+
+
+def _gaussian_factor(root, m, r, epoch, idx):
+    rng = np.random.default_rng(np.random.SeedSequence((root, _TAG_LOZO_A, epoch, idx)))
+    return rng.standard_normal((m, r))
 
 
 def _estimator_config(state, cfg, scheme):
@@ -194,74 +188,49 @@ def _estimator_config(state, cfg, scheme):
     )
 
 
-def _full_space(scheme):
-    """Direction map of the full-space estimate with the given scheme."""
-
-    def direction(obj, x, cfg, state):
-        est_cfg = _estimator_config(state, cfg, scheme)
-        seed, words = estimate_streams(state, cfg.n_queries, len(x.names))
-        return estimators.rge_full(obj, x, est_cfg, seed, words)
-
-    return direction
-
-
-def _subspace(whiten):
-    """Direction map P g_Z of the subspace estimate, or P msign(g_Z) with
-    ``whiten`` (allowed but warned about at one query: a rank-one msign)."""
-
-    def direction(obj, x, cfg, state):
-        if whiten and cfg.n_queries == 1:
-            warnings.warn("zo_muon with n_queries=1 reduces to a sign-scaled rank-one step; "
-                          "multi-query estimates are strongly recommended", stacklevel=3)
-        root = state.rng_root_seed
-        projections = _held_factors(state, cfg, x, lambda m, r, epoch, idx: (
-            linalg.sample_projection(m, r, derive_seed(root, _TAG_PROJECTION, epoch, idx))))
-        est_cfg = _estimator_config(state, cfg, FORWARD)
-        seed, words = estimate_streams(state, cfg.n_queries, len(x.names))
-        d = estimators.subspace_rge(obj, x, projections, est_cfg, seed, words)
-        for name, p in projections.items():
-            d[name] = p @ (_msign(d[name], cfg, name) if whiten else d[name])
-        return d
-
-    return direction
-
-
-def _lozo(obj, x, cfg, state):
-    """Direction map of the two-factor low-rank estimate: the left factor is
-    held per resample epoch, the right drawn every step."""
-    root = state.rng_root_seed
-    a_factors = _held_factors(state, cfg, x, lambda m, r, epoch, idx: np.random.default_rng(
-        np.random.SeedSequence((root, _TAG_LOZO_A, epoch, idx))).standard_normal((m, r)))
-    right = lozo_right_words(state, tuple(map(x.index, a_factors)))
-    b_factors = {name: streams.gaussian(words, (a.shape[1], x[name].shape[1]))
-                 for words, (name, a) in zip(right, a_factors.items())}
-    seed, words = estimate_streams(state, 1, len(x.names))
-    return estimators.lge_lozo(obj, x, a_factors, b_factors, cfg.mu, seed=seed, words=words)
-
-
-#: kind -> (direction map (obj, x, cfg, state) -> {block: d}, queries per step)
+#: kind -> (difference scheme, held-factor draw or None, whiten before the lift)
 _KINDS = {
-    MEZO: (_full_space(CENTRAL), lambda cfg: 2),
-    ZO_SGD: (_full_space(FORWARD), lambda cfg: cfg.n_queries + 1),
-    SUBSPACE_MEZO: (_subspace(whiten=False), lambda cfg: cfg.n_queries + 1),
-    LOZO: (_lozo, lambda cfg: 2),
-    ZO_MUON: (_subspace(whiten=True), lambda cfg: cfg.n_queries + 1),
+    MEZO: (CENTRAL, None, False),
+    ZO_SGD: (FORWARD, None, False),
+    SUBSPACE_MEZO: (FORWARD, _projection, False),
+    LOZO: (CENTRAL, _gaussian_factor, False),
+    ZO_MUON: (FORWARD, _projection, True),
 }
 OPTIMIZER_KINDS = tuple(_KINDS)
+
+
+def _direction(kind, obj, x, cfg, state) -> dict:
+    """The step direction d of ``kind``: the full-space estimate, or the
+    held-factor estimate g lifted as F g (F msign(g) when whitened; allowed
+    but warned about at one query: a rank-one msign)."""
+    scheme, draw, whiten = _KINDS[kind]
+    est_cfg = _estimator_config(state, cfg, scheme)
+    seed, words = estimate_streams(state, cfg.n_queries, len(x.names))
+    if draw is None:
+        return estimators.rge_full(obj, x, est_cfg, seed, words)
+    if whiten and cfg.n_queries == 1:
+        warnings.warn("zo_muon with n_queries=1 reduces to a sign-scaled rank-one step; "
+                      "multi-query estimates are strongly recommended", stacklevel=3)
+    factors = _held_factors(state, cfg, x, draw)
+    estimate = estimators.subspace_rge if scheme == FORWARD else estimators.lge_lozo
+    d = estimate(obj, x, factors, est_cfg, seed, words)
+    for name, f in factors.items():
+        d[name] = f @ (_msign(d[name], cfg, name) if whiten else d[name])
+    return d
 
 
 def check_kind(kind: str, cfg: OptimizerConfig) -> None:
     """Reject an unknown kind, or a config its kind cannot run."""
     if kind not in _KINDS:
         raise ValueError(f"unknown optimizer kind {kind!r}; valid: {', '.join(OPTIMIZER_KINDS)}")
-    if kind in (MEZO, LOZO) and cfg.n_queries != 1:
+    if _KINDS[kind][0] == CENTRAL and cfg.n_queries != 1:
         raise ValueError(f"{kind} uses central differences and requires n_queries=1")
 
 
 def step(kind: str, obj, x: ParamSpace, cfg: OptimizerConfig, state: OptimizerState) -> ParamSpace:
-    """One step of ``kind``: X <- X - eta * d with d from the kind's direction
-    map; advances ``state.step`` and returns the new iterate."""
-    direction = _KINDS[kind][0](obj, x, cfg, state)
+    """One step of ``kind``: X <- X - eta * d with d from :func:`_direction`;
+    advances ``state.step`` and returns the new iterate."""
+    direction = _direction(kind, obj, x, cfg, state)
     state.step += 1
     return x.updated({name: x[name] - cfg.learning_rate * d for name, d in direction.items()})
 
@@ -269,7 +238,7 @@ def step(kind: str, obj, x: ParamSpace, cfg: OptimizerConfig, state: OptimizerSt
 def queries_per_step(kind: str, cfg: OptimizerConfig) -> int:
     """Gradient-estimation queries one step of ``kind`` consumes."""
     check_kind(kind, cfg)
-    return _KINDS[kind][1](cfg)
+    return 2 if _KINDS[kind][0] == CENTRAL else cfg.n_queries + 1
 
 
 def steps_for_budget(kind: str, cfg: OptimizerConfig, query_budget: int) -> int:

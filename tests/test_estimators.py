@@ -247,95 +247,77 @@ class TestSubspaceRge:
 
 
 class TestLozoEstimator:
+    """g_B in draw space, B the r-by-n Gaussian of slot (query 0, block)."""
+
+    CFG = EstimatorConfig(mu=1e-4, scheme=CENTRAL)
+
     def test_constant_function_gives_zero(self):
         obj = constant_objective(shape=(6, 5))
-        rng = np.random.default_rng(0)
-        a, b = rng.standard_normal((6, 2)), rng.standard_normal((2, 5))
-        est = estimators.lge_lozo(obj, obj.initial_params, {"x": a}, {"x": b}, mu=1e-3)
+        a = np.random.default_rng(0).standard_normal((6, 2))
+        est = estimators.lge_lozo(obj, obj.initial_params, {"x": a}, self.CFG)
+        assert est["x"].shape == (2, 5)
         assert np.all(est["x"] == 0.0)
         assert obj.query_count == 2
 
     def test_linear_is_exact(self):
         rng = np.random.default_rng(1)
         c = rng.standard_normal((5, 6))
-        a, b = rng.standard_normal((5, 2)), rng.standard_normal((2, 6))
+        a = rng.standard_normal((5, 2))
         obj = linear_objective(c)
-        est = estimators.lge_lozo(obj, obj.initial_params, {"x": a}, {"x": b}, mu=1e-4)
-        ab = a @ b
-        assert_allclose(est["x"], np.vdot(c, ab) * ab, rtol=1e-8)
+        est = estimators.lge_lozo(obj, obj.initial_params, {"x": a}, self.CFG, seed=8)
+        ab = a @ perturbation(8, 0, 0, (2, 6))
+        assert_allclose(a @ est["x"], np.vdot(c, ab) * ab, rtol=1e-8)
 
     def test_estimate_rank_bounded_by_r(self):
         rng = np.random.default_rng(2)
         c = rng.standard_normal((8, 8))
-        a, b = rng.standard_normal((8, 3)), rng.standard_normal((3, 8))
+        a = rng.standard_normal((8, 3))
         obj = linear_objective(c)
-        est = estimators.lge_lozo(obj, obj.initial_params, {"x": a}, {"x": b}, mu=1e-4)
-        s = np.linalg.svd(est["x"], compute_uv=False)
+        est = estimators.lge_lozo(obj, obj.initial_params, {"x": a}, self.CFG)
+        s = np.linalg.svd(a @ est["x"], compute_uv=False)
         assert s[3] / s[0] <= 1e-10
 
     def test_two_queries_exactly(self):
         obj = constant_objective()
-        rng = np.random.default_rng(3)
-        a, b = rng.standard_normal((4, 2)), rng.standard_normal((2, 5))
-        estimators.lge_lozo(obj, obj.initial_params, {"x": a}, {"x": b}, mu=1e-3)
+        a = np.random.default_rng(3).standard_normal((4, 2))
+        estimators.lge_lozo(obj, obj.initial_params, {"x": a}, self.CFG)
         assert obj.query_count == 2
 
     def test_rejects_factor_shape_mismatch(self):
         obj = constant_objective(shape=(4, 5))
-        rng = np.random.default_rng(4)
-        with pytest.raises(ValueError, match="match shape"):
-            estimators.lge_lozo(
-                obj,
-                obj.initial_params,
-                {"x": rng.standard_normal((3, 2))},
-                {"x": rng.standard_normal((2, 5))},
-                mu=1e-3,
-            )
-
-    def test_rejects_inner_dim_mismatch(self):
-        obj = constant_objective(shape=(4, 5))
-        rng = np.random.default_rng(5)
-        with pytest.raises(ValueError, match="inner"):
-            estimators.lge_lozo(
-                obj,
-                obj.initial_params,
-                {"x": rng.standard_normal((4, 2))},
-                {"x": rng.standard_normal((3, 5))},
-                mu=1e-3,
-            )
+        a = np.random.default_rng(4).standard_normal((3, 2))
+        with pytest.raises(ValueError, match="rows"):
+            estimators.lge_lozo(obj, obj.initial_params, {"x": a}, self.CFG)
+        assert obj.query_count == 0
 
     def test_rejects_unknown_block(self):
         obj = constant_objective(shape=(4, 5))
-        rng = np.random.default_rng(7)
+        a = np.random.default_rng(7).standard_normal((4, 2))
         with pytest.raises(KeyError, match="unknown block 'y'"):
-            estimators.lge_lozo(
-                obj,
-                obj.initial_params,
-                {"y": rng.standard_normal((4, 2))},
-                {"y": rng.standard_normal((2, 5))},
-                mu=1e-3,
-            )
+            estimators.lge_lozo(obj, obj.initial_params, {"y": a}, self.CFG)
+        assert obj.query_count == 0
+
+    def test_rejects_forward_scheme(self):
+        obj = constant_objective()
+        a = np.random.default_rng(5).standard_normal((4, 2))
+        with pytest.raises(ValueError, match="central"):
+            estimators.lge_lozo(obj, obj.initial_params, {"x": a}, EstimatorConfig())
         assert obj.query_count == 0
 
     def test_evaluation_error_carries_seed(self):
         obj = exploding_objective()
-        rng = np.random.default_rng(0)
+        a = np.random.default_rng(0).standard_normal((2, 1))
         with pytest.raises(EvaluationError) as excinfo:
-            estimators.lge_lozo(obj, obj.initial_params, {"x": rng.standard_normal((2, 1))},
-                                {"x": rng.standard_normal((1, 2))}, 1e-3, seed=23)
+            estimators.lge_lozo(obj, obj.initial_params, {"x": a}, self.CFG, seed=23)
         assert excinfo.value.seed == 23
 
     def test_rejects_tiny_mu(self):
         obj = constant_objective()
-        rng = np.random.default_rng(6)
+        a = np.random.default_rng(6).standard_normal((4, 2))
         with pytest.raises(ValueError, match="underflow"):
-            estimators.lge_lozo(
-                obj,
-                obj.initial_params,
-                {"x": rng.standard_normal((4, 2))},
-                {"x": rng.standard_normal((2, 5))},
-                mu=1e-14,
-            )
+            estimators.lge_lozo(obj, obj.initial_params, {"x": a},
+                                EstimatorConfig(mu=1e-14, scheme=CENTRAL))
+        assert obj.query_count == 0
 
 
 class TestBiasConvergence:
@@ -427,9 +409,10 @@ def reference_forward(obj, x, lifts, mu, n_queries, seed, words):
     return {name: accum[name] / n_queries for name in x.names}
 
 
-def reference_central(obj, x, deltas, mu):
-    """One central difference along the per-block directions ``deltas``."""
-    steps = {name: mu * d for name, d in deltas.items()}
+def reference_central(obj, x, lifts, deltas, mu):
+    """One central difference along the per-block draws ``deltas``, a block in
+    ``lifts`` (m-by-r L) shifted by mu L D."""
+    steps = {name: mu * (lifts[name] @ d if name in lifts else d) for name, d in deltas.items()}
     plus = x.updated({name: x[name] + s for name, s in steps.items()})
     minus = x.updated({name: x[name] - s for name, s in steps.items()})
     coef = (obj.evaluate(plus) - obj.evaluate(minus)) / (2.0 * mu)
@@ -466,7 +449,7 @@ class TestReferenceArithmetic:
         ref = mixed_space_objective()
         x = ref.initial_params
         deltas = {name: slot_draw(seed, words, 0, x.index(name), v.shape) for name, v in x.items()}
-        assert_same_estimate(got, reference_central(ref, x, deltas, MU))
+        assert_same_estimate(got, reference_central(ref, x, {}, deltas, MU))
 
     @pytest.mark.parametrize("bulk", [False, True])
     def test_subspace_rge(self, bulk):
@@ -487,17 +470,17 @@ class TestReferenceArithmetic:
     def test_lge_lozo(self, bulk):
         # a factored block, a vector block and a matrix block left to the
         # full Gaussian fallback
-        seed = 41
+        seed, cfg = 41, EstimatorConfig(mu=MU, scheme=CENTRAL)
         words = bulk_words(seed, 1, 3, bulk)
-        rng = np.random.default_rng(3)
-        a, b = rng.standard_normal((5, 2)), rng.standard_normal((2, 4))
+        a = {"a": np.random.default_rng(3).standard_normal((5, 2))}
         obj = mixed_space_objective()
-        got = estimators.lge_lozo(obj, obj.initial_params, {"a": a}, {"a": b}, MU,
-                                  seed=seed, words=words)
+        got = estimators.lge_lozo(obj, obj.initial_params, a, cfg, seed=seed, words=words)
         assert obj.query_count == 2
+        assert got["a"].shape == (2, 4)
         ref = mixed_space_objective()
         x = ref.initial_params
-        deltas = {name: a @ b if name == "a" else slot_draw(seed, words, 0, x.index(name), v.shape)
+        deltas = {name: slot_draw(seed, words, 0, x.index(name),
+                                  (2, v.shape[1]) if name in a else v.shape)
                   for name, v in x.items()}
-        assert_same_estimate(got, reference_central(ref, x, deltas, MU))
+        assert_same_estimate(got, reference_central(ref, x, a, deltas, MU))
 

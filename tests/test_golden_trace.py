@@ -37,12 +37,12 @@ GOLDEN = {
     ],
     "lozo": [
         (0, 0, 0.8122471549401709),
-        (10, 20, 0.7858327950442604),
-        (100, 200, 0.600155623760207),
-        (250, 500, 0.37747186564866053),
-        (400, 800, 0.2893195240596056),
-        (500, 1000, 0.2380888356698542),
-        (1000, 2000, 0.1123282337586277),
+        (10, 20, 0.7816007728304035),
+        (100, 200, 0.5293222446613415),
+        (250, 500, 0.3704918268587343),
+        (400, 800, 0.268209440065011),
+        (500, 1000, 0.22569888955228018),
+        (1000, 2000, 0.1169063293860779),
     ],
     "zo_muon": [
         (0, 0, 0.8122471549401709),

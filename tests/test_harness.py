@@ -249,6 +249,14 @@ class TestParsing:
             ("seed = 1", "seed = -1", "seed"),
             ("query_budget = 40", "query_budget = -5", "query_budget"),
             ("eval_every = 2", "eval_every = 0", "eval_every"),
+            # a negative absolute threshold (-1 above) stays legal; a non-finite one is not
+            ("loss_thresholds = -1", "loss_thresholds = inf", "loss_thresholds"),
+            ("loss_thresholds = -1", "loss_thresholds = -inf", "loss_thresholds"),
+            ("loss_thresholds = -1", "loss_thresholds = 0.5, nan", "loss_thresholds"),
+            ("loss_threshold_fractions = 1.0", "loss_threshold_fractions = nan",
+             "loss_threshold_fractions"),
+            ("loss_threshold_fractions = 1.0", "loss_threshold_fractions = 0.1, inf",
+             "loss_threshold_fractions"),
         ],
     )
     def test_out_of_range_experiment_field_rejected(self, line, bad, key):
@@ -727,6 +735,25 @@ class TestCli:
         code = cli.main(["run", str(path), "--out-dir", str(tmp_path / "out")])
         assert code == 2
         assert "config error: [objective] need 1 <= rank <= m" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("seed = 4\n", "seed = 4\ndelta = nan\n", "[objective] delta must be finite"),
+            ("rank = 2\nseed = 4\n", "rank = 2\nseed = 4\nblock_condition = inf\n",
+             "[objective] block_condition must be finite"),
+            ("loss_thresholds = -1", "loss_thresholds = inf",
+             "[experiment] field 'loss_thresholds' has invalid value 'inf'"),
+        ],
+        ids=["delta", "block_condition", "loss_thresholds"],
+    )
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_non_finite_value_exits_two(self, tmp_path, capsys, old, new, message, command):
+        path = tmp_path / "bad.ini"
+        path.write_text(TINY_CONFIG.replace(old, new, 1))
+        code = cli.main([command, str(path), "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert f"config error: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("lines", ["mu = 1e-13", "msign_backend = ns\nns_iterations = 0"])
     def test_optimizer_value_out_of_range_exits_two(self, tmp_path, capsys, lines):

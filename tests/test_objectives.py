@@ -72,6 +72,16 @@ class TestQuadratic:
         with pytest.raises(ValueError):
             objectives.make_quadratic(4, 0, 2, seed=0)
 
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf"), -float("inf"), -1.0])
+    def test_rejects_bad_delta(self, delta):
+        with pytest.raises(ValueError, match="delta must be finite and non-negative"):
+            objectives.make_quadratic(8, 8, 2, seed=0, delta=delta)
+
+    @pytest.mark.parametrize("block_condition", [float("nan"), float("inf"), 0.5])
+    def test_rejects_bad_block_condition(self, block_condition):
+        with pytest.raises(ValueError, match="block_condition must be finite and >= 1"):
+            objectives.make_quadratic(8, 8, 2, seed=0, block_condition=block_condition)
+
     def test_init_offset_scales_distance(self):
         near = objectives.make_quadratic(6, 6, 2, seed=9, init_offset=0.1)
         far = objectives.make_quadratic(6, 6, 2, seed=9, init_offset=1.0)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from zomat import estimators, linalg, objectives, optimizers
-from zomat.estimators import EstimatorConfig
+from zomat.estimators import CENTRAL, EstimatorConfig
 from zomat.objectives import Objective
 from zomat.optimizers import (
     LOZO,
@@ -128,6 +128,15 @@ class TestLozo:
         optimizers.step(LOZO, obj, obj.initial_params, cfg_for(LOZO), OptimizerState())
         assert obj.query_count == 2
 
+    def test_rejects_multi_query(self):
+        # central differences, as for mezo: no silent one-query step
+        obj = constant_objective()
+        with pytest.raises(ValueError, match="n_queries=1"):
+            optimizers.step(
+                LOZO, obj, obj.initial_params, cfg_for(LOZO, n_queries=2), OptimizerState()
+            )
+        assert obj.query_count == 0
+
     def test_left_factor_lazy_right_factor_fresh(self):
         # within one resample epoch all updates share the left factor, so
         # stacked update columns stay within one r-dimensional column space;
@@ -249,9 +258,9 @@ class TestZoMuon:
 
 
 class TestSubspaceDirections:
-    """One step of a subspace kind is x - lr P g (subspace_mezo) or
-    x - lr P msign(g) (zo_muon) for the estimator's g_Z, and x - lr g for a
-    vector block."""
+    """One step of a held-factor kind is x - lr P g (subspace_mezo),
+    x - lr P msign(g) (zo_muon) for the estimator's g_Z, or x - lr A g
+    (lozo) for its g_B, and x - lr g for a vector block."""
 
     @staticmethod
     def mixed_objective():
@@ -265,26 +274,29 @@ class TestSubspaceDirections:
         start = {name: np.zeros_like(t) for name, t in targets.items()}
         return Objective("mixed", loss_fn, ParamSpace(start, kinds={"v": VECTOR}))
 
-    @pytest.mark.parametrize("kind", [SUBSPACE_MEZO, ZO_MUON])
+    @pytest.mark.parametrize("kind", [SUBSPACE_MEZO, ZO_MUON, LOZO])
     def test_step_is_lifted_estimate(self, kind):
-        cfg = cfg_for(kind, rank=2, n_queries=3)
+        n_queries = 1 if kind == LOZO else 3
+        cfg = cfg_for(kind, rank=2, n_queries=n_queries)
         obj = self.mixed_objective()
         x = obj.initial_params
         state = OptimizerState(rng_root_seed=9)
         new_x = optimizers.step(kind, obj, x, cfg, state)
-        epoch, projections = state.factors
-        assert epoch == 0 and set(projections) == {"a", "b"}
+        epoch, factors = state.factors
+        assert epoch == 0 and set(factors) == {"a", "b"}
 
-        seed, words = optimizers.estimate_streams(OptimizerState(rng_root_seed=9), 3, 3)
-        g = estimators.subspace_rge(
-            self.mixed_objective(), x, projections,
-            EstimatorConfig(mu=cfg.mu, n_queries=3), seed, words,
-        )
+        seed, words = optimizers.estimate_streams(OptimizerState(rng_root_seed=9), n_queries, 3)
+        if kind == LOZO:
+            est_cfg = EstimatorConfig(mu=cfg.mu, scheme=CENTRAL)
+            g = estimators.lge_lozo(self.mixed_objective(), x, factors, est_cfg, seed, words)
+        else:
+            est_cfg = EstimatorConfig(mu=cfg.mu, n_queries=n_queries)
+            g = estimators.subspace_rge(self.mixed_objective(), x, factors, est_cfg, seed, words)
         for name in x.names:
             d = g[name]
-            if name in projections:
-                p = projections[name]
-                d = p @ (linalg.msign_svd(d) if kind == ZO_MUON else d)
+            if name in factors:
+                f = factors[name]
+                d = f @ (linalg.msign_svd(d) if kind == ZO_MUON else d)
             assert np.array_equal(new_x[name], x[name] - cfg.learning_rate * d), name
 
 
