@@ -25,8 +25,6 @@ from .linalg import (
 from .objectives import (
     EvaluationError,
     Objective,
-    make_logreg,
-    make_logreg_from_csv,
     make_mlp,
     make_quadratic,
 )
@@ -44,7 +42,7 @@ from .optimizers import (
     run,
     steps_for_budget,
 )
-from .params import MATRIX, VECTOR, ParamPartition, ParamSpace, partition
+from .params import MATRIX, VECTOR, ParamSpace
 
 __version__ = "0.1.0"
 
@@ -65,19 +63,15 @@ __all__ = [
     "Objective",
     "OptimizerConfig",
     "OptimizerState",
-    "ParamPartition",
     "ParamSpace",
     "RunResult",
     "StepRecord",
     "effective_rank",
     "lge_lozo",
-    "make_logreg",
-    "make_logreg_from_csv",
     "make_mlp",
     "make_quadratic",
     "msign_ns",
     "msign_svd",
-    "partition",
     "rge_full",
     "run",
     "sample_projection",

@@ -11,7 +11,7 @@ Configs are flat INI-style key-value text with one section per optimizer:
     loss_threshold_fractions = 0.01      ; optional, x initial loss
 
     [objective]
-    kind = quadratic                     ; quadratic | logreg | mlp | logreg_csv
+    kind = quadratic                     ; quadratic | mlp
     m = 64
     n = 64
     rank = 8
@@ -201,13 +201,9 @@ _OBJECTIVES = {
         "seed": (int, 0), "delta": (float, None), "block_condition": (float, None),
         "init_offset": (float, None),
     }),
-    "logreg": (objectives_mod.make_logreg, {
-        "n_samples": (int, _REQUIRED), "n_features": (int, _REQUIRED), "seed": (int, 0),
-    }),
     "mlp": (objectives_mod.make_mlp, {
         "widths": (_int_list, _REQUIRED), "n_samples": (int, _REQUIRED), "seed": (int, 0),
     }),
-    "logreg_csv": (objectives_mod.make_logreg_from_csv, {"path": (str, _REQUIRED)}),
 }
 OBJECTIVE_KINDS = tuple(_OBJECTIVES)
 
@@ -224,7 +220,7 @@ _OPTIMIZER_FIELDS = {
 
 
 def parse_config_text(text: str, origin: str = "<config>") -> ExperimentConfig:
-    # no interpolation: a '%' in a value (a name, a CSV path) is literal
+    # no interpolation: a '%' in a value (a name, a directory) is literal
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
     try:
         parser.read_string(text, source=origin)

@@ -9,7 +9,6 @@ problem admits them and serve as the ground-truth anchor for estimator tests.
 
 from __future__ import annotations
 
-import csv
 import math
 
 import numpy as np
@@ -94,9 +93,11 @@ def make_quadratic(
     the square root of a log-spaced spectrum (largest eigenvalue 1, smallest
     1/block_condition), so the gradient H (X - X*) concentrates its energy in
     a rank-dimensional column space.  ``init_offset`` scales the distance of the
-    initial point from the minimizer.  H is never formed: with F = L^T and
-    D = X - X*, the loss is 1/2 (||F D||^2 + delta ||D||^2) and the gradient
-    F^T (F D) + delta D, so a query costs rank-by-m-by-n, not m-by-m-by-n.
+    initial point from the minimizer; a ``delta`` or ``init_offset`` so large
+    that the initial loss overflows is a ``ValueError``.  H is never formed:
+    with F = L^T and D = X - X*, the loss is 1/2 (||F D||^2 + delta ||D||^2)
+    and the gradient F^T (F D) + delta D, so a query costs rank-by-m-by-n, not
+    m-by-m-by-n.
     """
     if not (1 <= rank <= m):
         raise ValueError(f"need 1 <= rank <= m, got rank={rank}, m={m}")
@@ -125,105 +126,22 @@ def make_quadratic(
             grad += delta * d
         return {"x": grad}
 
+    initial = ParamSpace({"x": x0})
+    with np.errstate(over="ignore"):
+        initial_loss = loss_fn(initial)
+    if not math.isfinite(initial_loss):
+        raise ValueError(
+            f"initial loss is {initial_loss}: delta={delta} or init_offset={init_offset} "
+            "is too large"
+        )
     obj = Objective(
         name="quadratic",
         loss_fn=loss_fn,
-        initial_params=ParamSpace({"x": x0}),
+        initial_params=initial,
         gradient_fn=gradient_fn,
     )
     obj.minimizer = ParamSpace({"x": x_star})
     return obj
-
-
-def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
-def make_logreg_from_data(features, labels, name="logreg") -> Objective:
-    """Binary cross-entropy objective from an explicit dense dataset.
-
-    The weight is a single (n_features, 1) matrix block; labels must be 0/1.
-    """
-    a = np.asarray(features, dtype=float)
-    y = np.asarray(labels, dtype=float).reshape(-1, 1)
-    if a.ndim != 2 or a.shape[0] != y.shape[0]:
-        raise ValueError(
-            f"features {a.shape} and labels {y.shape} are inconsistent"
-        )
-    if not np.all(np.isin(y, (0.0, 1.0))):
-        raise ValueError("labels must be 0 or 1")
-    n_samples = a.shape[0]
-
-    def loss_fn(x):
-        z = a @ x["w"]
-        # mean of log(1 + exp(z)) - y z, computed stably
-        return float(np.mean(np.logaddexp(0.0, z) - y * z))
-
-    def gradient_fn(x):
-        z = a @ x["w"]
-        return {"w": a.T @ (_sigmoid(z) - y) / n_samples}
-
-    w0 = np.zeros((a.shape[1], 1))
-    return Objective(
-        name=name,
-        loss_fn=loss_fn,
-        initial_params=ParamSpace({"w": w0}),
-        gradient_fn=gradient_fn,
-    )
-
-
-def make_logreg(n_samples: int, n_features: int, seed: int) -> Objective:
-    """Logistic regression on synthetic linearly-separable-with-noise data."""
-    if n_samples < 1 or n_features < 1:
-        raise ValueError("n_samples and n_features must be positive")
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((n_samples, n_features))
-    w_true = rng.standard_normal((n_features, 1))
-    margin = a @ w_true + 0.3 * rng.standard_normal((n_samples, 1))
-    y = (margin > 0).astype(float)
-    return make_logreg_from_data(a, y)
-
-
-def load_csv_dataset(path):
-    """Read a dense dataset: header row, float feature columns, integer label
-    in the last column.  Returns (features, labels)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or len(header) < 2:
-            raise ValueError(f"{path}: need a header row with >= 2 columns")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ValueError(
-                    f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}"
-                )
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: non-numeric value") from exc
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    data = np.asarray(rows)
-    features, labels = data[:, :-1], data[:, -1]
-    if not np.all(labels == np.round(labels)):
-        raise ValueError(f"{path}: last column must hold integer labels")
-    return features, labels.astype(int)
-
-
-def make_logreg_from_csv(path) -> Objective:
-    features, labels = load_csv_dataset(path)
-    uniq = np.unique(labels)
-    if not np.all(np.isin(uniq, (0, 1))):
-        raise ValueError(f"{path}: labels must be 0/1, got {uniq.tolist()}")
-    return make_logreg_from_data(features, labels, name="logreg_csv")
 
 
 def make_mlp(widths, n_samples: int, seed: int) -> Objective:

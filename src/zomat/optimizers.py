@@ -40,7 +40,7 @@ from . import estimators, linalg, streams
 from .estimators import CENTRAL, FORWARD, MIN_MU, EstimatorConfig
 from .linalg import NumericalError
 from .objectives import EvaluationError
-from .params import ParamSpace, partition
+from .params import MATRIX, ParamSpace
 from .streams import derive_seed
 
 MEZO = "mezo"
@@ -164,10 +164,10 @@ def _held_factors(state, cfg, x, draw) -> dict:
     epoch = state.step - state.step % cfg.resample_interval
     if state.factors is None or state.factors[0] != epoch:
         factors = {}
-        for name in partition(x).matrix_blocks:
-            m, n = x[name].shape
-            factors[name] = draw(state.rng_root_seed, m, min(cfg.rank, m, n), epoch,
-                                 x.index(name))
+        for idx, name in enumerate(x.names):
+            if x.kind(name) == MATRIX:
+                m, n = x[name].shape
+                factors[name] = draw(state.rng_root_seed, m, min(cfg.rank, m, n), epoch, idx)
         state.factors = (epoch, factors)
     return state.factors[1]
 

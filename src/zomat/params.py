@@ -8,8 +8,6 @@ the kind is declared by whoever builds the space, not inferred from shape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .linalg import as_matrix
@@ -108,18 +106,3 @@ class ParamSpace:
             np.allclose(self[name], other[name], rtol=rtol, atol=atol)
             for name in self.names
         )
-
-
-@dataclass(frozen=True)
-class ParamPartition:
-    """Block names split by optimization treatment."""
-
-    matrix_blocks: tuple
-    vector_blocks: tuple
-
-
-def partition(space: ParamSpace) -> ParamPartition:
-    """Split a space into matrix-method blocks and fallback vector blocks."""
-    matrix = tuple(n for n in space.names if space.kind(n) == MATRIX)
-    vector = tuple(n for n in space.names if space.kind(n) == VECTOR)
-    return ParamPartition(matrix_blocks=matrix, vector_blocks=vector)

@@ -6,7 +6,6 @@ frozen quadratic race preset with objective seeds 100..104 matched to run
 seeds 0..4.
 """
 
-import dataclasses
 import time
 
 import numpy as np
@@ -14,22 +13,14 @@ import pytest
 
 from zomat import linalg, objectives, presets
 from zomat.estimators import EstimatorConfig, subspace_rge
-from zomat.harness import (
-    build_objective,
-    config_to_ini,
-    parse_config_text,
-    queries_to_threshold,
-    run_experiment,
-)
+from zomat.harness import config_to_ini, parse_config_text, run_experiment
 from zomat.optimizers import (
     MEZO,
     SUBSPACE_MEZO,
     ZO_MUON,
     OptimizerConfig,
     OptimizerState,
-    run,
     step,
-    steps_for_budget,
 )
 from zomat.oracle import (
     FULL_RGE,
@@ -174,33 +165,18 @@ def test_c6_effective_rank():
     )
 
 
-def _race_threshold_queries(trial, kinds):
-    exp = presets.quadratic_race_config(
-        objective_seed=100 + trial, run_seed=trial, kinds=kinds
-    )
-    probe = build_objective(exp.objective)
-    threshold = 0.01 * probe.loss(probe.initial_params)
-    out = {}
-    for entry in exp.optimizers:
-        obj = build_objective(exp.objective)
-        cfg = dataclasses.replace(
-            entry.config,
-            total_steps=steps_for_budget(entry.kind, entry.config, exp.query_budget),
-        )
-        result = run(obj, obj.initial_params, cfg, entry.kind,
-                     seed=trial, eval_every=exp.eval_every)
-        out[entry.kind] = queries_to_threshold(result.records, threshold)
-    return out
-
-
-def test_c7_desk_scale_ordering():
+def test_c7_desk_scale_ordering(tmp_path):
     start = time.perf_counter()
     wins = 0
     ratios = []
     lines = []
     for trial in range(5):
-        q = _race_threshold_queries(trial, (MEZO, SUBSPACE_MEZO, ZO_MUON))
-        z, m, s = q[ZO_MUON], q[MEZO], q[SUBSPACE_MEZO]
+        exp = presets.quadratic_race_config(
+            objective_seed=100 + trial, run_seed=trial, kinds=(MEZO, SUBSPACE_MEZO, ZO_MUON)
+        )
+        results = run_experiment(exp, out_dir=tmp_path)["results"]
+        z, m, s = (results[kind]["queries_to_threshold"]["0.01x_initial"]
+                   for kind in (ZO_MUON, MEZO, SUBSPACE_MEZO))
         won = z is not None and (m is None or z < m) and (s is None or z < s)
         wins += won
         if z is not None and m is not None:
@@ -219,26 +195,16 @@ def test_c7_desk_scale_ordering():
     )
 
 
-def test_c8_rank_sensitivity():
+def test_c8_rank_sensitivity(tmp_path):
     best_counts = 0
     lines = []
     for trial in range(5):
-        finals = {}
-        for rank in (2, 8, 32):
-            exp = presets.quadratic_race_config(
-                objective_seed=100 + trial, run_seed=trial, kinds=(ZO_MUON,)
-            )
-            entry = exp.optimizers[0]
-            cfg = dataclasses.replace(
-                entry.config,
-                rank=rank,
-                total_steps=steps_for_budget(ZO_MUON, entry.config, exp.query_budget),
-            )
-            obj = build_objective(exp.objective)
-            initial = obj.loss(obj.initial_params)
-            result = run(obj, obj.initial_params, cfg, ZO_MUON,
-                         seed=trial, eval_every=500)
-            finals[rank] = result.records[-1].loss / initial
+        exp = presets.rank_study_config(objective_seed=100 + trial, run_seed=trial)
+        summary = run_experiment(exp, out_dir=tmp_path, eval_every=500)
+        finals = {
+            rank: summary["results"][f"zo_muon_r{rank}"]["final_loss"] / summary["initial_loss"]
+            for rank in (2, 8, 32)
+        }
         best = min(finals, key=finals.get)
         best_counts += best == 8
         lines.append(

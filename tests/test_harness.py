@@ -3,7 +3,6 @@ import json
 import re
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -126,6 +125,13 @@ class TestParsing:
     def test_unknown_objective_kind(self):
         text = TINY_CONFIG.replace("kind = quadratic", "kind = rosenbrock")
         with pytest.raises(ConfigError, match="rosenbrock.*valid|unknown kind"):
+            parse_config_text(text)
+
+    @pytest.mark.parametrize("kind", ["logreg", "logreg_csv"])
+    def test_removed_objective_kind_lists_valid(self, kind):
+        text = TINY_CONFIG.replace("kind = quadratic", f"kind = {kind}")
+        with pytest.raises(ConfigError, match=rf"^\[objective\] unknown kind '{kind}'; "
+                                              r"valid: quadratic, mlp$"):
             parse_config_text(text)
 
     def test_unknown_optimizer_kind_lists_valid(self):
@@ -290,12 +296,9 @@ _objective_specs = st.one_of(
             "block_condition": st.none() | _magnitudes, "init_offset": st.none() | _signed,
         }),
     ),
-    st.builds(lambda a, b, s: ObjectiveSpec("logreg", dict(n_samples=a, n_features=b, seed=s)),
-              st.integers(1, 500), st.integers(1, 50), _counts),
     st.builds(lambda w, a, s: ObjectiveSpec("mlp", dict(widths=w, n_samples=a, seed=s)),
               st.lists(st.integers(1, 64), min_size=2, max_size=4).map(tuple),
               st.integers(1, 500), _counts),
-    st.builds(lambda path: ObjectiveSpec("logreg_csv", dict(path=path)), _words),
 )
 
 
@@ -343,9 +346,8 @@ class TestConfigToIni:
             config_to_ini(exp)
 
     def test_rejects_a_path_that_would_not_read_back(self):
-        csv_path = ObjectiveSpec("logreg_csv", {"path": "d.csv ;x"})
-        exp = dataclasses.replace(presets.quadratic_race_config(), objective=csv_path)
-        with pytest.raises(ValueError, match=r"^\[objective\] path = 'd.csv ;x'"):
+        exp = dataclasses.replace(presets.quadratic_race_config(), out_dir="d ;x")
+        with pytest.raises(ValueError, match=r"^\[experiment\] out_dir = 'd ;x'"):
             config_to_ini(exp)
 
     @pytest.mark.parametrize("label", ["a ;b", "a\nb"])
@@ -575,38 +577,6 @@ class TestRunExperiment:
 
 
 class TestOtherObjectives:
-    def test_logreg_csv_objective_end_to_end(self, tmp_path):
-        data = tmp_path / "d.csv"
-        data.write_text(
-            "a,b,label\n1.0,0.0,1\n-1.0,0.0,0\n0.0,1.0,1\n0.0,-1.0,0\n"
-        )
-        text = f"""
-[experiment]
-name = csvrun
-query_budget = 20
-
-[objective]
-kind = logreg_csv
-path = {data}
-
-[optimizer:mezo]
-kind = mezo
-learning_rate = 1e-1
-"""
-        exp = parse_config_text(text)
-        summary = run_experiment(exp, out_dir=tmp_path / "out")
-        assert summary["results"]["mezo"]["queries"] == 20
-        assert summary["initial_loss"] == pytest.approx(np.log(2.0))
-
-    def test_logreg_csv_path_with_percent(self, tmp_path):
-        data = tmp_path / "run_100%" / "d.csv"
-        data.parent.mkdir()
-        data.write_text("a,label\n1.0,1\n-1.0,0\n")
-        text = f"[experiment]\nquery_budget = 4\n[objective]\nkind = logreg_csv\npath = {data}\n"
-        exp = parse_config_text(text + "[optimizer:mezo]\nlearning_rate = 1e-1\n")
-        assert exp.objective.options["path"] == str(data)
-        assert build_objective(exp.objective).initial_params["w"].shape == (1, 1)
-
     def test_mlp_objective_parses_and_runs(self, tmp_path):
         text = """
 [experiment]
@@ -744,8 +714,10 @@ class TestCli:
              "[objective] block_condition must be finite"),
             ("loss_thresholds = -1", "loss_thresholds = inf",
              "[experiment] field 'loss_thresholds' has invalid value 'inf'"),
+            ("seed = 4\n", "seed = 4\ndelta = 1e308\n", "[objective] initial loss is inf"),
+            ("seed = 4\n", "seed = 4\ninit_offset = 1e200\n", "[objective] initial loss is inf"),
         ],
-        ids=["delta", "block_condition", "loss_thresholds"],
+        ids=["delta", "block_condition", "loss_thresholds", "delta_overflow", "offset_overflow"],
     )
     @pytest.mark.parametrize("command", ["run", "compare"])
     def test_non_finite_value_exits_two(self, tmp_path, capsys, old, new, message, command):

@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 from zomat import objectives, optimizers
 from zomat.linalg import effective_rank
 from zomat.oracle import finite_diff_gradient
-from zomat.params import MATRIX, VECTOR, ParamSpace, partition
+from zomat.params import MATRIX, VECTOR
 
 
 class TestQuadratic:
@@ -82,6 +82,11 @@ class TestQuadratic:
         with pytest.raises(ValueError, match="block_condition must be finite and >= 1"):
             objectives.make_quadratic(8, 8, 2, seed=0, block_condition=block_condition)
 
+    @pytest.mark.parametrize("option", [{"delta": 1e308}, {"init_offset": 1e200}])
+    def test_rejects_an_overflowing_initial_loss(self, option):
+        with pytest.raises(ValueError, match="initial loss is inf"):
+            objectives.make_quadratic(8, 8, 2, seed=0, **option)
+
     def test_init_offset_scales_distance(self):
         near = objectives.make_quadratic(6, 6, 2, seed=9, init_offset=0.1)
         far = objectives.make_quadratic(6, 6, 2, seed=9, init_offset=1.0)
@@ -119,35 +124,6 @@ class TestQueryCounting:
         assert obj.query_count == 200
 
 
-class TestLogreg:
-    def test_zero_weights_loss_is_ln2(self):
-        obj = objectives.make_logreg(50, 6, seed=0)
-        assert_allclose(obj.loss(obj.initial_params), np.log(2.0), rtol=1e-12)
-
-    def test_loss_non_negative(self):
-        obj = objectives.make_logreg(30, 5, seed=1)
-        rng = np.random.default_rng(2)
-        for _ in range(5):
-            x = obj.initial_params.updated({"w": rng.standard_normal((5, 1))})
-            assert obj.loss(x) >= 0.0
-
-    def test_gradient_matches_finite_differences_at_zero(self):
-        obj = objectives.make_logreg(40, 7, seed=3)
-        x = obj.initial_params
-        fd = finite_diff_gradient(obj, x, mu=1e-6)["w"]
-        an = obj.analytic_gradient(x)["w"]
-        assert np.linalg.norm(fd - an) / np.linalg.norm(an) <= 1e-5
-
-    def test_weight_is_matrix_block(self):
-        obj = objectives.make_logreg(10, 4, seed=0)
-        assert obj.initial_params.kind("w") == MATRIX
-        assert obj.initial_params["w"].shape == (4, 1)
-
-    def test_invalid_dims(self):
-        with pytest.raises(ValueError):
-            objectives.make_logreg(0, 4, seed=0)
-
-
 class TestMlp:
     def test_untrained_loss_near_ln4(self):
         obj = objectives.make_mlp((8, 16, 4), n_samples=80, seed=0)
@@ -171,10 +147,9 @@ class TestMlp:
             checked += 1
 
     def test_partition_weights_vs_biases(self):
-        obj = objectives.make_mlp((6, 10, 4), n_samples=40, seed=3)
-        part = partition(obj.initial_params)
-        assert part.matrix_blocks == ("w0", "w1")
-        assert part.vector_blocks == ("b0", "b1")
+        x = objectives.make_mlp((6, 10, 4), n_samples=40, seed=3).initial_params
+        assert x.names == ("w0", "b0", "w1", "b1")
+        assert [x.kind(name) for name in x.names] == [MATRIX, VECTOR, MATRIX, VECTOR]
 
     def test_one_spectral_step_uses_five_queries(self):
         obj = objectives.make_mlp((6, 10, 4), n_samples=40, seed=4)
@@ -188,49 +163,3 @@ class TestMlp:
             objectives.make_mlp((8, 4), n_samples=10, seed=0)
         with pytest.raises(ValueError):
             objectives.make_mlp((8, 128, 4), n_samples=10, seed=0)
-
-
-class TestCsvLoading:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "data.csv"
-        path.write_text(
-            "f1,f2,label\n"
-            "0.5,-1.0,1\n"
-            "-0.25,2.0,0\n"
-            "1.5,0.5,1\n"
-        )
-        features, labels = objectives.load_csv_dataset(path)
-        assert features.shape == (3, 2)
-        assert labels.tolist() == [1, 0, 1]
-        obj = objectives.make_logreg_from_csv(path)
-        assert_allclose(obj.loss(obj.initial_params), np.log(2.0), rtol=1e-12)
-
-    def test_rejects_bad_column_count(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b,label\n1.0,2.0\n")
-        with pytest.raises(ValueError, match="columns"):
-            objectives.load_csv_dataset(path)
-
-    def test_rejects_non_numeric(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b,label\n1.0,x,1\n")
-        with pytest.raises(ValueError, match="non-numeric"):
-            objectives.load_csv_dataset(path)
-
-    def test_rejects_fractional_labels(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b,label\n1.0,2.0,0.5\n")
-        with pytest.raises(ValueError, match="integer labels"):
-            objectives.load_csv_dataset(path)
-
-    def test_rejects_non_binary_labels_for_logreg(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b,label\n1.0,2.0,3\n")
-        with pytest.raises(ValueError, match="0/1"):
-            objectives.make_logreg_from_csv(path)
-
-    def test_rejects_empty(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text("a,b,label\n")
-        with pytest.raises(ValueError, match="no data rows"):
-            objectives.load_csv_dataset(path)

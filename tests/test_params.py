@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from zomat.params import MATRIX, VECTOR, ParamSpace, partition
+from zomat.params import MATRIX, VECTOR, ParamSpace
 
 
 def small_space():
@@ -30,11 +30,7 @@ def test_one_d_coerced_to_row():
 
 def test_partition_is_exact():
     space = small_space()
-    part = partition(space)
-    assert part.matrix_blocks == ("w", "v")
-    assert part.vector_blocks == ("b",)
-    assert set(part.matrix_blocks) | set(part.vector_blocks) == set(space.names)
-    assert not set(part.matrix_blocks) & set(part.vector_blocks)
+    assert [space.kind(name) for name in space.names] == [MATRIX, VECTOR, MATRIX]
 
 
 def test_updated_preserves_others_and_order():
@@ -77,7 +73,7 @@ def test_updated_keeps_kinds_index_and_float_blocks():
     new = space.updated({"b": np.full((1, 4), 3.0)}).updated({"v": [[1, 2], [3, 4]]})
     assert new.kinds == space.kinds
     assert [new.index(name) for name in new.names] == [0, 1, 2]
-    assert partition(new) == partition(space)
+    assert [new.kind(name) for name in new.names] == [MATRIX, VECTOR, MATRIX]
     assert new["v"].dtype == float and new["v"][1, 1] == 4.0
 
 

@@ -20,7 +20,6 @@ def test_race_ini_round_trips_to_equivalent_config():
     for exp in (
         presets.quadratic_race_config(objective_seed=7, run_seed=3),
         presets.rank_study_config(),
-        presets.query_count_study_config(),
     ):
         assert parse_config_text(config_to_ini(exp)) == exp
 
@@ -30,14 +29,6 @@ def test_rank_study_labels_and_ranks():
     assert [e.label for e in exp.optimizers] == ["zo_muon_r2", "zo_muon_r8", "zo_muon_r32"]
     assert [e.config.rank for e in exp.optimizers] == [2, 8, 32]
     assert all(e.kind == ZO_MUON for e in exp.optimizers)
-
-
-def test_query_count_study_includes_baseline():
-    exp = presets.query_count_study_config(n_queries=(1, 4))
-    labels = [e.label for e in exp.optimizers]
-    assert labels == ["zo_muon_nq1", "zo_muon_nq4", "subspace_mezo"]
-    assert exp.optimizers[0].config.n_queries == 1
-    assert exp.optimizers[1].config.n_queries == 4
 
 
 def test_rank_study_smoke_run(tmp_path):
