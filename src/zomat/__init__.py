@@ -42,7 +42,7 @@ from .optimizers import (
     run,
     steps_for_budget,
 )
-from .params import MATRIX, VECTOR, ParamSpace
+from .params import ParamSpace
 
 __version__ = "0.1.0"
 
@@ -50,11 +50,9 @@ __all__ = [
     "CENTRAL",
     "FORWARD",
     "LOZO",
-    "MATRIX",
     "MEZO",
     "OPTIMIZER_KINDS",
     "SUBSPACE_MEZO",
-    "VECTOR",
     "ZO_MUON",
     "ZO_SGD",
     "EstimatorConfig",

@@ -7,7 +7,6 @@ Configs are flat INI-style key-value text with one section per optimizer:
     seed = 0
     query_budget = 20000
     eval_every = 10
-    loss_thresholds = 0.5, 0.05          ; optional, absolute
     loss_threshold_fractions = 0.01      ; optional, x initial loss
 
     [objective]
@@ -101,7 +100,6 @@ class ExperimentConfig:
     optimizers: tuple
     eval_every: int = 1
     out_dir: str | None = None
-    loss_thresholds: tuple = ()
     loss_threshold_fractions: tuple = ()
 
 
@@ -190,7 +188,6 @@ _EXPERIMENT_FIELDS = {
     "query_budget": (_int_at_least(0), _REQUIRED),
     "eval_every": (_int_at_least(1), 1),
     "out_dir": (str, None),
-    "loss_thresholds": (_float_list, ()),
     "loss_threshold_fractions": (_float_list, ()),
 }
 
@@ -215,7 +212,6 @@ _OPTIMIZER_FIELDS = {
     "rank": (int, None),
     "resample_interval": (int, None),
     "msign_backend": (str, None),
-    "ns_iterations": (int, None),
 }
 
 
@@ -309,7 +305,7 @@ def config_to_ini(exp: ExperimentConfig) -> str:
     """INI text that :func:`parse_config_text` reads back to ``exp``.
 
     Every field is written (floats by ``repr``, tuples comma-joined) except
-    an unset ``out_dir`` and empty threshold lists.  A string value or label
+    an unset ``out_dir`` and an empty threshold list.  A string value or label
     that would read back differently is a ``ValueError`` naming the section
     (and the key).
     """
@@ -380,10 +376,7 @@ def queries_to_threshold(records, threshold: float):
 
 
 def _threshold_table(exp, initial_loss):
-    thresholds = {f"{t:g}": t for t in exp.loss_thresholds}
-    for frac in exp.loss_threshold_fractions:
-        thresholds[f"{frac:g}x_initial"] = frac * initial_loss
-    return thresholds
+    return {f"{frac:g}x_initial": frac * initial_loss for frac in exp.loss_threshold_fractions}
 
 
 def run_experiment(exp: ExperimentConfig, out_dir=None, seed=None, eval_every=None) -> dict:
@@ -399,28 +392,30 @@ def run_experiment(exp: ExperimentConfig, out_dir=None, seed=None, eval_every=No
     and its traceback.
     Either way its ``steps`` are the steps it completed, its CSV and results
     cover the rows recorded before it failed, and the next optimizer runs.
-    The ``seed`` and ``eval_every`` overrides are checked by their
-    [experiment] casts before the output directory is made.
+    The effective ``seed`` and ``eval_every`` (the override, else the
+    config's) are checked by their [experiment] casts, and the objective is
+    built, before the output directory is made.
     Returns the summary dict.
     """
     if not exp.optimizers:
         raise ConfigError(f"experiment {exp.name!r} has no optimizers")
-    overrides = {"seed": seed, "eval_every": eval_every}
-    for key, value in overrides.items():
-        cast = _EXPERIMENT_FIELDS[key][0]
+    effective = {"seed": seed, "eval_every": eval_every}
+    for key, override in effective.items():
+        value = getattr(exp, key) if override is None else override
         try:
-            overrides[key] = getattr(exp, key) if value is None else cast(value)
+            effective[key] = _EXPERIMENT_FIELDS[key][0](value)
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{key} override {value!r} is invalid: {exc}") from exc
-    seed, eval_every = overrides["seed"], overrides["eval_every"]
+            where = f"[experiment] {key}" if override is None else f"{key} override"
+            raise ConfigError(f"{where} {value!r} is invalid: {exc}") from exc
+    seed, eval_every = effective["seed"], effective["eval_every"]
     out_path = resolve_out_dir(out_dir, exp.out_dir)
-    out_path.mkdir(parents=True, exist_ok=True)
 
     results, traces = {}, {}
     for entry in exp.optimizers:
         objective = build_objective(exp.objective)
         total_steps = steps_for_budget(entry.kind, entry.config, exp.query_budget)
         config = dataclasses.replace(entry.config, total_steps=total_steps)
+        out_path.mkdir(parents=True, exist_ok=True)
         status, steps = {"status": OK}, total_steps
         try:
             records = run(
@@ -485,10 +480,8 @@ def compare_experiment(exp: ExperimentConfig, out_dir=None, seed=None, eval_ever
     Requires at least one configured threshold.  Returns (summary, rows)
     where each row is (label, threshold_key, queries or None, ratio or None).
     """
-    if not exp.loss_thresholds and not exp.loss_threshold_fractions:
-        raise ConfigError(
-            "compare needs loss_thresholds or loss_threshold_fractions in [experiment]"
-        )
+    if not exp.loss_threshold_fractions:
+        raise ConfigError("compare needs loss_threshold_fractions in [experiment]")
     summary = run_experiment(exp, out_dir=out_dir, seed=seed, eval_every=eval_every)
     baseline_label = None
     for entry in exp.optimizers:

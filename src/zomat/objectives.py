@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .params import MATRIX, VECTOR, ParamSpace
+from .params import ParamSpace
 
 
 class EvaluationError(RuntimeError):
@@ -148,9 +148,9 @@ def make_mlp(widths, n_samples: int, seed: int) -> Objective:
     """Small tanh MLP with softmax cross-entropy on Gaussian-blob data.
 
     ``widths`` lists layer sizes (input, hidden..., classes); at least two
-    weight layers are required and every width must be <= 64.  Weight
-    matrices are matrix blocks, biases are vector blocks, which exercises the
-    split treatment of parameters in the matrix optimizers.  The analytic
+    weight layers are required and every width must be <= 64.  The matrix
+    optimizers hold factors for the weights but not for the one-row biases,
+    which exercises their split treatment of parameters.  The analytic
     gradient comes from manual backprop and exists for oracle use only.
     """
     widths = tuple(int(w) for w in widths)
@@ -168,12 +168,10 @@ def make_mlp(widths, n_samples: int, seed: int) -> Objective:
     onehot = np.eye(n_classes)[labels]
     true_class = onehot.astype(bool)
 
-    blocks, kinds = {}, {}
+    blocks = {}
     for layer, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
         blocks[f"w{layer}"] = rng.standard_normal((fan_in, fan_out)) / np.sqrt(fan_in)
-        kinds[f"w{layer}"] = MATRIX
         blocks[f"b{layer}"] = np.zeros((1, fan_out))
-        kinds[f"b{layer}"] = VECTOR
     n_layers = len(widths) - 1
 
     def forward(x):
@@ -211,6 +209,6 @@ def make_mlp(widths, n_samples: int, seed: int) -> Objective:
     return Objective(
         name="mlp",
         loss_fn=loss_fn,
-        initial_params=ParamSpace(blocks, kinds=kinds),
+        initial_params=ParamSpace(blocks),
         gradient_fn=gradient_fn,
     )

@@ -3,8 +3,8 @@
 Every query-based optimizer takes the same :func:`step`, X <- X - eta * d,
 with d from one direction function over the ``_KINDS`` table.  A kind is a
 difference scheme (forward or central) and either no factor, for the
-full-space estimate, or a held m-by-r factor F per matrix block, for the
-held-factor estimate lifted back as F g:
+full-space estimate, or a held m-by-r factor F per matrix block (min(m, n)
+> 1), for the held-factor estimate lifted back as F g:
 
   - ``zo_sgd`` / ``mezo``: full-space forward / central estimate.
   - ``subspace_mezo``: forward, F a column-orthonormal projection P, P g_Z.
@@ -12,9 +12,9 @@ held-factor estimate lifted back as F g:
   - ``lozo``: central, F a Gaussian left factor A, A g_B.
 
 A central kind costs 2 queries a step and needs ``n_queries`` = 1; a
-forward one costs ``n_queries`` + 1.  Vector blocks take the full-space
-estimate from the same shared queries.  The factors are drawn once per
-resample epoch and held (:func:`_held_factors`).
+forward one costs ``n_queries`` + 1.  One-row and one-column blocks take
+the full-space estimate from the same shared queries.  The factors are
+drawn once per resample epoch and held (:func:`_held_factors`).
 
 Seeds: a run owns one root seed.  The estimate stream is derived from
 (root, tag, step) and its (query, block) slots, LOZO's right factor B being
@@ -40,7 +40,7 @@ from . import estimators, linalg, streams
 from .estimators import CENTRAL, FORWARD, MIN_MU, EstimatorConfig
 from .linalg import NumericalError
 from .objectives import EvaluationError
-from .params import MATRIX, ParamSpace
+from .params import ParamSpace
 from .streams import derive_seed
 
 MEZO = "mezo"
@@ -73,7 +73,6 @@ class OptimizerConfig:
     rank: int = 8
     resample_interval: int = 100
     msign_backend: str = "svd"
-    ns_iterations: int = 5
     total_steps: int = 0
 
     def __post_init__(self):
@@ -91,8 +90,6 @@ class OptimizerConfig:
             raise ValueError("total_steps must be non-negative")
         if self.msign_backend not in ("svd", "ns"):
             raise ValueError(f"msign_backend must be svd or ns, got {self.msign_backend!r}")
-        if self.ns_iterations < 1:
-            raise ValueError("ns_iterations must be positive")
 
 
 @dataclass
@@ -152,7 +149,7 @@ def _msign(gz, cfg, block_name):
     try:
         if cfg.msign_backend == "svd":
             return linalg.msign_svd(gz)
-        return linalg.msign_ns(gz, iterations=cfg.ns_iterations)
+        return linalg.msign_ns(gz)
     except NumericalError as exc:
         raise NumericalError(f"msign failed on block {block_name!r}: {exc}") from exc
 
@@ -160,13 +157,15 @@ def _msign(gz, cfg, block_name):
 def _held_factors(state, cfg, x, draw) -> dict:
     """Each matrix block's m-by-min(rank, m, n) factor for the current epoch,
     drawn as ``draw(root, m, r, epoch, block index)`` when the state holds
-    none for that epoch, and held in ``state.factors`` until the next one."""
+    none for that epoch, and held in ``state.factors`` until the next one.
+    A matrix block is one with min(m, n) > 1: a factor of a one-row or
+    one-column block would clamp every matrix method to rank one."""
     epoch = state.step - state.step % cfg.resample_interval
     if state.factors is None or state.factors[0] != epoch:
         factors = {}
-        for idx, name in enumerate(x.names):
-            if x.kind(name) == MATRIX:
-                m, n = x[name].shape
+        for idx, (name, value) in enumerate(x.items()):
+            m, n = value.shape
+            if min(m, n) > 1:
                 factors[name] = draw(state.rng_root_seed, m, min(cfg.rank, m, n), epoch, idx)
         state.factors = (epoch, factors)
     return state.factors[1]

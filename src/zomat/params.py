@@ -1,9 +1,9 @@
 """The optimization variable: an ordered collection of named matrix blocks.
 
-Blocks are 2-d float arrays.  Each block carries a kind, either ``"matrix"``
-(optimized by the configured matrix method) or ``"vector"`` (optimized by the
-full-space fallback).  A weight of shape (n, 1) can still be a matrix block;
-the kind is declared by whoever builds the space, not inferred from shape.
+Blocks are 2-d float arrays.  What an optimizer does with a block follows
+from its shape alone: the matrix methods hold a factor for a block with more
+than one row and more than one column, and give a one-row or one-column block
+(an mlp's bias) the full-space estimate (see ``optimizers._held_factors``).
 """
 
 from __future__ import annotations
@@ -12,13 +12,9 @@ import numpy as np
 
 from .linalg import as_matrix
 
-MATRIX = "matrix"
-VECTOR = "vector"
-_KINDS = (MATRIX, VECTOR)
-
 
 class ParamSpace:
-    """Ordered, named matrix blocks with per-block kinds.
+    """Ordered, named matrix blocks.
 
     Immutable by convention: optimizer steps produce new spaces via
     :meth:`updated` instead of writing into block arrays.  Construction
@@ -26,33 +22,18 @@ class ParamSpace:
     checks names and shapes, since it runs once per query.
     """
 
-    def __init__(self, blocks, kinds=None):
+    def __init__(self, blocks):
         self._blocks = {}
         for name, value in dict(blocks).items():
             arr = np.atleast_2d(np.asarray(value, dtype=float))
             self._blocks[str(name)] = as_matrix(arr, name=f"block {name!r}")
         if not self._blocks:
             raise ValueError("ParamSpace needs at least one block")
-        kinds = dict(kinds or {})
-        unknown = set(kinds) - set(self._blocks)
-        if unknown:
-            raise ValueError(f"kinds given for unknown blocks: {sorted(unknown)}")
-        self._kinds = {name: kinds.get(name, MATRIX) for name in self._blocks}
-        for name, kind in self._kinds.items():
-            if kind not in _KINDS:
-                raise ValueError(f"block {name!r} has invalid kind {kind!r}")
         self._index = {name: i for i, name in enumerate(self._blocks)}
 
     @property
     def names(self) -> tuple:
         return tuple(self._blocks)
-
-    def kind(self, name: str) -> str:
-        return self._kinds[name]
-
-    @property
-    def kinds(self) -> dict:
-        return dict(self._kinds)
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self._blocks[name]
@@ -72,15 +53,12 @@ class ParamSpace:
         return sum(v.size for v in self._blocks.values())
 
     def copy(self) -> "ParamSpace":
-        return ParamSpace(
-            {name: value.copy() for name, value in self._blocks.items()},
-            kinds=self._kinds,
-        )
+        return ParamSpace({name: value.copy() for name, value in self._blocks.items()})
 
     def updated(self, changes) -> "ParamSpace":
         """New space with some blocks replaced; shapes must be preserved.
 
-        The result shares this space's kinds and ordering and skips the
+        The result shares this space's ordering and skips the
         finiteness scan of construction: a non-finite iterate surfaces as a
         non-finite objective value, which callers check.
         """
@@ -96,7 +74,7 @@ class ParamSpace:
                 )
             blocks[name] = arr
         new = object.__new__(type(self))
-        new._blocks, new._kinds, new._index = blocks, self._kinds, self._index
+        new._blocks, new._index = blocks, self._index
         return new
 
     def allclose(self, other: "ParamSpace", rtol=1e-12, atol=1e-12) -> bool:

@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 from zomat import estimators, linalg, objectives, streams
 from zomat.estimators import CENTRAL, FORWARD, EstimatorConfig
 from zomat.objectives import EvaluationError, Objective
-from zomat.params import VECTOR, ParamSpace
+from zomat.params import ParamSpace
 from zomat.streams import perturbation
 
 
@@ -133,7 +133,7 @@ class TestSubspaceRge:
     def test_constant_function_gives_zero_in_both_spaces(self):
         # zero in the subspace of a projected block and in the full space of
         # a block without a projection
-        space = ParamSpace({"x": np.zeros((6, 5)), "b": np.zeros((1, 5))}, kinds={"b": "vector"})
+        space = ParamSpace({"x": np.zeros((6, 5)), "b": np.zeros((1, 5))})
         obj = Objective("constant", lambda x: 3.0, space)
         proj = linalg.sample_projection(6, 2, seed=0)
         g_z = estimators.subspace_rge(obj, space, {"x": proj}, EstimatorConfig(n_queries=2), 0)
@@ -221,9 +221,7 @@ class TestSubspaceRge:
         def loss_fn(x):
             return float(np.vdot(c1, x["w"]) + np.vdot(c2, x["b"]))
 
-        space = ParamSpace(
-            {"w": np.zeros((6, 4)), "b": np.zeros((1, 5))}, kinds={"b": "vector"}
-        )
+        space = ParamSpace({"w": np.zeros((6, 4)), "b": np.zeros((1, 5))})
         obj = Objective("linear2", loss_fn, space)
         proj = linalg.sample_projection(6, 2, seed=4)
         cfg = EstimatorConfig(n_queries=3)
@@ -374,7 +372,7 @@ def mixed_space_objective():
     def loss(x):
         return sum(float(np.sum(np.cosh(x[n] - t))) for n, t in targets.items())
 
-    return Objective("mixed", loss, ParamSpace(start, kinds={"v": VECTOR}))
+    return Objective("mixed", loss, ParamSpace(start))
 
 
 def bulk_words(seed, n_queries, n_blocks, bulk):

@@ -31,8 +31,7 @@ name = tiny
 seed = 1
 query_budget = 40
 eval_every = 2
-loss_thresholds = -1
-loss_threshold_fractions = 1.0
+loss_threshold_fractions = 1.0, -1
 
 [objective]
 kind = quadratic
@@ -96,8 +95,7 @@ class TestParsing:
         assert exp.seed == 1
         assert exp.query_budget == 40
         assert exp.eval_every == 2
-        assert exp.loss_thresholds == (-1.0,)
-        assert exp.loss_threshold_fractions == (1.0,)
+        assert exp.loss_threshold_fractions == (1.0, -1.0)
         assert exp.objective.kind == "quadratic"
         assert [e.label for e in exp.optimizers] == ["mezo", "spectral"]
         assert exp.optimizers[1].config.n_queries == 4
@@ -173,7 +171,6 @@ class TestParsing:
         "lines, message",
         [
             ("mu = 1e-13", "mu=1e-13 is below the underflow floor 1e-12"),
-            ("msign_backend = ns\nns_iterations = 0", "ns_iterations must be positive"),
         ],
     )
     def test_optimizer_value_that_fails_at_step_zero_rejected(self, lines, message):
@@ -255,10 +252,13 @@ class TestParsing:
             ("seed = 1", "seed = -1", "seed"),
             ("query_budget = 40", "query_budget = -5", "query_budget"),
             ("eval_every = 2", "eval_every = 0", "eval_every"),
-            # a negative absolute threshold (-1 above) stays legal; a non-finite one is not
-            ("loss_thresholds = -1", "loss_thresholds = inf", "loss_thresholds"),
-            ("loss_thresholds = -1", "loss_thresholds = -inf", "loss_thresholds"),
-            ("loss_thresholds = -1", "loss_thresholds = 0.5, nan", "loss_thresholds"),
+            # a negative fraction (-1 above) stays legal; a non-finite one is not
+            ("loss_threshold_fractions = 1.0", "loss_threshold_fractions = inf",
+             "loss_threshold_fractions"),
+            ("loss_threshold_fractions = 1.0", "loss_threshold_fractions = -inf",
+             "loss_threshold_fractions"),
+            ("loss_threshold_fractions = 1.0", "loss_threshold_fractions = 0.5, nan",
+             "loss_threshold_fractions"),
             ("loss_threshold_fractions = 1.0", "loss_threshold_fractions = nan",
              "loss_threshold_fractions"),
             ("loss_threshold_fractions = 1.0", "loss_threshold_fractions = 0.1, inf",
@@ -312,7 +312,6 @@ def _optimizer_entry(draw, label):
         rank=draw(st.integers(1, 64)),
         resample_interval=draw(st.integers(1, 1000)),
         msign_backend=draw(st.sampled_from(["svd", "ns"])),
-        ns_iterations=draw(st.integers(1, 12)),
     )
     return OptimizerEntry(label=label, kind=kind, config=config)
 
@@ -328,8 +327,7 @@ def experiment_configs(draw):
         optimizers=tuple(draw(_optimizer_entry(label)) for label in labels),
         eval_every=draw(st.integers(1, 100)),
         out_dir=draw(st.none() | _words),
-        loss_thresholds=tuple(draw(st.lists(_signed, max_size=3))),
-        loss_threshold_fractions=tuple(draw(st.lists(_magnitudes, max_size=3))),
+        loss_threshold_fractions=tuple(draw(st.lists(_signed, max_size=3))),
     )
 
 
@@ -461,7 +459,7 @@ class TestRunExperiment:
         exp = parse_config_text(TINY_CONFIG)
         summary = run_experiment(exp, out_dir=tmp_path)
         for label in ("mezo", "spectral"):
-            assert summary["results"][label]["queries_to_threshold"]["-1"] is None
+            assert summary["results"][label]["queries_to_threshold"]["-1x_initial"] is None
 
     def test_diverging_optimizer_keeps_results(self, tmp_path):
         summary = run_experiment(parse_config_text(DIVERGING_CONFIG), out_dir=tmp_path)
@@ -539,6 +537,22 @@ class TestRunExperiment:
             run_experiment(exp, out_dir=tmp_path / "out", eval_every=eval_every)
         assert not (tmp_path / "out").exists()
 
+    # the config's own values get the same casts as the overrides
+    @pytest.mark.parametrize("key, value", [("seed", -1), ("eval_every", 0)])
+    def test_bad_config_value_rejected_up_front(self, tmp_path, key, value):
+        exp = dataclasses.replace(parse_config_text(TINY_CONFIG), **{key: value})
+        with pytest.raises(ConfigError, match=rf"^\[experiment\] {key} {value!r} is invalid"):
+            run_experiment(exp, out_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    def test_one_objective_built_per_optimizer(self, tmp_path, monkeypatch):
+        built = []
+        monkeypatch.setattr(harness, "build_objective",
+                            lambda spec: built.append(spec) or build_objective(spec))
+        exp = parse_config_text(TINY_CONFIG)
+        run_experiment(exp, out_dir=tmp_path)
+        assert built == [exp.objective] * len(exp.optimizers)
+
     def test_no_optimizers_rejected_up_front(self, tmp_path):
         exp = dataclasses.replace(parse_config_text(TINY_CONFIG), optimizers=())
         with pytest.raises(ConfigError, match="'tiny' has no optimizers"):
@@ -611,12 +625,10 @@ class TestCompare:
         q, ratio = by_key[("mezo", "1x_initial")]
         assert q == 0
         # ratio against a zero-query baseline is undefined, stays None
-        assert by_key[("spectral", "-1")] == (None, None)
+        assert by_key[("spectral", "-1x_initial")] == (None, None)
 
     def test_compare_requires_threshold(self, tmp_path):
-        text = TINY_CONFIG.replace("loss_thresholds = -1\n", "").replace(
-            "loss_threshold_fractions = 1.0\n", ""
-        )
+        text = TINY_CONFIG.replace("loss_threshold_fractions = 1.0, -1\n", "")
         exp = parse_config_text(text)
         with pytest.raises(ConfigError, match="threshold"):
             harness.compare_experiment(exp, out_dir=tmp_path)
@@ -712,12 +724,13 @@ class TestCli:
             ("seed = 4\n", "seed = 4\ndelta = nan\n", "[objective] delta must be finite"),
             ("rank = 2\nseed = 4\n", "rank = 2\nseed = 4\nblock_condition = inf\n",
              "[objective] block_condition must be finite"),
-            ("loss_thresholds = -1", "loss_thresholds = inf",
-             "[experiment] field 'loss_thresholds' has invalid value 'inf'"),
+            ("loss_threshold_fractions = 1.0, -1", "loss_threshold_fractions = inf",
+             "[experiment] field 'loss_threshold_fractions' has invalid value 'inf'"),
             ("seed = 4\n", "seed = 4\ndelta = 1e308\n", "[objective] initial loss is inf"),
             ("seed = 4\n", "seed = 4\ninit_offset = 1e200\n", "[objective] initial loss is inf"),
         ],
-        ids=["delta", "block_condition", "loss_thresholds", "delta_overflow", "offset_overflow"],
+        ids=["delta", "block_condition", "loss_threshold_fractions", "delta_overflow",
+             "offset_overflow"],
     )
     @pytest.mark.parametrize("command", ["run", "compare"])
     def test_non_finite_value_exits_two(self, tmp_path, capsys, old, new, message, command):
@@ -726,8 +739,9 @@ class TestCli:
         code = cli.main([command, str(path), "--out-dir", str(tmp_path / "out")])
         assert code == 2
         assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("lines", ["mu = 1e-13", "msign_backend = ns\nns_iterations = 0"])
+    @pytest.mark.parametrize("lines", ["mu = 1e-13"])
     def test_optimizer_value_out_of_range_exits_two(self, tmp_path, capsys, lines):
         path = tmp_path / "bad.ini"
         path.write_text(TINY_CONFIG + lines + "\n")

@@ -5,7 +5,6 @@ from numpy.testing import assert_allclose
 from zomat import objectives, optimizers
 from zomat.linalg import effective_rank
 from zomat.oracle import finite_diff_gradient
-from zomat.params import MATRIX, VECTOR
 
 
 class TestQuadratic:
@@ -147,9 +146,14 @@ class TestMlp:
             checked += 1
 
     def test_partition_weights_vs_biases(self):
-        x = objectives.make_mlp((6, 10, 4), n_samples=40, seed=3).initial_params
+        # a matrix method's step holds factors for the weights, not the biases
+        obj = objectives.make_mlp((6, 10, 4), n_samples=40, seed=3)
+        x = obj.initial_params
         assert x.names == ("w0", "b0", "w1", "b1")
-        assert [x.kind(name) for name in x.names] == [MATRIX, VECTOR, MATRIX, VECTOR]
+        state = optimizers.OptimizerState(rng_root_seed=0)
+        cfg = optimizers.OptimizerConfig(learning_rate=1e-2, n_queries=4, rank=4)
+        optimizers.step(optimizers.ZO_MUON, obj, x, cfg, state)
+        assert list(state.factors[1]) == ["w0", "w1"]
 
     def test_one_spectral_step_uses_five_queries(self):
         obj = objectives.make_mlp((6, 10, 4), n_samples=40, seed=4)

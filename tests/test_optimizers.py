@@ -15,15 +15,11 @@ from zomat.optimizers import (
     run,
     steps_for_budget,
 )
-from zomat.params import VECTOR, ParamSpace
+from zomat.params import ParamSpace
 
 
-def constant_objective(shape=(6, 5), value=2.5, kinds=None):
-    return Objective(
-        "constant",
-        lambda x: value,
-        ParamSpace({"x": np.ones(shape)}, kinds=kinds),
-    )
+def constant_objective(shape=(6, 5), value=2.5):
+    return Objective("constant", lambda x: value, ParamSpace({"x": np.ones(shape)}))
 
 
 def quad_objective(shape=(8, 6), seed=0, scale=1.0):
@@ -242,7 +238,7 @@ class TestZoMuon:
             return Objective(
                 "vec",
                 lambda x: float(np.vdot(c, x["b"]) ** 2),
-                ParamSpace({"b": np.ones((1, 7))}, kinds={"b": "vector"}),
+                ParamSpace({"b": np.ones((1, 7))}),
             )
 
         cfg = cfg_for(ZO_MUON, n_queries=2, learning_rate=1e-3)
@@ -272,7 +268,7 @@ class TestSubspaceDirections:
             return 0.5 * sum(float(np.sum((x[n] - t) ** 2)) for n, t in targets.items())
 
         start = {name: np.zeros_like(t) for name, t in targets.items()}
-        return Objective("mixed", loss_fn, ParamSpace(start, kinds={"v": VECTOR}))
+        return Objective("mixed", loss_fn, ParamSpace(start))
 
     @pytest.mark.parametrize("kind", [SUBSPACE_MEZO, ZO_MUON, LOZO])
     def test_step_is_lifted_estimate(self, kind):
@@ -471,7 +467,7 @@ class TestBudgeting:
         obj = Objective(
             "mixed",
             lambda x: 0.5 * sum(float(np.sum((x[n] - t) ** 2)) for n, t in target.items()),
-            ParamSpace({"w": np.zeros((6, 5)), "b": np.zeros((1, 5))}, kinds={"b": "vector"}),
+            ParamSpace({"w": np.zeros((6, 5)), "b": np.zeros((1, 5))}),
         )
         calls = []
         evaluate = Objective.evaluate
@@ -493,7 +489,6 @@ class TestConfigValidation:
             dict(learning_rate=1e-2, total_steps=-1),
             dict(learning_rate=1e-2, msign_backend="qr"),
             dict(learning_rate=1e-2, mu=1e-13),
-            dict(learning_rate=1e-2, msign_backend="ns", ns_iterations=0),
         ],
     )
     def test_rejects_bad_values(self, kwargs):

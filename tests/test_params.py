@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from zomat.params import MATRIX, VECTOR, ParamSpace
+from zomat.objectives import Objective
+from zomat.optimizers import SUBSPACE_MEZO, OptimizerConfig, OptimizerState, step
+from zomat.params import ParamSpace
 
 
 def small_space():
-    return ParamSpace(
-        {"w": np.ones((3, 4)), "b": np.zeros((1, 4)), "v": np.ones((2, 2))},
-        kinds={"b": VECTOR},
-    )
+    return ParamSpace({"w": np.ones((3, 4)), "b": np.zeros((1, 4)), "v": np.ones((2, 2))})
 
 
 def test_ordering_and_index():
@@ -17,20 +16,19 @@ def test_ordering_and_index():
     assert space.index("b") == 1
 
 
-def test_default_kind_is_matrix():
-    space = small_space()
-    assert space.kind("w") == MATRIX
-    assert space.kind("b") == VECTOR
-
-
 def test_one_d_coerced_to_row():
     space = ParamSpace({"b": np.arange(3.0)})
     assert space["b"].shape == (1, 3)
 
 
 def test_partition_is_exact():
-    space = small_space()
-    assert [space.kind(name) for name in space.names] == [MATRIX, VECTOR, MATRIX]
+    # a step holds a factor for each block with more than one row and more
+    # than one column, in order; one-row and one-column blocks get none
+    space = ParamSpace({**dict(small_space().items()), "c": np.ones((4, 1))})
+    state = OptimizerState()
+    cfg = OptimizerConfig(learning_rate=1e-2, rank=2)
+    step(SUBSPACE_MEZO, Objective("zero", lambda x: 0.0, space), space, cfg, state)
+    assert list(state.factors[1]) == ["w", "v"]
 
 
 def test_updated_preserves_others_and_order():
@@ -68,23 +66,11 @@ def test_rejects_non_finite():
         ParamSpace({"w": np.eye(2), "b": np.array([0.0, np.nan])})
 
 
-def test_updated_keeps_kinds_index_and_float_blocks():
+def test_updated_keeps_index_and_float_blocks():
     space = small_space()
     new = space.updated({"b": np.full((1, 4), 3.0)}).updated({"v": [[1, 2], [3, 4]]})
-    assert new.kinds == space.kinds
     assert [new.index(name) for name in new.names] == [0, 1, 2]
-    assert [new.kind(name) for name in new.names] == [MATRIX, VECTOR, MATRIX]
     assert new["v"].dtype == float and new["v"][1, 1] == 4.0
-
-
-def test_rejects_unknown_kind():
-    with pytest.raises(ValueError, match="kind"):
-        ParamSpace({"w": np.eye(2)}, kinds={"w": "tensor"})
-
-
-def test_rejects_kind_for_missing_block():
-    with pytest.raises(ValueError, match="unknown blocks"):
-        ParamSpace({"w": np.eye(2)}, kinds={"x": MATRIX})
 
 
 def test_rejects_empty():

@@ -24,7 +24,7 @@ from zomat.optimizers import (
     OptimizerState,
     run,
 )
-from zomat.params import VECTOR, ParamSpace
+from zomat.params import ParamSpace
 from zomat.streams import CHUNK, derive_seed, perturbation
 
 #: values at the word-count edges of SeedSequence's int coercion
@@ -108,7 +108,7 @@ def mixed_objective():
     def loss(x):
         return 0.5 * sum(float(np.sum((x[n] - t) ** 2)) for n, t in targets.items())
 
-    return Objective("mixed", loss, ParamSpace(start, kinds={"v": VECTOR}))
+    return Objective("mixed", loss, ParamSpace(start))
 
 
 def single_block_objective():
