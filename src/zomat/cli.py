@@ -9,6 +9,7 @@ overridden per call with --out-dir.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from . import harness, oracle
@@ -22,22 +23,12 @@ def non_negative_int(raw) -> int:
     return value
 
 
-def positive_int(raw) -> int:
-    value = int(raw)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
-    return value
-
-
 def _add_common(parser):
+    # no type: _experiment checks --seed and --eval-every as the config does
     parser.add_argument("config", help="experiment config file (INI-style)")
-    parser.add_argument(
-        "--seed", type=non_negative_int, default=None, help="override the config seed"
-    )
+    parser.add_argument("--seed", help="override the config seed")
     parser.add_argument("--out-dir", default=None, help="output directory")
-    parser.add_argument(
-        "--eval-every", type=positive_int, default=None, help="steps between loss recordings"
-    )
+    parser.add_argument("--eval-every", help="steps between loss recordings")
 
 
 def build_parser():
@@ -73,11 +64,17 @@ def _finish(summary, out) -> int:
     return 1 if failed else 0
 
 
-def _cmd_run(args) -> int:
+def _experiment(args):
+    """The config file's experiment with the --seed and --eval-every flags
+    applied; the config checks them as it does its own values."""
     exp = harness.parse_config(args.config)
-    summary = harness.run_experiment(
-        exp, out_dir=args.out_dir, seed=args.seed, eval_every=args.eval_every
-    )
+    flags = {"seed": args.seed, "eval_every": args.eval_every}
+    return dataclasses.replace(exp, **{key: v for key, v in flags.items() if v is not None})
+
+
+def _cmd_run(args) -> int:
+    exp = _experiment(args)
+    summary = harness.run_experiment(exp, out_dir=args.out_dir)
     out = harness.resolve_out_dir(args.out_dir, exp.out_dir)
     for label, res in summary["results"].items():
         final = res["final_loss"]
@@ -90,10 +87,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    exp = harness.parse_config(args.config)
-    summary, rows = harness.compare_experiment(
-        exp, out_dir=args.out_dir, seed=args.seed, eval_every=args.eval_every
-    )
+    exp = _experiment(args)
+    summary, rows = harness.compare_experiment(exp, out_dir=args.out_dir)
     print(f"{'optimizer':<18} {'threshold':<16} {'queries':>10} {'vs mezo':>8}")
     for label, key, queries, ratio in rows:
         q_txt = str(queries) if queries is not None else "not reached"

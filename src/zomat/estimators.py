@@ -61,8 +61,8 @@ class EstimatorConfig:
     scheme: str = FORWARD
 
     def __post_init__(self):
-        if self.mu < MIN_MU:
-            raise ValueError(f"mu={self.mu} is below the underflow floor {MIN_MU}")
+        if not MIN_MU <= self.mu < np.inf:
+            raise ValueError(f"mu={self.mu} is below the underflow floor {MIN_MU} or not finite")
         if self.n_queries < 1:
             raise ValueError(f"n_queries must be positive, got {self.n_queries}")
         if self.scheme not in (FORWARD, CENTRAL):

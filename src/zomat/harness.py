@@ -26,9 +26,11 @@ Unknown sections (anything but ``[experiment]``, ``[objective]``,
 ``[optimizer]`` and ``[optimizer:<label>]``), unknown keys, out-of-range
 experiment fields (a negative seed) and per-kind constraints (mezo's single
 query) are rejected with a :class:`ConfigError` naming the section and the
-key, with a did-you-mean where one is close.  Values are literal: a ``%`` is
-not interpolated.  :func:`config_to_ini` writes a config back as text that
-parses to an equal one; both directions read the same field tables.
+key, with a did-you-mean where one is close.  The config objects run these
+checks when they are built, so a config built in code or changed with
+``dataclasses.replace`` is checked as a parsed one is.  Values are literal:
+a ``%`` is not interpolated.  :func:`config_to_ini` writes a config back as
+text that parses to an equal one; both directions read the same field tables.
 
 Every optimizer's step count is derived from the shared query budget and its
 per-step query cost, so compared runs consume (up to remainder) the same
@@ -83,6 +85,9 @@ class ObjectiveSpec:
     kind: str
     options: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        _reject_unknown("objective", self.options, _objective_fields(self.kind))
+
 
 @dataclass(frozen=True)
 class OptimizerEntry:
@@ -90,9 +95,18 @@ class OptimizerEntry:
     kind: str
     config: OptimizerConfig
 
+    def __post_init__(self):
+        try:
+            check_kind(self.kind, self.config)
+        except ValueError as exc:
+            raise ConfigError(f"[optimizer:{self.label}]: {exc}") from exc
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """Checked when built: each [experiment] field by its cast (and stored as
+    the cast returns it), at least one optimizer, unique labels."""
+
     name: str
     seed: int
     query_budget: int
@@ -101,6 +115,17 @@ class ExperimentConfig:
     eval_every: int = 1
     out_dir: str | None = None
     loss_threshold_fractions: tuple = ()
+
+    def __post_init__(self):
+        for key, (cast, _) in _EXPERIMENT_FIELDS.items():
+            if getattr(self, key) is not None:
+                object.__setattr__(self, key, _cast("experiment", key, getattr(self, key), cast))
+        if not self.optimizers:
+            raise ConfigError(f"experiment {self.name!r} has no [optimizer:<label>] section")
+        labels = [entry.label for entry in self.optimizers]
+        for label in labels:
+            if labels.count(label) > 1:
+                raise ConfigError(f"[optimizer:{label}] duplicate label {label!r}")
 
 
 #: the ``default`` of a key that must be present
@@ -112,17 +137,22 @@ def _get(section, key, cast, default=None):
         if default is _REQUIRED:
             raise ConfigError(f"[{section.name}] is missing required field {key!r}")
         return default
-    raw = section[key]
+    return _cast(section.name, key, section[key], cast)
+
+
+def _cast(section_name, key, raw, cast):
     try:
         return cast(raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(
-            f"[{section.name}] field {key!r} has invalid value {raw!r}: {exc}"
+            f"[{section_name}] field {key!r} has invalid value {raw!r}: {exc}"
         ) from exc
 
 
 def _float_list(raw):
-    values = tuple(float(part) for part in str(raw).split(",") if part.strip())
+    if isinstance(raw, str):
+        raw = [part for part in raw.split(",") if part.strip()]
+    values = tuple(map(float, raw))
     if not all(map(math.isfinite, values)):
         raise ValueError("entries must be finite")
     return values
@@ -145,20 +175,20 @@ def _int_at_least(low):
     return cast
 
 
-def _reject_unknown(section, known):
-    """Reject the first key not in ``known``, suggesting the closest one."""
-    for key in section:
+def _reject_unknown(section_name, keys, known):
+    """Reject the first of ``keys`` not in ``known``, suggesting the closest one."""
+    for key in keys:
         if key not in known:
             close = difflib.get_close_matches(key, known, n=1)
             hint = f"did you mean {close[0]!r}?" if close else f"valid: {', '.join(known)}"
-            raise ConfigError(f"[{section.name}] unknown key {key!r}; {hint}")
+            raise ConfigError(f"[{section_name}] unknown key {key!r}; {hint}")
 
 
 def _read(section, fields, known=()):
     """``section``'s values of ``fields`` (INI key -> (cast, default)), after
     rejecting any key that is neither a field nor in ``known``; a None value
     is left out."""
-    _reject_unknown(section, (*known, *fields))
+    _reject_unknown(section.name, section, (*known, *fields))
     values = {key: _get(section, key, cast, default) for key, (cast, default) in fields.items()}
     return {key: value for key, value in values.items() if value is not None}
 
@@ -204,6 +234,13 @@ _OBJECTIVES = {
 }
 OBJECTIVE_KINDS = tuple(_OBJECTIVES)
 
+
+def _objective_fields(kind):
+    if kind not in _OBJECTIVES:
+        raise ConfigError(f"[objective] unknown kind {kind!r}; valid: {', '.join(OBJECTIVE_KINDS)}")
+    return _OBJECTIVES[kind][1]
+
+
 #: [optimizer:<label>]: OptimizerConfig's fields but total_steps
 _OPTIMIZER_FIELDS = {
     "learning_rate": (float, _REQUIRED),
@@ -232,9 +269,7 @@ def parse_config_text(text: str, origin: str = "<config>") -> ExperimentConfig:
 
     obj_section = parser["objective"]
     kind = _get(obj_section, "kind", str, _REQUIRED)
-    if kind not in OBJECTIVE_KINDS:
-        raise ConfigError(f"[objective] unknown kind {kind!r}; valid: {', '.join(OBJECTIVE_KINDS)}")
-    options = _read(obj_section, _OBJECTIVES[kind][1], known=("kind",))
+    options = _read(obj_section, _objective_fields(kind), known=("kind",))
 
     entries = []
     for section_name in parser.sections():
@@ -248,16 +283,9 @@ def parse_config_text(text: str, origin: str = "<config>") -> ExperimentConfig:
         fields = _read(section, _OPTIMIZER_FIELDS, known=("kind",))
         try:
             config = OptimizerConfig(**fields)
-            check_kind(opt_kind, config)
         except ValueError as exc:
             raise ConfigError(f"[{section_name}]: {exc}") from exc
         entries.append(OptimizerEntry(label=label or opt_kind, kind=opt_kind, config=config))
-    if not entries:
-        raise ConfigError(f"{origin}: no [optimizer:*] sections")
-    labels = [e.label for e in entries]
-    if len(set(labels)) != len(labels):
-        raise ConfigError(f"{origin}: duplicate optimizer labels: {labels}")
-
     return ExperimentConfig(
         **experiment,
         objective=ObjectiveSpec(kind=kind, options=options),
@@ -322,12 +350,11 @@ def config_to_ini(exp: ExperimentConfig) -> str:
 
 def build_objective(spec: ObjectiveSpec):
     """Fresh objective instance (its query counter starts at zero); a
-    factory's rejection of the options is a :class:`ConfigError`."""
-    if spec.kind not in _OBJECTIVES:
-        raise ConfigError(f"unknown objective kind {spec.kind!r}")
+    factory's rejection of the options, or a required option left out, is a
+    :class:`ConfigError`."""
     try:
         return _OBJECTIVES[spec.kind][0](**spec.options)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"[objective] {exc}") from exc
 
 
@@ -375,11 +402,7 @@ def queries_to_threshold(records, threshold: float):
     return None
 
 
-def _threshold_table(exp, initial_loss):
-    return {f"{frac:g}x_initial": frac * initial_loss for frac in exp.loss_threshold_fractions}
-
-
-def run_experiment(exp: ExperimentConfig, out_dir=None, seed=None, eval_every=None) -> dict:
+def run_experiment(exp: ExperimentConfig, out_dir=None) -> dict:
     """Run every configured optimizer under the shared query budget.
 
     Writes one ``<experiment>_<label>.csv`` per optimizer, as soon as it
@@ -392,22 +415,10 @@ def run_experiment(exp: ExperimentConfig, out_dir=None, seed=None, eval_every=No
     and its traceback.
     Either way its ``steps`` are the steps it completed, its CSV and results
     cover the rows recorded before it failed, and the next optimizer runs.
-    The effective ``seed`` and ``eval_every`` (the override, else the
-    config's) are checked by their [experiment] casts, and the objective is
-    built, before the output directory is made.
+    ``exp`` checked itself when it was built; the objective is built, and
+    its factory's checks run, before the output directory is made.
     Returns the summary dict.
     """
-    if not exp.optimizers:
-        raise ConfigError(f"experiment {exp.name!r} has no optimizers")
-    effective = {"seed": seed, "eval_every": eval_every}
-    for key, override in effective.items():
-        value = getattr(exp, key) if override is None else override
-        try:
-            effective[key] = _EXPERIMENT_FIELDS[key][0](value)
-        except (TypeError, ValueError) as exc:
-            where = f"[experiment] {key}" if override is None else f"{key} override"
-            raise ConfigError(f"{where} {value!r} is invalid: {exc}") from exc
-    seed, eval_every = effective["seed"], effective["eval_every"]
     out_path = resolve_out_dir(out_dir, exp.out_dir)
 
     results, traces = {}, {}
@@ -418,20 +429,14 @@ def run_experiment(exp: ExperimentConfig, out_dir=None, seed=None, eval_every=No
         out_path.mkdir(parents=True, exist_ok=True)
         status, steps = {"status": OK}, total_steps
         try:
-            records = run(
-                objective,
-                objective.initial_params,
-                config,
-                entry.kind,
-                seed=seed,
-                eval_every=eval_every,
-            ).records
+            records = run(objective, objective.initial_params, config, entry.kind,
+                          seed=exp.seed, eval_every=exp.eval_every).records
         except EvaluationError as exc:
             records, steps = exc.partial_trace, exc.steps
             status = {"status": DIVERGED, "error": str(exc)}
         except Exception as exc:
             if not hasattr(exc, "partial_trace"):
-                raise  # raised before the first step: a bad config, not a failed run
+                raise  # not raised by a step: a fault of the harness, not a failed run
             records, steps = exc.partial_trace, exc.steps
             status = {"status": ERROR, "error": f"{type(exc).__name__} at step {steps}: {exc}",
                       "traceback": "".join(traceback.format_exception(exc))}
@@ -451,7 +456,8 @@ def run_experiment(exp: ExperimentConfig, out_dir=None, seed=None, eval_every=No
     first = next((records[0] for records in traces.values() if records), None)
     # when no optimizer took a step there is no trace row to read it from
     initial_loss = first.loss if first else objective.loss(objective.initial_params)
-    thresholds = _threshold_table(exp, initial_loss)
+    thresholds = {f"{frac:g}x_initial": frac * initial_loss
+                  for frac in exp.loss_threshold_fractions}
     for label, records in traces.items():
         results[label]["queries_to_threshold"] = {
             key: queries_to_threshold(records, value) for key, value in thresholds.items()
@@ -460,9 +466,9 @@ def run_experiment(exp: ExperimentConfig, out_dir=None, seed=None, eval_every=No
     sections = _sections(exp)
     summary = {
         "experiment": exp.name,
-        "seed": seed,
+        "seed": exp.seed,
         "query_budget": exp.query_budget,
-        "eval_every": eval_every,
+        "eval_every": exp.eval_every,
         "initial_loss": initial_loss,
         "thresholds": thresholds,
         "objective": sections["objective"],
@@ -474,7 +480,7 @@ def run_experiment(exp: ExperimentConfig, out_dir=None, seed=None, eval_every=No
     return summary
 
 
-def compare_experiment(exp: ExperimentConfig, out_dir=None, seed=None, eval_every=None):
+def compare_experiment(exp: ExperimentConfig, out_dir=None):
     """Queries-to-threshold table with ratios against the mezo row.
 
     Requires at least one configured threshold.  Returns (summary, rows)
@@ -482,23 +488,13 @@ def compare_experiment(exp: ExperimentConfig, out_dir=None, seed=None, eval_ever
     """
     if not exp.loss_threshold_fractions:
         raise ConfigError("compare needs loss_threshold_fractions in [experiment]")
-    summary = run_experiment(exp, out_dir=out_dir, seed=seed, eval_every=eval_every)
-    baseline_label = None
-    for entry in exp.optimizers:
-        if entry.kind == MEZO:
-            baseline_label = entry.label
-            break
+    summary = run_experiment(exp, out_dir=out_dir)
+    results = summary["results"]
+    baseline = next((entry.label for entry in exp.optimizers if entry.kind == MEZO), None)
     rows = []
     for key in summary["thresholds"]:
-        base_q = (
-            summary["results"][baseline_label]["queries_to_threshold"][key]
-            if baseline_label
-            else None
-        )
+        base_q = results[baseline]["queries_to_threshold"][key] if baseline else None
         for entry in exp.optimizers:
-            q = summary["results"][entry.label]["queries_to_threshold"][key]
-            ratio = None
-            if q is not None and base_q:
-                ratio = q / base_q
-            rows.append((entry.label, key, q, ratio))
+            q = results[entry.label]["queries_to_threshold"][key]
+            rows.append((entry.label, key, q, q / base_q if q is not None and base_q else None))
     return summary, rows

@@ -77,6 +77,13 @@ def planted_spectrum(k: int, block_condition: float) -> np.ndarray:
     return np.logspace(0.0, -np.log10(block_condition), k)
 
 
+def _rng(seed):
+    """The factories' data generator; a negative seed names the key."""
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def make_quadratic(
     m: int,
     n: int,
@@ -105,7 +112,7 @@ def make_quadratic(
         raise ValueError(f"n must be positive, got {n}")
     if not 0.0 <= delta < math.inf:
         raise ValueError(f"delta must be finite and non-negative, got {delta}")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     basis, _ = np.linalg.qr(rng.standard_normal((m, rank)))
     factor = (basis * np.sqrt(planted_spectrum(rank, block_condition))).T
     x_star = rng.standard_normal((m, n))
@@ -161,7 +168,7 @@ def make_mlp(widths, n_samples: int, seed: int) -> Objective:
     n_classes = widths[-1]
     if n_samples < n_classes:
         raise ValueError(f"need at least {n_classes} samples, got {n_samples}")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     centers = 2.0 * rng.standard_normal((n_classes, widths[0]))
     labels = np.arange(n_samples) % n_classes
     inputs = centers[labels] + 0.6 * rng.standard_normal((n_samples, widths[0]))

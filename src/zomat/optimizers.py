@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import estimators, linalg, streams
-from .estimators import CENTRAL, FORWARD, MIN_MU, EstimatorConfig
+from .estimators import CENTRAL, FORWARD, EstimatorConfig
 from .linalg import NumericalError
 from .objectives import EvaluationError
 from .params import ParamSpace
@@ -76,12 +76,9 @@ class OptimizerConfig:
     total_steps: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.mu < MIN_MU:
-            raise ValueError(f"mu={self.mu} is below the underflow floor {MIN_MU}")
-        if self.n_queries < 1:
-            raise ValueError("n_queries must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate={self.learning_rate} must be positive and finite")
+        EstimatorConfig(mu=self.mu, n_queries=self.n_queries)  # checks mu and n_queries
         if self.rank < 1:
             raise ValueError("rank must be positive")
         if self.resample_interval < 1:

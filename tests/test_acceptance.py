@@ -6,6 +6,7 @@ frozen quadratic race preset with objective seeds 100..104 matched to run
 seeds 0..4.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -200,7 +201,7 @@ def test_c8_rank_sensitivity(tmp_path):
     lines = []
     for trial in range(5):
         exp = presets.rank_study_config(objective_seed=100 + trial, run_seed=trial)
-        summary = run_experiment(exp, out_dir=tmp_path, eval_every=500)
+        summary = run_experiment(dataclasses.replace(exp, eval_every=500), out_dir=tmp_path)
         finals = {
             rank: summary["results"][f"zo_muon_r{rank}"]["final_loss"] / summary["initial_loss"]
             for rank in (2, 8, 32)

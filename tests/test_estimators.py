@@ -48,6 +48,11 @@ class TestEstimatorConfig:
         with pytest.raises(ValueError, match="underflow"):
             EstimatorConfig(mu=1e-13)
 
+    @pytest.mark.parametrize("mu", [float("nan"), float("inf")])
+    def test_rejects_non_finite_mu(self, mu):
+        with pytest.raises(ValueError, match="not finite"):
+            EstimatorConfig(mu=mu)
+
     def test_rejects_central_multi_query(self):
         with pytest.raises(ValueError, match="central"):
             EstimatorConfig(scheme=CENTRAL, n_queries=2)

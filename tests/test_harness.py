@@ -270,6 +270,18 @@ class TestParsing:
         with pytest.raises(ConfigError, match=rf"\[experiment\] field '{key}' has invalid value"):
             parse_config_text(text)
 
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            (dict(m=6, n=5, rnak=2, seed=4), r"unknown key 'rnak'; did you mean 'rank'\?"),
+            (dict(m=6, n=5, seed=4), r"make_quadratic\(\) missing 1 required .*'rank'"),
+        ],
+        ids=["unknown", "missing"],
+    )
+    def test_code_built_objective_options_checked(self, options, message):
+        with pytest.raises(ConfigError, match=rf"^\[objective\] {message}"):
+            build_objective(ObjectiveSpec("quadratic", options))
+
     def test_objective_factory_error_names_section_and_key(self):
         exp = parse_config_text(TINY_CONFIG.replace("rank = 2\nseed = 4", "rank = 80\nseed = 4"))
         with pytest.raises(ConfigError, match=r"^\[objective\] need 1 <= rank <= m, got rank=80, m=6"):
@@ -443,7 +455,7 @@ class TestRunExperiment:
     def test_seed_override_changes_trace(self, tmp_path):
         exp = parse_config_text(TINY_CONFIG)
         run_experiment(exp, out_dir=tmp_path / "a")
-        run_experiment(exp, out_dir=tmp_path / "b", seed=99)
+        run_experiment(dataclasses.replace(exp, seed=99), out_dir=tmp_path / "b")
         assert strip_elapsed(tmp_path / "a" / "tiny_mezo.csv") != strip_elapsed(
             tmp_path / "b" / "tiny_mezo.csv"
         )
@@ -516,33 +528,54 @@ class TestRunExperiment:
         assert failed["final_loss"] == partial[-1].loss
         assert results["mezo"]["queries"] == 200
 
-    def test_error_before_the_first_step_propagates(self, tmp_path):
+    def test_error_before_the_first_step_propagates(self):
+        # a kind that cannot run is refused when its entry is built
         exp = parse_config_text(TINY_CONFIG)
-        bad = dataclasses.replace(exp.optimizers[0], kind="adam")
-        with pytest.raises(ValueError, match="unknown optimizer kind 'adam'"):
-            run_experiment(dataclasses.replace(exp, optimizers=(bad,)), out_dir=tmp_path)
+        with pytest.raises(ConfigError,
+                           match=r"^\[optimizer:mezo\]: unknown optimizer kind 'adam'"):
+            dataclasses.replace(exp.optimizers[0], kind="adam")
 
-    # a bool or a non-integral number is rejected, not truncated by int()
-    @pytest.mark.parametrize("seed", [-1, "x", True, 2.7, float("inf")])
-    def test_bad_seed_override_rejected_up_front(self, tmp_path, seed):
+    @pytest.mark.parametrize("kind, n_queries", [("bogus", 1), (LOZO, 2)])
+    def test_bad_second_entry_rejected_before_any_output(self, tmp_path, kind, n_queries):
         exp = parse_config_text(TINY_CONFIG)
-        with pytest.raises(ConfigError, match=rf"^seed override {seed!r} is invalid"):
-            run_experiment(exp, out_dir=tmp_path / "out", seed=seed)
+        with pytest.raises(ConfigError, match=rf"^\[optimizer:b\]: .*{kind}"):
+            bad = OptimizerEntry("b", kind, OptimizerConfig(1e-3, n_queries=n_queries))
+            run_experiment(dataclasses.replace(exp, optimizers=(exp.optimizers[0], bad)),
+                           out_dir=tmp_path / "out")
         assert not (tmp_path / "out").exists()
+
+    def test_duplicate_labels_rejected_before_any_output(self, tmp_path):
+        exp = parse_config_text(TINY_CONFIG)
+        with pytest.raises(ConfigError, match=r"^\[optimizer:mezo\] duplicate label 'mezo'"):
+            run_experiment(dataclasses.replace(exp, optimizers=exp.optimizers + exp.optimizers[:1]),
+                           out_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    # a flag's override goes through dataclasses.replace, which runs the same
+    # casts; a bool or a non-integral number is rejected, not truncated by int()
+    @pytest.mark.parametrize("seed", [-1, "x", True, 2.7, float("inf")])
+    def test_bad_seed_override_rejected_up_front(self, seed):
+        exp = parse_config_text(TINY_CONFIG)
+        with pytest.raises(ConfigError, match=rf"^\[experiment\] field 'seed' has invalid value "
+                                              rf"{re.escape(repr(seed))}: "):
+            dataclasses.replace(exp, seed=seed)
 
     @pytest.mark.parametrize("eval_every", [0, -3, "x", 2.7, True, float("nan")])
-    def test_bad_eval_every_override_rejected_up_front(self, tmp_path, eval_every):
+    def test_bad_eval_every_override_rejected_up_front(self, eval_every):
         exp = parse_config_text(TINY_CONFIG)
-        with pytest.raises(ConfigError, match=rf"^eval_every override {eval_every!r} is invalid"):
-            run_experiment(exp, out_dir=tmp_path / "out", eval_every=eval_every)
-        assert not (tmp_path / "out").exists()
+        with pytest.raises(ConfigError, match=rf"^\[experiment\] field 'eval_every' has invalid "
+                                              rf"value {re.escape(repr(eval_every))}: "):
+            dataclasses.replace(exp, eval_every=eval_every)
 
-    # the config's own values get the same casts as the overrides
-    @pytest.mark.parametrize("key, value", [("seed", -1), ("eval_every", 0)])
+    # a config built in code gets the parser's checks
+    @pytest.mark.parametrize("key, value", [
+        ("seed", -1), ("eval_every", 0), ("query_budget", -5), ("query_budget", 40.7),
+        ("loss_threshold_fractions", (0.5, float("nan"))),
+    ])
     def test_bad_config_value_rejected_up_front(self, tmp_path, key, value):
-        exp = dataclasses.replace(parse_config_text(TINY_CONFIG), **{key: value})
-        with pytest.raises(ConfigError, match=rf"^\[experiment\] {key} {value!r} is invalid"):
-            run_experiment(exp, out_dir=tmp_path / "out")
+        exp = parse_config_text(TINY_CONFIG)
+        with pytest.raises(ConfigError, match=rf"^\[experiment\] field '{key}' has invalid value"):
+            run_experiment(dataclasses.replace(exp, **{key: value}), out_dir=tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
     def test_one_objective_built_per_optimizer(self, tmp_path, monkeypatch):
@@ -553,11 +586,10 @@ class TestRunExperiment:
         run_experiment(exp, out_dir=tmp_path)
         assert built == [exp.objective] * len(exp.optimizers)
 
-    def test_no_optimizers_rejected_up_front(self, tmp_path):
-        exp = dataclasses.replace(parse_config_text(TINY_CONFIG), optimizers=())
-        with pytest.raises(ConfigError, match="'tiny' has no optimizers"):
-            run_experiment(exp, out_dir=tmp_path)
-        assert not (tmp_path / "summary.json").exists()
+    def test_no_optimizers_rejected_up_front(self):
+        exp = parse_config_text(TINY_CONFIG)
+        with pytest.raises(ConfigError, match=r"^experiment 'tiny' has no \[optimizer:<label>\]"):
+            dataclasses.replace(exp, optimizers=())
 
     def test_initial_loss_read_from_trace(self, tmp_path, monkeypatch):
         calls = []
@@ -728,9 +760,10 @@ class TestCli:
              "[experiment] field 'loss_threshold_fractions' has invalid value 'inf'"),
             ("seed = 4\n", "seed = 4\ndelta = 1e308\n", "[objective] initial loss is inf"),
             ("seed = 4\n", "seed = 4\ninit_offset = 1e200\n", "[objective] initial loss is inf"),
+            ("seed = 4\n", "seed = -1\n", "[objective] seed must be non-negative, got -1"),
         ],
         ids=["delta", "block_condition", "loss_threshold_fractions", "delta_overflow",
-             "offset_overflow"],
+             "offset_overflow", "objective_seed"],
     )
     @pytest.mark.parametrize("command", ["run", "compare"])
     def test_non_finite_value_exits_two(self, tmp_path, capsys, old, new, message, command):
@@ -741,7 +774,7 @@ class TestCli:
         assert f"config error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("lines", ["mu = 1e-13"])
+    @pytest.mark.parametrize("lines", ["mu = 1e-13", "mu = nan", "mu = inf"])
     def test_optimizer_value_out_of_range_exits_two(self, tmp_path, capsys, lines):
         path = tmp_path / "bad.ini"
         path.write_text(TINY_CONFIG + lines + "\n")
@@ -750,22 +783,25 @@ class TestCli:
         assert "config error: [optimizer:spectral]: " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    # a bad --seed or --eval-every is refused by the config's own check
     @pytest.mark.parametrize("command", ["run", "compare"])
     def test_negative_seed_flag_usage_error(self, tmp_path, capsys, command):
-        with pytest.raises(SystemExit) as excinfo:
-            cli.main([command, str(self.write_config(tmp_path)), "--seed", "-5"])
-        assert excinfo.value.code == 2
-        assert "must be non-negative, got -5" in capsys.readouterr().err
-        assert not (tmp_path / "runs").exists()
+        out = tmp_path / "out"
+        code = cli.main([command, str(self.write_config(tmp_path)), "--out-dir", str(out),
+                         "--seed", "-5"])
+        assert code == 2
+        assert ("config error: [experiment] field 'seed' has invalid value '-5': "
+                "must be at least 0") in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "compare"])
     def test_eval_every_below_one_usage_error(self, tmp_path, capsys, command):
         out = tmp_path / "out"
-        with pytest.raises(SystemExit) as excinfo:
-            cli.main([command, str(self.write_config(tmp_path)), "--out-dir", str(out),
-                      "--eval-every", "0"])
-        assert excinfo.value.code == 2
-        assert "must be positive, got 0" in capsys.readouterr().err
+        code = cli.main([command, str(self.write_config(tmp_path)), "--out-dir", str(out),
+                         "--eval-every", "0"])
+        assert code == 2
+        assert ("config error: [experiment] field 'eval_every' has invalid value '0': "
+                "must be at least 1") in capsys.readouterr().err
         assert not out.exists()
 
     def test_percent_in_name_runs(self, tmp_path, capsys):

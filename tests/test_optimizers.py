@@ -489,6 +489,10 @@ class TestConfigValidation:
             dict(learning_rate=1e-2, total_steps=-1),
             dict(learning_rate=1e-2, msign_backend="qr"),
             dict(learning_rate=1e-2, mu=1e-13),
+            dict(learning_rate=float("nan")),
+            dict(learning_rate=float("inf")),
+            dict(learning_rate=1e-2, mu=float("nan")),
+            dict(learning_rate=1e-2, mu=float("inf")),
         ],
     )
     def test_rejects_bad_values(self, kwargs):
