@@ -32,6 +32,7 @@ value f(X) is evaluated once and shared across queries and blocks.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,12 @@ CENTRAL = "central"
 
 #: Smoothing parameters below this underflow the finite differences.
 MIN_MU = 1e-12
+
+
+def check_count(name, value, low):
+    """Reject a count that is a bool, a float (4.0 too) or below ``low``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -63,8 +70,7 @@ class EstimatorConfig:
     def __post_init__(self):
         if not MIN_MU <= self.mu < np.inf:
             raise ValueError(f"mu={self.mu} is below the underflow floor {MIN_MU} or not finite")
-        if self.n_queries < 1:
-            raise ValueError(f"n_queries must be positive, got {self.n_queries}")
+        check_count("n_queries", self.n_queries, 1)
         if self.scheme not in (FORWARD, CENTRAL):
             raise ValueError(f"scheme must be forward or central, got {self.scheme!r}")
         if self.scheme == CENTRAL and self.n_queries != 1:

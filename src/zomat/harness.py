@@ -22,15 +22,17 @@ Configs are flat INI-style key-value text with one section per optimizer:
     n_queries = 4
     rank = 8
 
-Unknown sections (anything but ``[experiment]``, ``[objective]``,
-``[optimizer]`` and ``[optimizer:<label>]``), unknown keys, out-of-range
-experiment fields (a negative seed) and per-kind constraints (mezo's single
-query) are rejected with a :class:`ConfigError` naming the section and the
-key, with a did-you-mean where one is close.  The config objects run these
-checks when they are built, so a config built in code or changed with
-``dataclasses.replace`` is checked as a parsed one is.  Values are literal:
-a ``%`` is not interpolated.  :func:`config_to_ini` writes a config back as
-text that parses to an equal one; both directions read the same field tables.
+A key left out takes the default of the parameter it feeds; one without a
+default is required.  Unknown sections (anything but ``[experiment]``,
+``[objective]``, ``[optimizer]`` and ``[optimizer:<label>]``), unknown or
+missing keys, bad values (a negative seed, a fractional ``m``) and per-kind
+constraints (mezo's single query) are rejected with a :class:`ConfigError`
+naming the section and the key, with a did-you-mean where one is close.  The
+config objects cast and check their fields when built, so a config built in
+code or changed with ``dataclasses.replace`` is checked as a parsed one is.
+Values are literal: a ``%`` is not interpolated.  :func:`config_to_ini`
+writes a config back as text that parses to an equal one; both directions
+read the same field tables.
 
 Every optimizer's step count is derived from the shared query budget and its
 per-step query cost, so compared runs consume (up to remainder) the same
@@ -50,6 +52,7 @@ import configparser
 import csv
 import dataclasses
 import difflib
+import inspect
 import json
 import math
 import os
@@ -82,11 +85,22 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ObjectiveSpec:
+    """Checked when built: the kind, the option keys (none unknown, the
+    factory's required ones present), each value stored as its cast returns."""
+
     kind: str
     options: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        _reject_unknown("objective", self.options, _objective_fields(self.kind))
+        if self.kind not in _OBJECTIVES:
+            raise ConfigError(
+                f"[objective] unknown kind {self.kind!r}; valid: {', '.join(_OBJECTIVES)}"
+            )
+        factory, fields = _OBJECTIVES[self.kind]
+        _check_keys("objective", self.options, fields, factory)
+        object.__setattr__(self, "options", {
+            key: _cast("objective", key, value, fields[key]) for key, value in self.options.items()
+        })
 
 
 @dataclass(frozen=True)
@@ -102,13 +116,13 @@ class OptimizerEntry:
             raise ConfigError(f"[optimizer:{self.label}]: {exc}") from exc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
     """Checked when built: each [experiment] field by its cast (and stored as
     the cast returns it), at least one optimizer, unique labels."""
 
-    name: str
-    seed: int
+    name: str = "experiment"
+    seed: int = 0
     query_budget: int
     objective: ObjectiveSpec
     optimizers: tuple
@@ -117,7 +131,7 @@ class ExperimentConfig:
     loss_threshold_fractions: tuple = ()
 
     def __post_init__(self):
-        for key, (cast, _) in _EXPERIMENT_FIELDS.items():
+        for key, cast in _EXPERIMENT_FIELDS.items():
             if getattr(self, key) is not None:
                 object.__setattr__(self, key, _cast("experiment", key, getattr(self, key), cast))
         if not self.optimizers:
@@ -126,18 +140,6 @@ class ExperimentConfig:
         for label in labels:
             if labels.count(label) > 1:
                 raise ConfigError(f"[optimizer:{label}] duplicate label {label!r}")
-
-
-#: the ``default`` of a key that must be present
-_REQUIRED = object()
-
-
-def _get(section, key, cast, default=None):
-    if key not in section:
-        if default is _REQUIRED:
-            raise ConfigError(f"[{section.name}] is missing required field {key!r}")
-        return default
-    return _cast(section.name, key, section[key], cast)
 
 
 def _cast(section_name, key, raw, cast):
@@ -149,17 +151,16 @@ def _cast(section_name, key, raw, cast):
         ) from exc
 
 
+def _parts(raw):
+    """The non-blank parts of a comma-separated string, or ``raw`` itself."""
+    return [part for part in raw.split(",") if part.strip()] if isinstance(raw, str) else raw
+
+
 def _float_list(raw):
-    if isinstance(raw, str):
-        raw = [part for part in raw.split(",") if part.strip()]
-    values = tuple(map(float, raw))
+    values = tuple(map(float, _parts(raw)))
     if not all(map(math.isfinite, values)):
         raise ValueError("entries must be finite")
     return values
-
-
-def _int_list(raw):
-    return tuple(int(part) for part in str(raw).split(",") if part.strip())
 
 
 def _int_at_least(low):
@@ -175,22 +176,26 @@ def _int_at_least(low):
     return cast
 
 
-def _reject_unknown(section_name, keys, known):
-    """Reject the first of ``keys`` not in ``known``, suggesting the closest one."""
+#: any integer; the objective factories and OptimizerConfig check their ranges
+_integer = _int_at_least(-math.inf)
+
+
+def _int_list(raw):
+    return tuple(map(_integer, _parts(raw)))
+
+
+def _check_keys(section_name, keys, fields, target):
+    """Reject the first of ``keys`` not in ``fields``, suggesting the closest
+    one, then the first of ``fields`` that ``target``'s signature requires
+    (gives no default) but ``keys`` lacks."""
     for key in keys:
-        if key not in known:
-            close = difflib.get_close_matches(key, known, n=1)
-            hint = f"did you mean {close[0]!r}?" if close else f"valid: {', '.join(known)}"
+        if key not in fields:
+            close = difflib.get_close_matches(key, fields, n=1)
+            hint = f"did you mean {close[0]!r}?" if close else f"valid: {', '.join(fields)}"
             raise ConfigError(f"[{section_name}] unknown key {key!r}; {hint}")
-
-
-def _read(section, fields, known=()):
-    """``section``'s values of ``fields`` (INI key -> (cast, default)), after
-    rejecting any key that is neither a field nor in ``known``; a None value
-    is left out."""
-    _reject_unknown(section.name, section, (*known, *fields))
-    values = {key: _get(section, key, cast, default) for key, (cast, default) in fields.items()}
-    return {key: value for key, value in values.items() if value is not None}
+    for key, param in inspect.signature(target).parameters.items():
+        if key in fields and param.default is param.empty and key not in keys:
+            raise ConfigError(f"[{section_name}] is missing required field {key!r}")
 
 
 def _reject_unknown_sections(parser, origin):
@@ -209,46 +214,31 @@ def _reject_unknown_sections(parser, origin):
 
 # The field tables below are the config grammar: the parser reads them, the
 # writer (config_to_ini) walks them, and build_objective calls the factories.
-# Each maps an INI key to (cast, default); a None default is left out.
+# Each maps an INI key to its cast.  A key's default, and whether it is
+# required, are those of the parameter it feeds: a field of ExperimentConfig
+# or OptimizerConfig, or an argument of the objective factory.
 
 #: [experiment]: ExperimentConfig's fields but its objective and optimizers
 _EXPERIMENT_FIELDS = {
-    "name": (str, "experiment"),
-    "seed": (_int_at_least(0), 0),
-    "query_budget": (_int_at_least(0), _REQUIRED),
-    "eval_every": (_int_at_least(1), 1),
-    "out_dir": (str, None),
-    "loss_threshold_fractions": (_float_list, ()),
+    "name": str, "seed": _int_at_least(0), "query_budget": _int_at_least(0),
+    "eval_every": _int_at_least(1), "out_dir": str, "loss_threshold_fractions": _float_list,
 }
 
 #: [objective]: per kind, the factory its options are passed to and its fields
 _OBJECTIVES = {
     "quadratic": (objectives_mod.make_quadratic, {
-        "m": (int, _REQUIRED), "n": (int, _REQUIRED), "rank": (int, _REQUIRED),
-        "seed": (int, 0), "delta": (float, None), "block_condition": (float, None),
-        "init_offset": (float, None),
+        "m": _integer, "n": _integer, "rank": _integer, "seed": _integer,
+        "delta": float, "block_condition": float, "init_offset": float,
     }),
     "mlp": (objectives_mod.make_mlp, {
-        "widths": (_int_list, _REQUIRED), "n_samples": (int, _REQUIRED), "seed": (int, 0),
+        "widths": _int_list, "n_samples": _integer, "seed": _integer,
     }),
 }
-OBJECTIVE_KINDS = tuple(_OBJECTIVES)
-
-
-def _objective_fields(kind):
-    if kind not in _OBJECTIVES:
-        raise ConfigError(f"[objective] unknown kind {kind!r}; valid: {', '.join(OBJECTIVE_KINDS)}")
-    return _OBJECTIVES[kind][1]
-
 
 #: [optimizer:<label>]: OptimizerConfig's fields but total_steps
 _OPTIMIZER_FIELDS = {
-    "learning_rate": (float, _REQUIRED),
-    "mu": (float, None),
-    "n_queries": (int, None),
-    "rank": (int, None),
-    "resample_interval": (int, None),
-    "msign_backend": (str, None),
+    "learning_rate": float, "mu": float, "n_queries": _integer, "rank": _integer,
+    "resample_interval": _integer, "msign_backend": str,
 }
 
 
@@ -265,11 +255,12 @@ def parse_config_text(text: str, origin: str = "<config>") -> ExperimentConfig:
         raise ConfigError(f"{origin}: missing [experiment] section")
     if "objective" not in parser:
         raise ConfigError(f"{origin}: missing [objective] section")
-    experiment = _read(parser["experiment"], _EXPERIMENT_FIELDS)
-
-    obj_section = parser["objective"]
-    kind = _get(obj_section, "kind", str, _REQUIRED)
-    options = _read(obj_section, _objective_fields(kind), known=("kind",))
+    experiment = dict(parser["experiment"])
+    _check_keys("experiment", experiment, _EXPERIMENT_FIELDS, ExperimentConfig)
+    options = dict(parser["objective"])
+    if "kind" not in options:
+        raise ConfigError("[objective] is missing required field 'kind'")
+    objective = ObjectiveSpec(kind=options.pop("kind"), options=options)
 
     entries = []
     for section_name in parser.sections():
@@ -277,10 +268,13 @@ def parse_config_text(text: str, origin: str = "<config>") -> ExperimentConfig:
             continue
         section = parser[section_name]
         label = section_name.split(":", 1)[1] if ":" in section_name else None
-        opt_kind = _get(section, "kind", str, default=label)
+        opt_kind = section.get("kind", label)
         if opt_kind is None:
             raise ConfigError(f"[{section_name}] needs a kind (or a :label naming one)")
-        fields = _read(section, _OPTIMIZER_FIELDS, known=("kind",))
+        # kind is not an OptimizerConfig parameter, so it is never required here
+        _check_keys(section_name, section, ("kind", *_OPTIMIZER_FIELDS), OptimizerConfig)
+        fields = {key: _cast(section_name, key, section[key], cast)
+                  for key, cast in _OPTIMIZER_FIELDS.items() if key in section}
         try:
             config = OptimizerConfig(**fields)
         except ValueError as exc:
@@ -288,7 +282,7 @@ def parse_config_text(text: str, origin: str = "<config>") -> ExperimentConfig:
         entries.append(OptimizerEntry(label=label or opt_kind, kind=opt_kind, config=config))
     return ExperimentConfig(
         **experiment,
-        objective=ObjectiveSpec(kind=kind, options=options),
+        objective=objective,
         optimizers=tuple(entries),
     )
 
@@ -349,12 +343,11 @@ def config_to_ini(exp: ExperimentConfig) -> str:
 
 
 def build_objective(spec: ObjectiveSpec):
-    """Fresh objective instance (its query counter starts at zero); a
-    factory's rejection of the options, or a required option left out, is a
-    :class:`ConfigError`."""
+    """Fresh objective instance (its query counter starts at zero); the
+    factory's rejection of the options is a :class:`ConfigError`."""
     try:
         return _OBJECTIVES[spec.kind][0](**spec.options)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"[objective] {exc}") from exc
 
 
@@ -431,15 +424,13 @@ def run_experiment(exp: ExperimentConfig, out_dir=None) -> dict:
         try:
             records = run(objective, objective.initial_params, config, entry.kind,
                           seed=exp.seed, eval_every=exp.eval_every).records
-        except EvaluationError as exc:
-            records, steps = exc.partial_trace, exc.steps
-            status = {"status": DIVERGED, "error": str(exc)}
         except Exception as exc:
-            if not hasattr(exc, "partial_trace"):
-                raise  # not raised by a step: a fault of the harness, not a failed run
             records, steps = exc.partial_trace, exc.steps
-            status = {"status": ERROR, "error": f"{type(exc).__name__} at step {steps}: {exc}",
-                      "traceback": "".join(traceback.format_exception(exc))}
+            if isinstance(exc, EvaluationError):
+                status = {"status": DIVERGED, "error": str(exc)}
+            else:
+                status = {"status": ERROR, "error": f"{type(exc).__name__} at step {steps}: {exc}",
+                          "traceback": "".join(traceback.format_exception(exc))}
         csv_path = out_path / f"{exp.name}_{entry.label}.csv"
         write_trace_csv(csv_path, records)
         traces[entry.label] = records

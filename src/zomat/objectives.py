@@ -88,7 +88,7 @@ def make_quadratic(
     m: int,
     n: int,
     rank: int,
-    seed: int,
+    seed: int = 0,
     delta: float = 1e-4,
     block_condition: float = 10.0,
     init_offset: float = 1.0,
@@ -99,9 +99,10 @@ def make_quadratic(
     L is an m-by-rank factor built from a random orthonormal basis scaled by
     the square root of a log-spaced spectrum (largest eigenvalue 1, smallest
     1/block_condition), so the gradient H (X - X*) concentrates its energy in
-    a rank-dimensional column space.  ``init_offset`` scales the distance of the
-    initial point from the minimizer; a ``delta`` or ``init_offset`` so large
-    that the initial loss overflows is a ``ValueError``.  H is never formed:
+    a rank-dimensional column space.  ``seed`` (default 0) draws the basis,
+    the minimizer and the initial point.  ``init_offset`` scales the distance
+    of the initial point from the minimizer; a ``delta`` or ``init_offset`` so
+    large that the initial loss overflows is a ``ValueError``.  H is never formed:
     with F = L^T and D = X - X*, the loss is 1/2 (||F D||^2 + delta ||D||^2)
     and the gradient F^T (F D) + delta D, so a query costs rank-by-m-by-n, not
     m-by-m-by-n.
@@ -151,11 +152,12 @@ def make_quadratic(
     return obj
 
 
-def make_mlp(widths, n_samples: int, seed: int) -> Objective:
+def make_mlp(widths, n_samples: int, seed: int = 0) -> Objective:
     """Small tanh MLP with softmax cross-entropy on Gaussian-blob data.
 
     ``widths`` lists layer sizes (input, hidden..., classes); at least two
-    weight layers are required and every width must be <= 64.  The matrix
+    weight layers are required and every width must be <= 64.  ``seed``
+    (default 0) draws the data and the initial weights.  The matrix
     optimizers hold factors for the weights but not for the one-row biases,
     which exercises their split treatment of parameters.  The analytic
     gradient comes from manual backprop and exists for oracle use only.

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import estimators, linalg, streams
-from .estimators import CENTRAL, FORWARD, EstimatorConfig
+from .estimators import CENTRAL, FORWARD, EstimatorConfig, check_count
 from .linalg import NumericalError
 from .objectives import EvaluationError
 from .params import ParamSpace
@@ -79,12 +79,9 @@ class OptimizerConfig:
         if not 0 < self.learning_rate < math.inf:
             raise ValueError(f"learning_rate={self.learning_rate} must be positive and finite")
         EstimatorConfig(mu=self.mu, n_queries=self.n_queries)  # checks mu and n_queries
-        if self.rank < 1:
-            raise ValueError("rank must be positive")
-        if self.resample_interval < 1:
-            raise ValueError("resample_interval must be positive")
-        if self.total_steps < 0:
-            raise ValueError("total_steps must be non-negative")
+        check_count("rank", self.rank, 1)
+        check_count("resample_interval", self.resample_interval, 1)
+        check_count("total_steps", self.total_steps, 0)
         if self.msign_backend not in ("svd", "ns"):
             raise ValueError(f"msign_backend must be svd or ns, got {self.msign_backend!r}")
 

@@ -53,6 +53,14 @@ class TestEstimatorConfig:
         with pytest.raises(ValueError, match="not finite"):
             EstimatorConfig(mu=mu)
 
+    @pytest.mark.parametrize("n_queries", [4.0, 2.5, True, "4"])
+    def test_rejects_non_integer_n_queries(self, n_queries):
+        with pytest.raises(ValueError, match=r"n_queries must be an integer >= 1"):
+            EstimatorConfig(n_queries=n_queries)
+
+    def test_accepts_a_numpy_integer_n_queries(self):
+        assert EstimatorConfig(n_queries=np.int64(4)).n_queries == 4
+
     def test_rejects_central_multi_query(self):
         with pytest.raises(ValueError, match="central"):
             EstimatorConfig(scheme=CENTRAL, n_queries=2)

@@ -115,6 +115,13 @@ class TestParsing:
         with pytest.raises(ConfigError, match=r"\[experiment\].*query_budget"):
             parse_config_text(text)
 
+    # required: ObjectiveSpec's kind, and each factory argument with no default
+    @pytest.mark.parametrize("line, key", [("kind = quadratic\n", "kind"), ("n = 5\n", "n")])
+    def test_missing_required_objective_key(self, line, key):
+        message = rf"^\[objective\] is missing required field '{key}'$"
+        with pytest.raises(ConfigError, match=message):
+            parse_config_text(TINY_CONFIG.replace(line, "", 1))
+
     def test_bad_value_names_field(self):
         text = TINY_CONFIG.replace("query_budget = 40", "query_budget = soon")
         with pytest.raises(ConfigError, match="query_budget.*soon"):
@@ -274,13 +281,36 @@ class TestParsing:
         "options, message",
         [
             (dict(m=6, n=5, rnak=2, seed=4), r"unknown key 'rnak'; did you mean 'rank'\?"),
-            (dict(m=6, n=5, seed=4), r"make_quadratic\(\) missing 1 required .*'rank'"),
+            (dict(m=6, n=5, seed=4), r"is missing required field 'rank'"),
+            (dict(m=6.7, n=5, rank=2), r"field 'm' has invalid value 6\.7: must be an integer"),
+            (dict(m=6, n=True, rank=2), r"field 'n' has invalid value True: must be an integer"),
+            (dict(m=6, n=5, rank="2.5"), r"field 'rank' has invalid value '2\.5'"),
         ],
-        ids=["unknown", "missing"],
+        ids=["unknown", "missing", "fractional", "bool", "fractional_text"],
     )
     def test_code_built_objective_options_checked(self, options, message):
+        # refused when the spec is built, as the same option in an INI file is
         with pytest.raises(ConfigError, match=rf"^\[objective\] {message}"):
-            build_objective(ObjectiveSpec("quadratic", options))
+            ObjectiveSpec("quadratic", options)
+
+    def test_code_built_objective_options_cast(self):
+        spec = ObjectiveSpec("quadratic", dict(m="6", n=5.0, rank=2, delta="0.5"))
+        assert spec.options == dict(m=6, n=5, rank=2, delta=0.5)
+        assert ObjectiveSpec("mlp", dict(widths=[4, 6, 3], n_samples=24)).options == dict(
+            widths=(4, 6, 3), n_samples=24
+        )
+        with pytest.raises(ConfigError, match=r"^\[objective\] field 'widths' has invalid value"):
+            ObjectiveSpec("mlp", dict(widths=[4, 6.5, 3], n_samples=24))
+
+    @pytest.mark.parametrize("kind, options", [
+        ("quadratic", dict(m=6, n=5, rank=2)),
+        ("mlp", dict(widths=(4, 6, 3), n_samples=24)),
+    ])
+    def test_objective_seed_defaults_to_zero(self, kind, options):
+        built = build_objective(ObjectiveSpec(kind, options))
+        seeded = build_objective(ObjectiveSpec(kind, dict(options, seed=0)))
+        assert built.initial_params.allclose(seeded.initial_params, rtol=0, atol=0)
+        assert built.loss(built.initial_params) == seeded.loss(seeded.initial_params)
 
     def test_objective_factory_error_names_section_and_key(self):
         exp = parse_config_text(TINY_CONFIG.replace("rank = 2\nseed = 4", "rank = 80\nseed = 4"))
@@ -299,18 +329,20 @@ def _drop_none(**options):
     return {key: value for key, value in options.items() if value is not None}
 
 
+_widths = st.lists(st.integers(1, 64), min_size=2, max_size=4)
+
+# an option left out (None) takes its factory's default, the seed's included
 _objective_specs = st.one_of(
     st.builds(
         lambda options: ObjectiveSpec("quadratic", _drop_none(**options)),
         st.fixed_dictionaries({
             "m": st.integers(1, 128), "n": st.integers(1, 128), "rank": st.integers(1, 128),
-            "seed": _counts, "delta": st.none() | _magnitudes,
+            "seed": st.none() | _counts, "delta": st.none() | _magnitudes,
             "block_condition": st.none() | _magnitudes, "init_offset": st.none() | _signed,
         }),
     ),
-    st.builds(lambda w, a, s: ObjectiveSpec("mlp", dict(widths=w, n_samples=a, seed=s)),
-              st.lists(st.integers(1, 64), min_size=2, max_size=4).map(tuple),
-              st.integers(1, 500), _counts),
+    st.builds(lambda w, a, s: ObjectiveSpec("mlp", _drop_none(widths=w, n_samples=a, seed=s)),
+              _widths | _widths.map(tuple), st.integers(1, 500), st.none() | _counts),
 )
 
 
@@ -347,6 +379,13 @@ class TestConfigToIni:
     @settings(max_examples=300, deadline=None)
     @given(experiment_configs())
     def test_round_trip(self, exp):
+        assert parse_config_text(config_to_ini(exp)) == exp
+
+    def test_experiment_defaults_round_trip(self):
+        race = presets.quadratic_race_config()
+        exp = ExperimentConfig(query_budget=40, objective=race.objective,
+                               optimizers=race.optimizers)
+        assert (exp.name, exp.seed, exp.eval_every) == ("experiment", 0, 1)
         assert parse_config_text(config_to_ini(exp)) == exp
 
     @pytest.mark.parametrize("name", ["a ;b", "a #b", ";a", "#a", " a", "a\t", "a\nb", "a\r"])

@@ -493,6 +493,13 @@ class TestConfigValidation:
             dict(learning_rate=float("inf")),
             dict(learning_rate=1e-2, mu=float("nan")),
             dict(learning_rate=1e-2, mu=float("inf")),
+            # counts are integers: not a float, even an integral one, nor a bool
+            dict(learning_rate=1e-2, n_queries=4.0),
+            dict(learning_rate=1e-2, rank=2.5),
+            dict(learning_rate=1e-2, rank=True),
+            dict(learning_rate=1e-2, resample_interval=10.5),
+            dict(learning_rate=1e-2, total_steps=3.0),
+            dict(learning_rate=1e-2, total_steps=False),
         ],
     )
     def test_rejects_bad_values(self, kwargs):
