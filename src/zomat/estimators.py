@@ -54,6 +54,12 @@ def check_count(name, value, low):
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
+def check_real(name, value):
+    """Reject a value that is a bool or not a real number (text too)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class EstimatorConfig:
     """Smoothing scale, query count and difference scheme.
@@ -68,6 +74,7 @@ class EstimatorConfig:
     scheme: str = FORWARD
 
     def __post_init__(self):
+        check_real("mu", self.mu)
         if not MIN_MU <= self.mu < np.inf:
             raise ValueError(f"mu={self.mu} is below the underflow floor {MIN_MU} or not finite")
         check_count("n_queries", self.n_queries, 1)

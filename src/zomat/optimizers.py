@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import estimators, linalg, streams
-from .estimators import CENTRAL, FORWARD, EstimatorConfig, check_count
+from .estimators import CENTRAL, FORWARD, EstimatorConfig, check_count, check_real
 from .linalg import NumericalError
 from .objectives import EvaluationError
 from .params import ParamSpace
@@ -76,6 +76,7 @@ class OptimizerConfig:
     total_steps: int = 0
 
     def __post_init__(self):
+        check_real("learning_rate", self.learning_rate)
         if not 0 < self.learning_rate < math.inf:
             raise ValueError(f"learning_rate={self.learning_rate} must be positive and finite")
         EstimatorConfig(mu=self.mu, n_queries=self.n_queries)  # checks mu and n_queries

@@ -12,11 +12,12 @@ is evidence rather than tautology.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import estimators, linalg, streams
-from .estimators import EstimatorConfig
+from .estimators import EstimatorConfig, check_count
 from .params import ParamSpace
 from .streams import derive_seed
 
@@ -57,6 +58,12 @@ class EstimatorSpec:
     kind: str  # FULL_RGE or SUBSPACE_RGE
     config: EstimatorConfig
     rank: int = 0  # subspace only
+
+    def __post_init__(self):
+        if self.kind not in (FULL_RGE, SUBSPACE_RGE):
+            raise ValueError(f"unknown estimator kind {self.kind!r}; valid: {FULL_RGE}, {SUBSPACE_RGE}")
+        if self.kind == SUBSPACE_RGE:
+            check_count("rank", self.rank, 1)
 
     def label(self) -> str:
         if self.kind == SUBSPACE_RGE:
@@ -122,10 +129,8 @@ def _sample_estimate(spec, objective, x, seed, words, projection):
     name = x.names[0]
     if spec.kind == FULL_RGE:
         return estimators.rge_full(objective, x, spec.config, seed, words)[name]
-    if spec.kind == SUBSPACE_RGE:
-        g_z = estimators.subspace_rge(objective, x, {name: projection}, spec.config, seed, words)
-        return projection @ g_z[name]
-    raise ValueError(f"unknown estimator kind {spec.kind!r}")
+    g_z = estimators.subspace_rge(objective, x, {name: projection}, spec.config, seed, words)
+    return projection @ g_z[name]
 
 
 def estimator_variance(spec: EstimatorSpec, objective, x: ParamSpace,
@@ -135,6 +140,7 @@ def estimator_variance(spec: EstimatorSpec, objective, x: ParamSpace,
     over ``n_samples`` estimates seeded by ``sample_seed(seed, i)``.  The
     sample seeds and the words of their (query, block) slots are derived in
     bulk, a chunk of samples at a time."""
+    check_count("n_samples", n_samples, 2)
     if spec.kind == SUBSPACE_RGE and projection is None:
         projection = gradient_aligned_projection(objective, x, spec.rank)
     table = streams.slot_table((seed,), spec.config.n_queries, len(x.names))
@@ -147,8 +153,6 @@ def estimator_variance(spec: EstimatorSpec, objective, x: ParamSpace,
         delta = est - mean
         mean += delta / (i + 1)
         m2 += delta * (est - mean)
-    if n_samples < 2:
-        return 0.0
     return float(np.mean(m2 / (n_samples - 1)))
 
 
@@ -165,21 +169,29 @@ def measure_variance(spec: EstimatorSpec, objective, x: ParamSpace,
     which requires the objective's analytic gradient.  Ratios below
     ``MIN_RATIO_SAMPLES`` samples are refused.
     """
-    if n_samples < MIN_RATIO_SAMPLES:
-        raise ValueError(
-            f"need at least {MIN_RATIO_SAMPLES} samples for a ratio, got {n_samples}"
-        )
-    reference = EstimatorSpec(FULL_RGE, EstimatorConfig(mu=spec.config.mu))
+    _check_ratio_samples(n_samples)
     var = estimator_variance(spec, objective, x, n_samples, seed)
-    ref_var = estimator_variance(reference, objective, x, n_samples, seed + 1)
-    ratio = ref_var / var if var > 0 else float("nan")
+    ref_var = estimator_variance(_reference(spec), objective, x, n_samples, seed + 1)
+    return _variance_report(spec, var, ref_var, n_samples)
+
+
+def _check_ratio_samples(n_samples):
+    if n_samples < MIN_RATIO_SAMPLES:
+        raise ValueError(f"need at least {MIN_RATIO_SAMPLES} samples for a ratio, got {n_samples}")
+
+
+def _reference(spec: EstimatorSpec) -> EstimatorSpec:
+    return EstimatorSpec(FULL_RGE, EstimatorConfig(mu=spec.config.mu))
+
+
+def _variance_report(spec, var, ref_var, n_samples) -> VarianceReport:
     return VarianceReport(
         estimator=spec.label(),
         per_entry_variance=var,
         n_samples=n_samples,
-        reference=reference.label(),
+        reference=_reference(spec).label(),
         reference_variance=ref_var,
-        ratio=ratio,
+        ratio=ref_var / var if var > 0 else float("nan"),
     )
 
 
@@ -291,33 +303,44 @@ def verify_variance(seed: int = 0, n_samples: int = 10_000) -> list:
     """Variance scaling on a noise-free planted quadratic (m=64, n=32, k=8):
     the Nq=1 / Nq=4 ratio should be ~4 and the full / subspace (r=8) ratio
     ~m/r = 8, both within +-20%."""
-    from .objectives import make_quadratic
-
-    objective = make_quadratic(64, 32, 8, seed=seed + 17)
-    x = objective.initial_params
-    mu = 1e-3
-    checks = []
-
-    nq4 = EstimatorSpec(FULL_RGE, EstimatorConfig(mu=mu, n_queries=4))
-    report = measure_variance(nq4, objective, x, n_samples, seed)
-    checks.append(
+    nq4, sub = _variance_reports(seed, n_samples)
+    return [
         CheckResult(
             "variance Nq=1 vs Nq=4 (target 4)",
-            3.2 <= report.ratio <= 4.8,
-            f"ratio {report.ratio:.3f} over {n_samples} samples",
-        )
-    )
-
-    sub = EstimatorSpec(SUBSPACE_RGE, EstimatorConfig(mu=mu), rank=8)
-    report = measure_variance(sub, objective, x, n_samples, seed + 1)
-    checks.append(
+            3.2 <= nq4.ratio <= 4.8,
+            f"ratio {nq4.ratio:.3f} over {n_samples} samples",
+        ),
         CheckResult(
             "variance full vs subspace r=8 (target m/r = 8)",
-            6.4 <= report.ratio <= 9.6,
-            f"ratio {report.ratio:.3f} over {n_samples} samples",
-        )
+            6.4 <= sub.ratio <= 9.6,
+            f"ratio {sub.ratio:.3f} over {n_samples} samples",
+        ),
+    ]
+
+
+def _variance_reports(seed: int, n_samples: int) -> tuple:
+    """The suite's two reports: ``measure_variance`` of Nq=4 at ``seed`` and
+    of the subspace estimator at ``seed + 1``, their four Monte-Carlo runs
+    made in parallel (:func:`zomat._parallel.in_parallel`), largest first."""
+    from ._parallel import in_parallel
+    from .objectives import make_quadratic
+
+    _check_ratio_samples(n_samples)
+    objective = make_quadratic(64, 32, 8, seed=seed + 17)
+    x = objective.initial_params
+    nq4 = EstimatorSpec(FULL_RGE, EstimatorConfig(mu=1e-3, n_queries=4))
+    sub = EstimatorSpec(SUBSPACE_RGE, EstimatorConfig(mu=1e-3), rank=8)
+    run = partial(estimator_variance, objective=objective, x=x, n_samples=n_samples)
+    nq4_var, nq4_ref, sub_ref, sub_var = in_parallel([
+        partial(run, nq4, seed=seed),
+        partial(run, _reference(nq4), seed=seed + 1),
+        partial(run, _reference(sub), seed=seed + 2),
+        partial(run, sub, seed=seed + 1),
+    ])
+    return (
+        _variance_report(nq4, nq4_var, nq4_ref, n_samples),
+        _variance_report(sub, sub_var, sub_ref, n_samples),
     )
-    return checks
 
 
 def verify_msign(seed: int = 0) -> list:

@@ -53,6 +53,11 @@ class TestEstimatorConfig:
         with pytest.raises(ValueError, match="not finite"):
             EstimatorConfig(mu=mu)
 
+    @pytest.mark.parametrize("mu", ["1e-3", True, None, 1e-3j])
+    def test_rejects_a_mu_that_is_not_a_real_number(self, mu):
+        with pytest.raises(ValueError, match="mu must be a real number"):
+            EstimatorConfig(mu=mu)
+
     @pytest.mark.parametrize("n_queries", [4.0, 2.5, True, "4"])
     def test_rejects_non_integer_n_queries(self, n_queries):
         with pytest.raises(ValueError, match=r"n_queries must be an integer >= 1"):

@@ -506,6 +506,20 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             OptimizerConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs,field",
+        [
+            (dict(learning_rate="1e-2"), "learning_rate"),
+            (dict(learning_rate=True), "learning_rate"),
+            (dict(learning_rate=None), "learning_rate"),
+            (dict(learning_rate=1e-2, mu="1e-3"), "mu"),
+            (dict(learning_rate=1e-2, mu=False), "mu"),
+        ],
+    )
+    def test_rejects_a_rate_or_mu_that_is_not_a_real_number(self, kwargs, field):
+        with pytest.raises(ValueError, match=f"{field} must be a real number"):
+            OptimizerConfig(**kwargs)
+
     def test_ns_backend_runs(self):
         obj = quad_objective(shape=(10, 8))
         cfg = cfg_for(ZO_MUON, msign_backend="ns", rank=3)

@@ -1,7 +1,13 @@
+import faulthandler
+import os
+import time
+from functools import partial
+
 import numpy as np
 import pytest
 
 from zomat import linalg, objectives, oracle, streams
+from zomat._parallel import in_parallel
 from zomat.estimators import EstimatorConfig, rge_full, subspace_rge
 from zomat.objectives import Objective
 from zomat.oracle import (
@@ -90,6 +96,22 @@ class TestVariance:
         var = oracle.estimator_variance(spec, obj, obj.initial_params, 50, seed=0)
         assert var == 0.0
 
+    @pytest.mark.parametrize("n_samples", [-3, 0, 1, 2.0])
+    def test_rejects_fewer_than_two_samples(self, n_samples):
+        obj = objectives.make_quadratic(8, 6, 2, seed=0)
+        spec = EstimatorSpec(FULL_RGE, EstimatorConfig())
+        with pytest.raises(ValueError, match="n_samples must be an integer >= 2"):
+            oracle.estimator_variance(spec, obj, obj.initial_params, n_samples, seed=0)
+
+    @pytest.mark.parametrize("rank", [0, -1, 2.0, True])
+    def test_spec_rejects_a_subspace_rank_below_one(self, rank):
+        with pytest.raises(ValueError, match="rank must be an integer >= 1"):
+            EstimatorSpec(SUBSPACE_RGE, EstimatorConfig(), rank=rank)
+
+    def test_spec_rejects_an_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown estimator kind 'bogus'"):
+            EstimatorSpec("bogus", EstimatorConfig())
+
     def test_ratio_requires_enough_samples(self):
         obj = objectives.make_quadratic(8, 6, 2, seed=0)
         spec = EstimatorSpec(FULL_RGE, EstimatorConfig())
@@ -144,6 +166,124 @@ class TestVariance:
         expected = float(np.mean(np.var(np.array(samples), axis=0, ddof=1)))
         got = oracle.estimator_variance(spec, obj, x, n, seed=9, projection=p)
         assert got == pytest.approx(expected, rel=1e-10)
+
+
+class Boom(Exception):
+    pass
+
+
+def _wait_for(path, seconds=30.0):
+    """Keep the first call, which the calling process runs, busy until
+    ``path`` exists, so that a worker claims the next call."""
+    deadline = time.monotonic() + seconds
+    while not path.exists() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return "waited"
+
+
+def _log(log, value):
+    with open(log, "a") as fh:
+        fh.write(f"{value}\n")
+    return value
+
+
+def _log_pid_and_raise(log):
+    _log(log, os.getpid())
+    raise Boom("sample 3 failed")
+
+
+def _log_pid_and_die_in_a_worker(log, parent_pid):
+    _log(log, os.getpid())
+    if os.getpid() != parent_pid:
+        os._exit(3)
+    return "inline"
+
+
+def _one_cpu(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+    def no_fork():
+        raise AssertionError("forked on the inline path")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+
+
+two_cpus = pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs")
+
+
+class TestInParallel:
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @two_cpus
+    def test_forks_a_worker_per_other_usable_cpu(self, monkeypatch):
+        forks = []
+        fork = os.fork
+
+        def counted_fork():
+            forks.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        assert in_parallel([partial(abs, -i) for i in range(9)]) == list(range(9))
+        assert len(forks) == min(len(os.sched_getaffinity(0)), 9) - 1
+
+    def test_every_call_runs_once_with_more_workers_than_cores(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+        log = tmp_path / "calls"
+        faulthandler.dump_traceback_later(60, exit=True)  # a lost claim hangs, not fails
+        try:
+            results = in_parallel([partial(_log, log, i) for i in range(400)])
+        finally:
+            faulthandler.cancel_dump_traceback_later()
+        assert results == list(range(400))
+        assert sorted(map(int, log.read_text().split())) == list(range(400))
+
+    def test_variance_reports_forked_inline_and_serial_are_equal(self, monkeypatch):
+        forked = oracle._variance_reports(seed=0, n_samples=1000)
+        with monkeypatch.context() as m:
+            _one_cpu(m)
+            inline = oracle._variance_reports(seed=0, n_samples=1000)
+        objective = objectives.make_quadratic(64, 32, 8, seed=17)
+        x = objective.initial_params
+        nq4 = EstimatorSpec(FULL_RGE, EstimatorConfig(mu=1e-3, n_queries=4))
+        sub = EstimatorSpec(SUBSPACE_RGE, EstimatorConfig(mu=1e-3), rank=8)
+        serial = (
+            measure_variance(nq4, objective, x, 1000, seed=0),
+            measure_variance(sub, objective, x, 1000, seed=1),
+        )
+        assert forked == inline == serial
+
+    def test_inline_path_never_forks(self, monkeypatch):
+        _one_cpu(monkeypatch)
+        assert in_parallel([partial(abs, -1), partial(abs, -2)]) == [1, 2]
+
+    def test_one_call_runs_inline(self, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked for one call")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert in_parallel([partial(abs, -1)]) == [1]
+
+    @two_cpus
+    def test_a_call_raising_in_a_worker_surfaces_its_own_exception(self, tmp_path):
+        log = tmp_path / "pids"
+        calls = [partial(_wait_for, log), partial(_log_pid_and_raise, log), partial(abs, -3)]
+        with pytest.raises(Boom, match="sample 3 failed"):
+            in_parallel(calls)
+        worker, here = log.read_text().split()
+        assert worker != here == str(os.getpid())  # raised in a worker, then run again here
+
+    @two_cpus
+    def test_a_call_whose_worker_died_is_run_again_here(self, tmp_path):
+        log = tmp_path / "pids"
+        calls = [partial(_wait_for, log), partial(_log_pid_and_die_in_a_worker, log, os.getpid())]
+        assert in_parallel(calls) == ["waited", "inline"]
+        worker, here = log.read_text().split()
+        assert worker != here == str(os.getpid())
 
 
 class TestMsignBackendComparison:
