@@ -23,7 +23,7 @@ epoch, block index), the epoch being the step rounded down to a multiple of
 ``resample_interval``.  So trajectories are reproducible, a run entered at
 any step takes the steps of a continuous one, and blocks never share a
 stream.  The estimate seeds and their slot words are derived in bulk, a
-chunk of steps at a time (:class:`zomat.streams.ChunkTable`), with the
+chunk of steps at a time (:func:`zomat.streams.slot_table`), with the
 values of the scalar :func:`derive_seed` and ``perturbation``.
 """
 

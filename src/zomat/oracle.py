@@ -160,39 +160,34 @@ def estimator_variance(spec: EstimatorSpec, objective, x: ParamSpace,
 sample_seed = derive_seed
 
 
-def measure_variance(spec: EstimatorSpec, objective, x: ParamSpace,
-                     n_samples: int, seed: int) -> VarianceReport:
-    """Monte-Carlo variance of ``spec`` with the ratio against the reference,
-    the single-query forward full-space estimator at ``spec``'s mu.
+def measure_variance(specs, objective, x: ParamSpace, n_samples: int,
+                     seed: int) -> list:
+    """Monte-Carlo variance of each of ``specs`` with its ratio against a
+    reference, the single-query forward full-space estimator at that spec's
+    mu.  Spec k is sampled at ``seed + k`` and its reference at
+    ``seed + k + 1``.
 
-    The subspace estimator is measured with the gradient-aligned projection,
-    which requires the objective's analytic gradient.  Ratios below
+    The runs are shared among CPUs (:func:`zomat._parallel.in_parallel`) as
+    (spec, reference) pairs in list order, so this process runs the first
+    spec, and ``objective`` counts only the queries made here.  The subspace
+    estimator is measured with the gradient-aligned projection, which
+    requires the objective's analytic gradient.  Ratios below
     ``MIN_RATIO_SAMPLES`` samples are refused.
     """
-    _check_ratio_samples(n_samples)
-    var = estimator_variance(spec, objective, x, n_samples, seed)
-    ref_var = estimator_variance(_reference(spec), objective, x, n_samples, seed + 1)
-    return _variance_report(spec, var, ref_var, n_samples)
+    from ._parallel import in_parallel  # imported here: see its docstring
 
-
-def _check_ratio_samples(n_samples):
     if n_samples < MIN_RATIO_SAMPLES:
         raise ValueError(f"need at least {MIN_RATIO_SAMPLES} samples for a ratio, got {n_samples}")
-
-
-def _reference(spec: EstimatorSpec) -> EstimatorSpec:
-    return EstimatorSpec(FULL_RGE, EstimatorConfig(mu=spec.config.mu))
-
-
-def _variance_report(spec, var, ref_var, n_samples) -> VarianceReport:
-    return VarianceReport(
-        estimator=spec.label(),
-        per_entry_variance=var,
-        n_samples=n_samples,
-        reference=_reference(spec).label(),
-        reference_variance=ref_var,
-        ratio=ref_var / var if var > 0 else float("nan"),
+    pairs = [(spec, EstimatorSpec(FULL_RGE, EstimatorConfig(mu=spec.config.mu))) for spec in specs]
+    run = partial(estimator_variance, objective=objective, x=x, n_samples=n_samples)
+    variances = in_parallel(
+        partial(run, s, seed=seed + k + j) for k, pair in enumerate(pairs) for j, s in enumerate(pair)
     )
+    return [
+        VarianceReport(spec.label(), var, n_samples, ref.label(), ref_var,
+                       ratio=ref_var / var if var > 0 else float("nan"))
+        for (spec, ref), var, ref_var in zip(pairs, variances[::2], variances[1::2])
+    ]
 
 
 def conditioned_matrix(m: int, n: int, condition: float, rng) -> np.ndarray:
@@ -303,7 +298,12 @@ def verify_variance(seed: int = 0, n_samples: int = 10_000) -> list:
     """Variance scaling on a noise-free planted quadratic (m=64, n=32, k=8):
     the Nq=1 / Nq=4 ratio should be ~4 and the full / subspace (r=8) ratio
     ~m/r = 8, both within +-20%."""
-    nq4, sub = _variance_reports(seed, n_samples)
+    from .objectives import make_quadratic
+
+    objective = make_quadratic(64, 32, 8, seed=seed + 17)
+    specs = [EstimatorSpec(FULL_RGE, EstimatorConfig(mu=1e-3, n_queries=4)),
+             EstimatorSpec(SUBSPACE_RGE, EstimatorConfig(mu=1e-3), rank=8)]
+    nq4, sub = measure_variance(specs, objective, objective.initial_params, n_samples, seed)
     return [
         CheckResult(
             "variance Nq=1 vs Nq=4 (target 4)",
@@ -316,31 +316,6 @@ def verify_variance(seed: int = 0, n_samples: int = 10_000) -> list:
             f"ratio {sub.ratio:.3f} over {n_samples} samples",
         ),
     ]
-
-
-def _variance_reports(seed: int, n_samples: int) -> tuple:
-    """The suite's two reports: ``measure_variance`` of Nq=4 at ``seed`` and
-    of the subspace estimator at ``seed + 1``, their four Monte-Carlo runs
-    made in parallel (:func:`zomat._parallel.in_parallel`), largest first."""
-    from ._parallel import in_parallel
-    from .objectives import make_quadratic
-
-    _check_ratio_samples(n_samples)
-    objective = make_quadratic(64, 32, 8, seed=seed + 17)
-    x = objective.initial_params
-    nq4 = EstimatorSpec(FULL_RGE, EstimatorConfig(mu=1e-3, n_queries=4))
-    sub = EstimatorSpec(SUBSPACE_RGE, EstimatorConfig(mu=1e-3), rank=8)
-    run = partial(estimator_variance, objective=objective, x=x, n_samples=n_samples)
-    nq4_var, nq4_ref, sub_ref, sub_var = in_parallel([
-        partial(run, nq4, seed=seed),
-        partial(run, _reference(nq4), seed=seed + 1),
-        partial(run, _reference(sub), seed=seed + 2),
-        partial(run, sub, seed=seed + 1),
-    ])
-    return (
-        _variance_report(nq4, nq4_var, nq4_ref, n_samples),
-        _variance_report(sub, sub_var, sub_ref, n_samples),
-    )
 
 
 def verify_msign(seed: int = 0) -> list:

@@ -15,7 +15,7 @@ instead: :func:`seed_states` is a vectorized copy of NumPy's documented
 ``SeedSequence`` hash (``mix_entropy`` then ``generate_state``) over whole
 columns of entropy tuples, :func:`slot_words` gives the PCG64 seed words of
 every (query, block) slot of many seeds at once, :func:`gaussian` draws from
-such words without hashing again, and :class:`ChunkTable` derives them a
+such words without hashing again, and :func:`slot_table` derives them a
 chunk of steps at a time.  The values are bit-identical to the scalar path.
 """
 
@@ -40,7 +40,7 @@ _SHIFT32 = np.uint64(32)
 
 #: uint64 words PCG64 asks its seed sequence for
 PCG64_WORDS = 4
-#: Steps (or samples) whose streams :class:`ChunkTable` derives in one pass.
+#: Steps (or samples) whose streams :func:`slot_table` derives in one pass.
 #: A pass costs a fixed few hundred µs plus about 0.1 µs per slot, and its
 #: temporaries grow with the chunk (about 1 MB at 1,024 steps of 4 slots), so
 #: 256 keeps both the per-step share and the added peak memory small.
@@ -126,8 +126,8 @@ def _states(entropy, n_words):
     return _hashmix(pool[np.arange(n_words) % _POOL_SIZE], xor, mul)
 
 
-def seed_states(parts, n_words: int, dtype=np.uint32) -> np.ndarray:
-    """``SeedSequence(row).generate_state(n_words, dtype)`` for every row.
+def seed_states(parts, n_words: int) -> np.ndarray:
+    """``SeedSequence(row).generate_state(n_words, np.uint64)`` for every row.
 
     ``parts`` holds the row's entries in order: each is a non-negative int,
     shared by every row, or an array of non-negative integers below 2**64,
@@ -136,13 +136,6 @@ def seed_states(parts, n_words: int, dtype=np.uint32) -> np.ndarray:
     as SeedSequence coerces Python ints (0 is one word, values of 2**32 and
     above are two), so rows may differ in word count.
     """
-    dtype = np.dtype(dtype)
-    if dtype == np.uint64:
-        n_u32 = 2 * n_words
-    elif dtype == np.uint32:
-        n_u32 = n_words
-    else:
-        raise ValueError("only support uint32 or uint64")
     scalar = [np.ndim(p) == 0 for p in parts]
     shape = np.broadcast_shapes(*(np.shape(p) for p, s in zip(parts, scalar) if not s))
     n_rows = int(np.prod(shape))
@@ -166,13 +159,11 @@ def seed_states(parts, n_words: int, dtype=np.uint32) -> np.ndarray:
             entropy[lengths[wide], rows[wide]] = high[wide]
             lengths += wide
 
-    out = np.empty((n_u32, n_rows), dtype=np.uint32)
+    out = np.empty((2 * n_words, n_rows), dtype=np.uint32)
     for length in np.flatnonzero(np.bincount(lengths)):
         sel = lengths == length
-        out[:, sel] = _states(entropy[:length, sel], n_u32)
-    out = np.ascontiguousarray(out.T)
-    if dtype == np.uint64:
-        out = out.astype("<u4", copy=False).view("<u8").astype(np.uint64)
+        out[:, sel] = _states(entropy[:length, sel], 2 * n_words)
+    out = np.ascontiguousarray(out.T).astype("<u4", copy=False).view("<u8").astype(np.uint64)
     return out.reshape(*shape, n_words)
 
 
@@ -186,7 +177,7 @@ def slot_words(seeds, n_queries: int, n_blocks: int) -> np.ndarray:
     seeds = np.asarray(seeds, dtype=np.uint64)[..., None, None]
     queries = np.arange(n_queries, dtype=np.uint64)[:, None]
     blocks = np.arange(n_blocks, dtype=np.uint64)
-    return seed_states((seeds, queries, blocks), PCG64_WORDS, np.uint64)
+    return seed_states((seeds, queries, blocks), PCG64_WORDS)
 
 
 class _PresetWords(ISeedSequence):
@@ -207,35 +198,22 @@ def gaussian(words, shape) -> np.ndarray:
     return Generator(PCG64(_PresetWords(words))).standard_normal(shape)
 
 
-class ChunkTable:
-    """Bulk-derived rows for steps, :data:`CHUNK` steps at a time.
+def slot_table(prefix: tuple, n_queries: int, n_blocks: int):
+    """Function of an index ``i`` that returns ``(derive_seed(*prefix, i),
+    words)``, with ``words`` the :func:`slot_words` of that seed.
 
-    ``fill`` maps a uint64 array of consecutive step indices to a tuple of
-    arrays indexed by step first.  Reading a step outside the chunk in hand
-    fills that step's chunk, so steps may be read in any order.
+    The rows are derived :data:`CHUNK` indices at a time.  Reading an index
+    outside the chunk in hand derives that index's chunk, so indices may be
+    read in any order.
     """
+    start, seeds, words = -CHUNK, None, None
 
-    def __init__(self, fill):
-        self.fill = fill
-        self._start = -CHUNK
-        self._rows = ()
+    def row(i: int) -> tuple:
+        nonlocal start, seeds, words
+        if not start <= i < start + CHUNK:
+            start = i - i % CHUNK
+            seeds = seed_states((*prefix, np.arange(start, start + CHUNK, dtype=np.uint64)), 1)[:, 0]
+            words = slot_words(seeds, n_queries, n_blocks)
+        return seeds[i - start], words[i - start]
 
-    def __call__(self, step: int) -> tuple:
-        if not self._start <= step < self._start + CHUNK:
-            self._start = step - step % CHUNK
-            self._rows = self.fill(
-                np.arange(self._start, self._start + CHUNK, dtype=np.uint64)
-            )
-        offset = step - self._start
-        return tuple(rows[offset] for rows in self._rows)
-
-
-def slot_table(prefix: tuple, n_queries: int, n_blocks: int) -> ChunkTable:
-    """Table whose row ``i`` is ``(derive_seed(*prefix, i), words)``, with
-    ``words`` the :func:`slot_words` of that seed."""
-
-    def fill(indices):
-        seeds = seed_states((*prefix, indices), 1, np.uint64)[:, 0]
-        return seeds, slot_words(seeds, n_queries, n_blocks)
-
-    return ChunkTable(fill)
+    return row

@@ -58,9 +58,8 @@ def test_c2_variance_scaling():
     objective = objectives.make_quadratic(64, 32, 8, seed=17)
     x = objective.initial_params
     sub = EstimatorSpec(SUBSPACE_RGE, EstimatorConfig(mu=1e-3), rank=8)
-    sub_report = measure_variance(sub, objective, x, 10_000, seed=0)
     nq4 = EstimatorSpec(FULL_RGE, EstimatorConfig(mu=1e-3, n_queries=4))
-    nq_report = measure_variance(nq4, objective, x, 10_000, seed=1)
+    sub_report, nq_report = measure_variance([sub, nq4], objective, x, 10_000, seed=0)
     elapsed = time.perf_counter() - start
     ok_sub = 6.4 <= sub_report.ratio <= 9.6
     ok_nq = 3.2 <= nq_report.ratio <= 4.8

@@ -116,14 +116,14 @@ class TestVariance:
         obj = objectives.make_quadratic(8, 6, 2, seed=0)
         spec = EstimatorSpec(FULL_RGE, EstimatorConfig())
         with pytest.raises(ValueError, match="samples"):
-            measure_variance(spec, obj, obj.initial_params, 100, seed=0)
+            measure_variance([spec], obj, obj.initial_params, 100, seed=0)
 
     def test_nq_scaling_rough(self):
         # reduced-sample sanity run; the tight +-20% band at 1e4 samples is
         # exercised by the acceptance suite
         obj = objectives.make_quadratic(16, 8, 4, seed=1)
         spec = EstimatorSpec(FULL_RGE, EstimatorConfig(n_queries=4))
-        report = measure_variance(spec, obj, obj.initial_params, 2000, seed=2)
+        [report] = measure_variance([spec], obj, obj.initial_params, 2000, seed=2)
         assert 2.8 <= report.ratio <= 5.5
         assert report.n_samples == 2000
         assert "Nq=4" in report.estimator
@@ -243,19 +243,23 @@ class TestInParallel:
         assert sorted(map(int, log.read_text().split())) == list(range(400))
 
     def test_variance_reports_forked_inline_and_serial_are_equal(self, monkeypatch):
-        forked = oracle._variance_reports(seed=0, n_samples=1000)
-        with monkeypatch.context() as m:
-            _one_cpu(m)
-            inline = oracle._variance_reports(seed=0, n_samples=1000)
         objective = objectives.make_quadratic(64, 32, 8, seed=17)
         x = objective.initial_params
         nq4 = EstimatorSpec(FULL_RGE, EstimatorConfig(mu=1e-3, n_queries=4))
         sub = EstimatorSpec(SUBSPACE_RGE, EstimatorConfig(mu=1e-3), rank=8)
-        serial = (
-            measure_variance(nq4, objective, x, 1000, seed=0),
-            measure_variance(sub, objective, x, 1000, seed=1),
-        )
-        assert forked == inline == serial
+        forked = measure_variance([nq4, sub], objective, x, 1000, seed=5)
+        with monkeypatch.context() as m:
+            _one_cpu(m)
+            inline = measure_variance([nq4, sub], objective, x, 1000, seed=5)
+        # spec k at seed + k, its reference at seed + k + 1
+        run = partial(oracle.estimator_variance, objective=objective, x=x, n_samples=1000)
+        reference = EstimatorSpec(FULL_RGE, EstimatorConfig(mu=1e-3))
+        serial = [run(nq4, seed=5), run(reference, seed=6), run(sub, seed=6), run(reference, seed=7)]
+        assert forked == inline
+        assert [(r.per_entry_variance, r.reference_variance) for r in forked] == [
+            (serial[0], serial[1]), (serial[2], serial[3])
+        ]
+        assert [r.ratio for r in forked] == [serial[1] / serial[0], serial[3] / serial[2]]
 
     def test_inline_path_never_forks(self, monkeypatch):
         _one_cpu(monkeypatch)
@@ -314,6 +318,25 @@ class TestVerifySuites:
     def test_msign_suite_passes(self):
         results = oracle.verify_msign(seed=0)
         assert all(check.passed for check in results)
+
+    def test_variance_suite_ratios_are_pinned(self, monkeypatch):
+        # recorded once, as the golden traces are (rtol 1e-12): a change to a
+        # sample stream, a seed or a spec of the suite shows here, which two
+        # runs of the same code cannot show
+        reports = []
+
+        def recorded(*args):
+            reports.extend(measure_variance(*args))
+            return reports
+
+        monkeypatch.setattr(oracle, "measure_variance", recorded)
+        checks = oracle.verify_variance(seed=0, n_samples=1000)
+        assert [r.ratio for r in reports] == pytest.approx(
+            [4.2307185645928405, 8.277922680383517], rel=1e-12, abs=0
+        )
+        assert [c.detail for c in checks] == [
+            "ratio 4.231 over 1000 samples", "ratio 8.278 over 1000 samples"
+        ]
 
     def test_unknown_selector(self):
         with pytest.raises(ValueError, match="unknown suite"):

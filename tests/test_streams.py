@@ -55,33 +55,31 @@ def entropy_batches(draw):
 
 class TestSeedStates:
     @settings(max_examples=150, deadline=None)
-    @given(entropy_batches(), st.integers(1, 9), st.sampled_from([np.uint32, np.uint64]))
-    def test_equals_seed_sequence(self, batch, n_words, dtype):
+    @given(entropy_batches(), st.integers(1, 9))
+    def test_equals_seed_sequence(self, batch, n_words):
         parts, rows = batch
-        got = streams.seed_states(parts, n_words, dtype)
-        assert got.shape == (len(rows), n_words) and got.dtype == dtype
+        got = streams.seed_states(parts, n_words)
+        assert got.shape == (len(rows), n_words) and got.dtype == np.uint64
         for row, values in zip(rows, got):
-            expected = np.random.SeedSequence(row).generate_state(n_words, dtype)
+            expected = np.random.SeedSequence(row).generate_state(n_words, np.uint64)
             assert np.array_equal(values, expected), row
 
     def test_mixed_word_counts_in_one_batch(self):
         seeds = np.array([0, 2**32 - 1, 2**32, 2**64 - 1], dtype=np.uint64)
-        got = streams.seed_states((seeds, 0, 7), 1, np.uint64)[:, 0]
+        got = streams.seed_states((seeds, 0, 7), 1)[:, 0]
         assert [int(v) for v in got] == [derive_seed(int(s), 0, 7) for s in seeds]
 
     def test_broadcasts_columns(self):
         steps = np.arange(3, dtype=np.uint64)[:, None]
         blocks = np.array([0, 2], dtype=np.uint64)
-        got = streams.seed_states((5, 4, steps, blocks), 4, np.uint64)
+        got = streams.seed_states((5, 4, steps, blocks), 4)
         assert got.shape == (3, 2, 4)
         ref = np.random.SeedSequence((5, 4, 2, 2)).generate_state(4, np.uint64)
         assert np.array_equal(got[2, 1], ref)
 
-    def test_rejects_negative_and_bad_dtype(self):
+    def test_rejects_negative(self):
         with pytest.raises(ValueError):
             streams.seed_states((-1, np.arange(2)), 1)
-        with pytest.raises(ValueError):
-            streams.seed_states((1, np.arange(2)), 1, np.int64)
 
 
 class TestGaussian:
