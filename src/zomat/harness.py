@@ -439,7 +439,7 @@ def run_experiment(exp: ExperimentConfig, out_dir=None) -> dict:
             **status,
             "steps": steps,
             "queries": objective.query_count,
-            "eval_queries": objective.eval_count,
+            "eval_queries": len(records),
             "final_loss": records[-1].loss if records else None,
             "trace_csv": csv_path.name,
         }

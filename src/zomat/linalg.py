@@ -70,11 +70,11 @@ def sample_projection(m: int, r: int, seed: int) -> np.ndarray:
 GRAM_MIN_RATIO = 1e-5
 
 
-def msign_svd(g, rank_tol: float = 1e-7) -> np.ndarray:
+def msign_svd(g) -> np.ndarray:
     """Matrix sign (whitening) of ``g``, exact up to rounding.
 
     With g = U diag(s) V^T, returns U[:, :k] @ V[:, :k].T where k counts the
-    singular values above ``rank_tol`` times the largest one.  Every retained
+    singular values above 1e-7 times the largest one.  Every retained
     singular direction is mapped to unit length; the zero matrix maps to the
     zero matrix.
 
@@ -82,8 +82,8 @@ def msign_svd(g, rank_tol: float = 1e-7) -> np.ndarray:
     smaller side: with g scaled to unit Frobenius norm (msign is
     scale-invariant, and the Gram can then neither overflow nor underflow)
     and g g^T = V diag(w) V^T, msign(g) = (V / sqrt(w)) V^T g.  When
-    w_min / w_max is at most ``GRAM_MIN_RATIO`` (or ``rank_tol`` squared, if
-    larger), which covers zero and rank-deficient inputs, it takes the SVD.
+    w_min / w_max is at most ``GRAM_MIN_RATIO``, which covers zero and
+    rank-deficient inputs, it takes the SVD.
     """
     arr = as_matrix(g)
     norm = np.linalg.norm(arr)
@@ -93,7 +93,7 @@ def msign_svd(g, rank_tol: float = 1e-7) -> np.ndarray:
         if transpose:
             unit = unit.T
         w, v = np.linalg.eigh(unit @ unit.T)
-        if w[0] > max(GRAM_MIN_RATIO, rank_tol * rank_tol) * w[-1]:
+        if w[0] > GRAM_MIN_RATIO * w[-1]:
             out = (v / np.sqrt(w)) @ (v.T @ unit)
             return out.T if transpose else out
     try:
@@ -104,7 +104,7 @@ def msign_svd(g, rank_tol: float = 1e-7) -> np.ndarray:
         ) from exc
     if s[0] <= 0.0:
         return np.zeros_like(arr)
-    k = int(np.count_nonzero(s > rank_tol * s[0]))
+    k = int(np.count_nonzero(s > 1e-7 * s[0]))
     return u[:, :k] @ vt[:k, :]
 
 

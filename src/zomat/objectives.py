@@ -26,7 +26,7 @@ class Objective:
     ``evaluate`` increments the query counter by exactly one per call and
     rejects a non-finite value.  ``loss`` computes the same value without
     counting (the oracle/reporting channel) and without the check.  Not
-    thread-safe: the counters are plain integers with a single caller.
+    thread-safe: the counter is a plain integer with a single caller.
     """
 
     def __init__(self, name, loss_fn, initial_params, gradient_fn=None):
@@ -35,7 +35,6 @@ class Objective:
         self._gradient_fn = gradient_fn
         self._initial = initial_params
         self._query_count = 0
-        self._eval_count = 0
 
     @property
     def initial_params(self) -> ParamSpace:
@@ -45,11 +44,6 @@ class Objective:
     def query_count(self) -> int:
         return self._query_count
 
-    @property
-    def eval_count(self) -> int:
-        """Evaluations made through the un-counted loss channel."""
-        return self._eval_count
-
     def evaluate(self, x: ParamSpace) -> float:
         value = float(self._loss_fn(x))
         self._query_count += 1
@@ -58,7 +52,6 @@ class Objective:
         return value
 
     def loss(self, x: ParamSpace) -> float:
-        self._eval_count += 1
         return float(self._loss_fn(x))
 
     def analytic_gradient(self, x: ParamSpace):

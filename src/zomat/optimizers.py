@@ -131,13 +131,11 @@ class StepRecord:
 
 @dataclass(frozen=True)
 class RunResult:
-    """A run's trace rows, final iterate, gradient-estimation queries and
-    un-counted trace-loss evaluations (one per row)."""
+    """A run's trace rows, final iterate and gradient-estimation queries."""
 
     records: tuple
     final_params: ParamSpace
     queries: int
-    eval_queries: int
 
 
 def _msign(gz, cfg, block_name):
@@ -246,8 +244,7 @@ def run(obj, x0, cfg: OptimizerConfig, optimizer_kind: str, seed: int, eval_ever
     Records (step, cumulative queries, loss at the unperturbed iterate,
     elapsed wall ms) at step 0, every ``eval_every`` steps and at the final
     step.  Trace losses go through the un-counted evaluation channel, one per
-    recorded row, and are reported as ``eval_queries`` apart from the
-    gradient-estimation queries.  A non-finite trace loss or query raises
+    recorded row.  A non-finite trace loss or query raises
     :class:`EvaluationError` naming the step, the count of steps completed.
     Any error raised during the run carries the rows recorded before it as
     ``partial_trace`` and that count as ``steps``.  Deterministic for a fixed
@@ -259,7 +256,6 @@ def run(obj, x0, cfg: OptimizerConfig, optimizer_kind: str, seed: int, eval_ever
     state = OptimizerState(rng_root_seed=int(seed))
     x = x0.copy()
     start_queries = obj.query_count
-    eval_start = obj.eval_count
     records = []
     t0 = time.perf_counter()
 
@@ -287,5 +283,4 @@ def run(obj, x0, cfg: OptimizerConfig, optimizer_kind: str, seed: int, eval_ever
         records=tuple(records),
         final_params=x,
         queries=obj.query_count - start_queries,
-        eval_queries=obj.eval_count - eval_start,
     )

@@ -48,10 +48,6 @@ class ParamSpace:
         """Position of a block in the fixed ordering (used for seed splits)."""
         return self._index[name]
 
-    @property
-    def n_params(self) -> int:
-        return sum(v.size for v in self._blocks.values())
-
     def copy(self) -> "ParamSpace":
         return ParamSpace({name: value.copy() for name, value in self._blocks.items()})
 
@@ -76,11 +72,3 @@ class ParamSpace:
         new = object.__new__(type(self))
         new._blocks, new._index = blocks, self._index
         return new
-
-    def allclose(self, other: "ParamSpace", rtol=1e-12, atol=1e-12) -> bool:
-        if self.names != other.names:
-            return False
-        return all(
-            np.allclose(self[name], other[name], rtol=rtol, atol=atol)
-            for name in self.names
-        )

@@ -8,11 +8,13 @@ seeds 0..4.
 
 import dataclasses
 import time
+from functools import partial
 
 import numpy as np
 import pytest
 
 from zomat import linalg, objectives, presets
+from zomat._parallel import in_parallel
 from zomat.estimators import EstimatorConfig, subspace_rge
 from zomat.harness import config_to_ini, parse_config_text, run_experiment
 from zomat.optimizers import (
@@ -165,18 +167,24 @@ def test_c6_effective_rank():
     )
 
 
+def c7_trial(trial, out_dir):
+    """Queries to 1% of the initial loss of zo_muon, mezo and subspace_mezo."""
+    exp = presets.quadratic_race_config(
+        objective_seed=100 + trial, run_seed=trial, kinds=(MEZO, SUBSPACE_MEZO, ZO_MUON)
+    )
+    results = run_experiment(exp, out_dir=out_dir)["results"]
+    return tuple(results[kind]["queries_to_threshold"]["0.01x_initial"]
+                 for kind in (ZO_MUON, MEZO, SUBSPACE_MEZO))
+
+
 def test_c7_desk_scale_ordering(tmp_path):
+    # the five trials are independent and shared among CPUs
     start = time.perf_counter()
     wins = 0
     ratios = []
     lines = []
-    for trial in range(5):
-        exp = presets.quadratic_race_config(
-            objective_seed=100 + trial, run_seed=trial, kinds=(MEZO, SUBSPACE_MEZO, ZO_MUON)
-        )
-        results = run_experiment(exp, out_dir=tmp_path)["results"]
-        z, m, s = (results[kind]["queries_to_threshold"]["0.01x_initial"]
-                   for kind in (ZO_MUON, MEZO, SUBSPACE_MEZO))
+    counts = in_parallel(partial(c7_trial, trial, tmp_path / f"trial{trial}") for trial in range(5))
+    for trial, (z, m, s) in enumerate(counts):
         won = z is not None and (m is None or z < m) and (s is None or z < s)
         wins += won
         if z is not None and m is not None:
@@ -195,16 +203,22 @@ def test_c7_desk_scale_ordering(tmp_path):
     )
 
 
+def c8_trial(trial, out_dir):
+    """Final loss over initial loss of zo_muon at ranks 2, 8 and 32."""
+    exp = presets.rank_study_config(objective_seed=100 + trial, run_seed=trial)
+    summary = run_experiment(dataclasses.replace(exp, eval_every=500), out_dir=out_dir)
+    return {
+        rank: summary["results"][f"zo_muon_r{rank}"]["final_loss"] / summary["initial_loss"]
+        for rank in (2, 8, 32)
+    }
+
+
 def test_c8_rank_sensitivity(tmp_path):
+    # the five trials are independent and shared among CPUs
     best_counts = 0
     lines = []
-    for trial in range(5):
-        exp = presets.rank_study_config(objective_seed=100 + trial, run_seed=trial)
-        summary = run_experiment(dataclasses.replace(exp, eval_every=500), out_dir=tmp_path)
-        finals = {
-            rank: summary["results"][f"zo_muon_r{rank}"]["final_loss"] / summary["initial_loss"]
-            for rank in (2, 8, 32)
-        }
+    trials = in_parallel(partial(c8_trial, trial, tmp_path / f"trial{trial}") for trial in range(5))
+    for trial, finals in enumerate(trials):
         best = min(finals, key=finals.get)
         best_counts += best == 8
         lines.append(

@@ -3,6 +3,7 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -309,7 +310,9 @@ class TestParsing:
     def test_objective_seed_defaults_to_zero(self, kind, options):
         built = build_objective(ObjectiveSpec(kind, options))
         seeded = build_objective(ObjectiveSpec(kind, dict(options, seed=0)))
-        assert built.initial_params.allclose(seeded.initial_params, rtol=0, atol=0)
+        assert built.initial_params.names == seeded.initial_params.names
+        for name, value in built.initial_params.items():
+            assert np.array_equal(value, seeded.initial_params[name])
         assert built.loss(built.initial_params) == seeded.loss(seeded.initial_params)
 
     def test_objective_factory_error_names_section_and_key(self):
@@ -534,7 +537,8 @@ class TestRunExperiment:
             assert read_trace_csv(tmp_path / f"div_{label}.csv")[-1].queries == 200
 
     def test_failing_optimizer_keeps_results(self, tmp_path, monkeypatch):
-        # msign fails on zo_muon's third step; mezo runs after it
+        # msign fails on zo_muon's third step; blowup diverges at the trace
+        # loss of step 1, an evaluation that records no row; mezo runs after
         calls = []
         msign = linalg.msign_svd
 
@@ -545,14 +549,17 @@ class TestRunExperiment:
             return msign(g, *args, **kwargs)
 
         monkeypatch.setattr(linalg, "msign_svd", failing_msign)
-        text = DIVERGING_CONFIG.replace("[optimizer:blowup]\nkind = mezo\nlearning_rate = 1e160\n", "")
-        summary = run_experiment(parse_config_text(text.replace("eval_every = 10", "eval_every = 1")),
-                                 out_dir=tmp_path)
+        text = DIVERGING_CONFIG.replace("eval_every = 10", "eval_every = 1")
+        summary = run_experiment(parse_config_text(text), out_dir=tmp_path)
         results = json.loads((tmp_path / "summary.json").read_text())["results"]
         assert results == summary["results"]
         assert {label: r["status"] for label, r in results.items()} == {
-            "zo_muon": "error", "mezo": "ok",
+            "zo_muon": "error", "blowup": "diverged", "mezo": "ok",
         }
+        assert results["blowup"]["error"].endswith("returned inf at step 1")
+        for label, result in results.items():
+            rows = read_trace_csv(tmp_path / f"div_{label}.csv")
+            assert result["eval_queries"] == len(rows), label
         failed = results["zo_muon"]
         assert failed["steps"] == 2
         assert failed["error"] == (

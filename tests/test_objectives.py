@@ -62,7 +62,7 @@ class TestQuadratic:
     def test_deterministic_from_seed(self):
         a = objectives.make_quadratic(6, 6, 2, seed=7)
         b = objectives.make_quadratic(6, 6, 2, seed=7)
-        assert a.initial_params.allclose(b.initial_params)
+        assert np.array_equal(a.initial_params["x"], b.initial_params["x"])
         assert a.loss(a.initial_params) == b.loss(b.initial_params)
 
     def test_invalid_dims(self):
@@ -103,7 +103,6 @@ class TestQueryCounting:
         assert v1 == v2  # purity
         obj.loss(x)
         assert obj.query_count == 2
-        assert obj.eval_count == 1
 
     def test_counter_never_decrements(self):
         obj = objectives.make_quadratic(4, 4, 2, seed=0)

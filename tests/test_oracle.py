@@ -158,7 +158,7 @@ class TestVariance:
         p = gradient_aligned_projection(obj, x, rank=2)
         samples = []
         for i in range(n):
-            seed = oracle.sample_seed(9, i)
+            seed = streams.derive_seed(9, i)
             if spec.kind == FULL_RGE:
                 samples.append(rge_full(obj, x, spec.config, seed)["x"])
             else:

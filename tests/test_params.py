@@ -77,12 +77,3 @@ def test_rejects_empty():
     with pytest.raises(ValueError):
         ParamSpace({})
 
-
-def test_n_params():
-    assert small_space().n_params == 12 + 4 + 4
-
-
-def test_allclose():
-    space = small_space()
-    assert space.allclose(space.copy())
-    assert not space.allclose(space.updated({"w": 1.5 * np.ones((3, 4))}))

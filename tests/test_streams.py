@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zomat import estimators, optimizers, oracle, streams
+from zomat import estimators, optimizers, streams
 from zomat.estimators import EstimatorConfig
 from zomat.objectives import Objective
 from zomat.optimizers import (
@@ -92,7 +92,6 @@ class TestGaussian:
 
     def test_one_seed_scheme(self):
         assert optimizers.derive_seed is derive_seed
-        assert oracle.sample_seed is derive_seed
         assert estimators.perturbation is perturbation
 
 
