@@ -25,6 +25,9 @@ SUBSPACE_RGE = "subspace"
 
 #: Sample floor below which a variance ratio is not meaningful.
 MIN_RATIO_SAMPLES = 1000
+#: Samples per range of a Monte-Carlo run: fixed, so every CPU count merges the
+#: same moments, and a multiple of streams.CHUNK, so ranges share no seed chunk.
+SAMPLE_RANGE = 10 * streams.CHUNK
 
 
 @dataclass(frozen=True)
@@ -123,65 +126,72 @@ def gradient_aligned_projection(objective, x: ParamSpace, rank: int) -> np.ndarr
     return u[:, :rank]
 
 
-def _sample_estimate(spec, objective, x, seed, words, projection):
-    name = x.names[0]
-    if spec.kind == FULL_RGE:
-        return estimators.rge_full(objective, x, spec.config, seed, words)[name]
-    g_z = estimators.subspace_rge(objective, x, {name: projection}, spec.config, seed, words)
-    return projection @ g_z[name]
+def _range_moments(spec, objective, x, seed, start, n_samples, projection=None) -> tuple:
+    """Count, mean and Welford sum of squared deviations of one sample range."""
+    if spec.kind == SUBSPACE_RGE and projection is None:
+        projection = gradient_aligned_projection(objective, x, spec.rank)
+    table = streams.slot_table((seed,), spec.config.n_queries, len(x.names))
+    name, stop = x.names[0], min(start + SAMPLE_RANGE, n_samples)
+    mean, m2 = np.zeros_like(x[name]), np.zeros_like(x[name])
+    for i in range(start, stop):
+        sample, words = table(i)
+        if spec.kind == FULL_RGE:
+            est = estimators.rge_full(objective, x, spec.config, int(sample), words)[name]
+        else:
+            est = projection @ estimators.subspace_rge(
+                objective, x, {name: projection}, spec.config, int(sample), words)[name]
+        delta = est - mean
+        mean += delta / (i - start + 1)
+        m2 += delta * (est - mean)
+    return stop - start, mean, m2
+
+
+def _merged_variance(moments) -> float:
+    """Per-entry variance, averaged over entries, of range moments merged in
+    range order (Chan, Golub and LeVeque, 1983, pairwise update)."""
+    n, mean, m2 = moments[0]
+    for n_b, mean_b, m2_b in moments[1:]:
+        delta, n_a, n = mean_b - mean, n, n + n_b
+        mean, m2 = mean + delta * (n_b / n), m2 + m2_b + delta**2 * (n_a * n_b / n)
+    return float(np.mean(m2 / (n - 1)))
 
 
 def estimator_variance(spec: EstimatorSpec, objective, x: ParamSpace,
                        n_samples: int, seed: int,
                        projection: np.ndarray | None = None) -> float:
     """Per-entry variance (averaged over entries) of ``spec`` at fixed ``x``,
-    over ``n_samples`` estimates seeded by ``streams.derive_seed(seed, i)``.
-    The sample seeds and the words of their (query, block) slots are derived
-    in bulk, a chunk of samples at a time."""
+    over ``n_samples`` estimates seeded by ``streams.derive_seed(seed, i)``,
+    run and merged range by range as :func:`measure_variance` runs them."""
     check_count("n_samples", n_samples, 2)
-    if spec.kind == SUBSPACE_RGE and projection is None:
-        projection = gradient_aligned_projection(objective, x, spec.rank)
-    table = streams.slot_table((seed,), spec.config.n_queries, len(x.names))
-    name = x.names[0]
-    mean = np.zeros_like(x[name])
-    m2 = np.zeros_like(x[name])
-    for i in range(n_samples):
-        sample, words = table(i)
-        est = _sample_estimate(spec, objective, x, int(sample), words, projection)
-        delta = est - mean
-        mean += delta / (i + 1)
-        m2 += delta * (est - mean)
-    return float(np.mean(m2 / (n_samples - 1)))
+    return _merged_variance([_range_moments(spec, objective, x, seed, i, n_samples, projection)
+                             for i in range(0, n_samples, SAMPLE_RANGE)])
 
 
 def measure_variance(specs, objective, x: ParamSpace, n_samples: int,
                      seed: int) -> list:
     """Monte-Carlo variance of each of ``specs`` with its ratio against a
     reference, the single-query forward full-space estimator at that spec's
-    mu.  Spec k is sampled at ``seed + k`` and its reference at
-    ``seed + k + 1``.
+    mu.  Spec k is sampled at ``seed + k``; the reference at each distinct mu
+    is measured once, the j-th at ``seed + len(specs) + j``.
 
-    The runs are shared among CPUs (:func:`zomat._parallel.in_parallel`) as
-    (spec, reference) pairs in list order, so this process runs the first
-    spec, and ``objective`` counts only the queries made here.  The subspace
-    estimator is measured with the gradient-aligned projection, which
-    requires the objective's analytic gradient.  Ratios below
-    ``MIN_RATIO_SAMPLES`` samples are refused.
+    The runs' ranges are shared among CPUs (:func:`zomat._parallel.in_parallel`),
+    so ``objective`` counts only the queries made in this process.  The
+    subspace estimator uses the gradient-aligned projection, which needs the
+    objective's analytic gradient.  Ratios below ``MIN_RATIO_SAMPLES`` samples are refused.
     """
     from ._parallel import in_parallel  # imported here: see its docstring
 
     if n_samples < MIN_RATIO_SAMPLES:
         raise ValueError(f"need at least {MIN_RATIO_SAMPLES} samples for a ratio, got {n_samples}")
-    pairs = [(spec, EstimatorSpec(FULL_RGE, EstimatorConfig(mu=spec.config.mu))) for spec in specs]
-    run = partial(estimator_variance, objective=objective, x=x, n_samples=n_samples)
-    variances = in_parallel(
-        partial(run, s, seed=seed + k + j) for k, pair in enumerate(pairs) for j, s in enumerate(pair)
-    )
-    return [
-        VarianceReport(spec.label(), var, n_samples, ref.label(), ref_var,
-                       ratio=ref_var / var if var > 0 else float("nan"))
-        for (spec, ref), var, ref_var in zip(pairs, variances[::2], variances[1::2])
-    ]
+    refs = {s.config.mu: EstimatorSpec(FULL_RGE, EstimatorConfig(mu=s.config.mu)) for s in specs}
+    runs, starts = [*specs, *refs.values()], range(0, n_samples, SAMPLE_RANGE)
+    moments = in_parallel(partial(_range_moments, run, objective, x, seed + k, i, n_samples)
+                          for k, run in enumerate(runs) for i in starts)
+    var = [_merged_variance(moments[k:k + len(starts)]) for k in range(0, len(moments), len(starts))]
+    ref_var = dict(zip(refs, var[len(specs):]))
+    return [VarianceReport(s.label(), v, n_samples, refs[s.config.mu].label(), ref_var[s.config.mu],
+                           ratio=ref_var[s.config.mu] / v if v > 0 else float("nan"))
+            for s, v in zip(specs, var)]
 
 
 def conditioned_matrix(m: int, n: int, condition: float, rng) -> np.ndarray:
