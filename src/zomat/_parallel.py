@@ -3,12 +3,6 @@
 Workers are forked, not spawned: a spawned worker imports ``__main__``
 again, which re-runs a script that has no ``if __name__ == "__main__"``
 guard.
-
-Kept out of :mod:`zomat.oracle`, which imports it only when
-``measure_variance`` runs: with no bytecode cache, compiling this code as
-part of ``oracle.py``, or importing it with ``oracle``, raised the peak
-memory of every process that imports ``oracle`` (the race benchmark among
-them) by 0.1 to 0.2 MB.
 """
 
 from __future__ import annotations

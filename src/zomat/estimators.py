@@ -37,7 +37,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objectives import EvaluationError
 from .params import ParamSpace
 from .streams import gaussian, perturbation
 
@@ -84,14 +83,6 @@ class EstimatorConfig:
             raise ValueError("central differences are only defined for n_queries=1")
 
 
-def _evaluate(obj, x, seed):
-    try:
-        return obj.evaluate(x)
-    except EvaluationError as exc:
-        exc.seed = seed
-        raise
-
-
 def _draw_shapes(x, factors) -> dict:
     """Each block's draw shape: r-by-n for a block with an m-by-r factor in
     ``factors``, the block's own shape otherwise."""
@@ -120,7 +111,7 @@ def _estimate(obj, x, factors, cfg, seed, words):
     """
     draws, mu = _draw_shapes(x, factors), cfg.mu
     if cfg.scheme == FORWARD:
-        base = _evaluate(obj, x, seed)
+        base = obj.evaluate(x)
         accum = {name: np.zeros(shape) for name, shape in draws.items()}
     for i in range(cfg.n_queries):
         deltas = {
@@ -133,10 +124,10 @@ def _estimate(obj, x, factors, cfg, seed, words):
         if cfg.scheme == CENTRAL:  # one query, so return c D
             plus = x.updated({name: x[name] + s for name, s in steps.items()})
             minus = x.updated({name: x[name] - s for name, s in steps.items()})
-            coef = (_evaluate(obj, plus, seed) - _evaluate(obj, minus, seed)) / (2.0 * mu)
+            coef = (obj.evaluate(plus) - obj.evaluate(minus)) / (2.0 * mu)
             return {name: coef * d for name, d in deltas.items()}
         shifted = x.updated({name: x[name] + s for name, s in steps.items()})
-        coef = (_evaluate(obj, shifted, seed) - base) / mu
+        coef = (obj.evaluate(shifted) - base) / mu
         for name, d in deltas.items():
             accum[name] += coef * d
     return {name: accum[name] / cfg.n_queries for name in x.names}

@@ -39,11 +39,11 @@ per-step query cost, so compared runs consume (up to remainder) the same
 number of function evaluations.  One CSV per optimizer is written with the
 header ``step,queries,loss,elapsed_ms``; content is deterministic for a fixed
 config and seed apart from the elapsed_ms column.  An optimizer that diverges
-(its objective returns a non-finite value) keeps the rows it recorded before
-it diverged and is marked ``diverged`` in ``summary.json`` with the steps
-it completed and an error naming the step; one that fails in any other way
-(say a ``NumericalError`` from msign) is kept the same way and marked
-``error``.  Either way the others run on.
+(its objective returns a non-finite value, or zo_muon's estimate overflows)
+keeps the rows it recorded before it diverged and is marked ``diverged`` in
+``summary.json`` with the steps it completed and an error naming the step;
+one that fails in any other way (say a ``NumericalError`` from msign) is kept
+the same way and marked ``error``.  Either way the others run on.
 """
 
 from __future__ import annotations
@@ -402,10 +402,11 @@ def run_experiment(exp: ExperimentConfig, out_dir=None) -> dict:
     finishes, plus a ``summary.json`` holding each optimizer's status, final
     loss and queries-to-threshold for every configured threshold, and an echo
     of the configuration.  The initial loss is read from the first step-0
-    trace row.  An optimizer that diverges gets status ``diverged`` with the
-    error message, which names the step; one that raises any other exception
-    gets status ``error`` with the exception's type and message and the step,
-    and its traceback.
+    trace row.  An optimizer that diverges (an :class:`EvaluationError`: a
+    non-finite objective value, or a zo_muon estimate that overflowed) gets
+    status ``diverged`` with the error message, which names the step; one
+    that raises any other exception gets status ``error`` with the
+    exception's type and message and the step, and its traceback.
     Either way its ``steps`` are the steps it completed, its CSV and results
     cover the rows recorded before it failed, and the next optimizer runs.
     ``exp`` checked itself when it was built; the objective is built, and

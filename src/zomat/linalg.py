@@ -27,7 +27,7 @@ AGGRESSIVE_QUINTIC = (3.4445, -4.7750, 2.0315)
 
 #: Quintic coefficients of the monotone polar iteration x(15 - 10x^2 + 3x^4)/8.
 #: Contractive toward 1 on (0, sqrt(5/3)) with third-order convergence; used
-#: as the finishing phase of the default schedule.
+#: as the finishing phase of the schedule.
 CONTRACTIVE_QUINTIC = (1.875, -1.25, 0.375)
 
 
@@ -108,34 +108,30 @@ def msign_svd(g) -> np.ndarray:
     return u[:, :k] @ vt[:k, :]
 
 
-def msign_ns(g, iterations: int = 5) -> np.ndarray:
-    """Approximate the matrix sign of ``g`` with quintic Newton-Schulz steps.
+def msign_ns(g) -> np.ndarray:
+    """Approximate the matrix sign of ``g`` with five quintic Newton-Schulz
+    steps, the step count of Muon (Jordan et al., 2024).
 
     The input is pre-normalized by its Frobenius norm and transposed when it
     has more rows than columns so the Gram matrix is formed on the smaller
-    side.  Each step applies X <- a X + (b (XX^T) + c (XX^T)^2) X: the
-    ``AGGRESSIVE_QUINTIC`` boost until the last three steps, then the
-    ``CONTRACTIVE_QUINTIC`` polar steps.  The contraction polynomial is
-    stable for inputs up to sqrt(5/3) and the boost never exceeds ~1.21
-    after Frobenius normalization, so the composition converges for any
-    nonzero input.
+    side.  Each step applies X <- a X + (b (XX^T) + c (XX^T)^2) X: two
+    ``AGGRESSIVE_QUINTIC`` boost steps, then three ``CONTRACTIVE_QUINTIC``
+    polar steps.  The contraction polynomial is stable for inputs up to
+    sqrt(5/3) and the boost never exceeds ~1.21 after Frobenius
+    normalization, so the composition converges for any nonzero input.
 
-    The default 5-step schedule reproduces ``msign_svd`` to well under 1% in
-    relative Frobenius error for condition numbers below 10.  Accuracy
-    degrades as conditioning worsens: singular values far below the largest
-    one are not pushed all the way to 1 within the iteration budget.
+    The five steps reproduce ``msign_svd`` to well under 1% in relative
+    Frobenius error for condition numbers below 10.  Accuracy degrades as
+    conditioning worsens: singular values far below the largest one are not
+    pushed all the way to 1 within five steps.
     """
-    if iterations < 1:
-        raise ValueError("iterations must be positive")
     arr = as_matrix(g)
     norm = np.linalg.norm(arr)
     if norm == 0.0:
         return np.zeros_like(arr)
-    boost = iterations - min(3, iterations)
-    schedule = [AGGRESSIVE_QUINTIC] * boost + [CONTRACTIVE_QUINTIC] * (iterations - boost)
     transpose = arr.shape[0] > arr.shape[1]
     x = (arr.T if transpose else arr) / norm
-    for a, b, c in schedule:
+    for a, b, c in (AGGRESSIVE_QUINTIC,) * 2 + (CONTRACTIVE_QUINTIC,) * 3:
         gram = x @ x.T
         x = a * x + (b * gram + c * (gram @ gram)) @ x
         if not np.all(np.isfinite(x)):
@@ -146,13 +142,11 @@ def msign_ns(g, iterations: int = 5) -> np.ndarray:
     return x.T if transpose else x
 
 
-def effective_rank(g, energy: float = 0.9999) -> int:
-    """Smallest k whose top-k singular values hold ``energy`` of the squared
+def effective_rank(g) -> int:
+    """Smallest k whose top-k singular values hold 0.9999 of the squared
     spectral mass; 0 for the zero matrix."""
-    if not 0.0 < energy <= 1.0:
-        raise ValueError(f"energy must be in (0, 1], got {energy}")
     s = np.linalg.svd(as_matrix(g), compute_uv=False)
     cumulative = np.cumsum(s * s)
     if cumulative[-1] == 0.0:
         return 0
-    return int(np.searchsorted(cumulative / cumulative[-1], energy, side="left")) + 1
+    return int(np.searchsorted(cumulative / cumulative[-1], 0.9999, side="left")) + 1

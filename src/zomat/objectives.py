@@ -17,7 +17,8 @@ from .params import ParamSpace
 
 
 class EvaluationError(RuntimeError):
-    """An objective returned a non-finite value."""
+    """An objective returned a non-finite value, or an estimate made from its
+    values overflowed."""
 
 
 class Objective:

@@ -145,6 +145,8 @@ def _msign(gz, cfg, block_name):
         return linalg.msign_ns(gz)
     except NumericalError as exc:
         raise NumericalError(f"msign failed on block {block_name!r}: {exc}") from exc
+    except ValueError as exc:  # non-finite entries: the estimate overflowed
+        raise EvaluationError(f"estimate for block {block_name!r} is not finite") from exc
 
 
 def _held_factors(state, cfg, x, draw) -> dict:
@@ -244,8 +246,9 @@ def run(obj, x0, cfg: OptimizerConfig, optimizer_kind: str, seed: int, eval_ever
     Records (step, cumulative queries, loss at the unperturbed iterate,
     elapsed wall ms) at step 0, every ``eval_every`` steps and at the final
     step.  Trace losses go through the un-counted evaluation channel, one per
-    recorded row.  A non-finite trace loss or query raises
-    :class:`EvaluationError` naming the step, the count of steps completed.
+    recorded row.  A non-finite trace loss or query, or a zo_muon estimate
+    that overflowed, raises :class:`EvaluationError` naming the step, the
+    count of steps completed.
     Any error raised during the run carries the rows recorded before it as
     ``partial_trace`` and that count as ``steps``.  Deterministic for a fixed
     seed except for the elapsed times.

@@ -1,12 +1,11 @@
-"""Independent verification machinery.
+"""Verification machinery.
 
-Everything here checks the estimator and optimizer modules from the outside:
-exact-rank constructions for the lossless-projection identity, Monte-Carlo
-estimator variance measurements against an analytic-gradient reference, a
-backend cross-check for the two msign implementations, and a coordinate-wise
-finite-difference gradient.  None of it shares code paths with the modules
-it verifies beyond the linalg primitives and the seed streams, so agreement
-is evidence rather than tautology.
+Exact-rank constructions for the lossless-projection identity, Monte-Carlo
+estimator variance measurements, a backend cross-check for the two msign
+implementations, and a coordinate-wise finite-difference gradient.  A
+variance is measured on the estimators themselves, against the single-query
+forward :func:`zomat.estimators.rge_full` as reference; the analytic
+gradient only chooses the subspace estimator's projection.
 """
 
 from __future__ import annotations
@@ -17,6 +16,7 @@ from functools import partial
 import numpy as np
 
 from . import estimators, linalg, streams
+from ._parallel import in_parallel
 from .estimators import EstimatorConfig, check_count
 from .params import ParamSpace
 
@@ -28,14 +28,16 @@ MIN_RATIO_SAMPLES = 1000
 #: Samples per range of a Monte-Carlo run: fixed, so every CPU count merges the
 #: same moments, and a multiple of streams.CHUNK, so ranges share no seed chunk.
 SAMPLE_RANGE = 10 * streams.CHUNK
+#: Matrix shape, condition numbers and trials per condition of the msign cross-check.
+MSIGN_SHAPE = (8, 8)
+MSIGN_CONDITIONS = (2.0, 5.0, 10.0, 100.0, 1000.0)
+MSIGN_TRIALS = 50
 
 
 @dataclass(frozen=True)
 class Prop1Report:
     """Worst-case entry error of the lossless-projection identity."""
 
-    dims: tuple
-    trials: int
     max_entry_error: float
     max_projection_error: float
     pass_: bool
@@ -47,7 +49,6 @@ class VarianceReport:
 
     estimator: str
     per_entry_variance: float
-    n_samples: int
     reference: str
     reference_variance: float
     ratio: float
@@ -102,8 +103,6 @@ def check_prop1(m: int, n: int, k: int, trials: int = 20, seed: int = 0) -> Prop
         worst = max(worst, float(np.max(np.abs(lifted - direct))))
         worst_proj = max(worst_proj, float(np.max(np.abs(p @ (p.T @ g) - g))))
     return Prop1Report(
-        dims=(m, n, k),
-        trials=trials,
         max_entry_error=worst,
         max_projection_error=worst_proj,
         pass_=worst <= 1e-8 and worst_proj <= 1e-8,
@@ -126,9 +125,9 @@ def gradient_aligned_projection(objective, x: ParamSpace, rank: int) -> np.ndarr
     return u[:, :rank]
 
 
-def _range_moments(spec, objective, x, seed, start, n_samples, projection=None) -> tuple:
+def _range_moments(spec, objective, x, seed, start, n_samples) -> tuple:
     """Count, mean and Welford sum of squared deviations of one sample range."""
-    if spec.kind == SUBSPACE_RGE and projection is None:
+    if spec.kind == SUBSPACE_RGE:
         projection = gradient_aligned_projection(objective, x, spec.rank)
     table = streams.slot_table((seed,), spec.config.n_queries, len(x.names))
     name, stop = x.names[0], min(start + SAMPLE_RANGE, n_samples)
@@ -157,13 +156,12 @@ def _merged_variance(moments) -> float:
 
 
 def estimator_variance(spec: EstimatorSpec, objective, x: ParamSpace,
-                       n_samples: int, seed: int,
-                       projection: np.ndarray | None = None) -> float:
+                       n_samples: int, seed: int) -> float:
     """Per-entry variance (averaged over entries) of ``spec`` at fixed ``x``,
     over ``n_samples`` estimates seeded by ``streams.derive_seed(seed, i)``,
     run and merged range by range as :func:`measure_variance` runs them."""
     check_count("n_samples", n_samples, 2)
-    return _merged_variance([_range_moments(spec, objective, x, seed, i, n_samples, projection)
+    return _merged_variance([_range_moments(spec, objective, x, seed, i, n_samples)
                              for i in range(0, n_samples, SAMPLE_RANGE)])
 
 
@@ -179,8 +177,6 @@ def measure_variance(specs, objective, x: ParamSpace, n_samples: int,
     subspace estimator uses the gradient-aligned projection, which needs the
     objective's analytic gradient.  Ratios below ``MIN_RATIO_SAMPLES`` samples are refused.
     """
-    from ._parallel import in_parallel  # imported here: see its docstring
-
     if n_samples < MIN_RATIO_SAMPLES:
         raise ValueError(f"need at least {MIN_RATIO_SAMPLES} samples for a ratio, got {n_samples}")
     refs = {s.config.mu: EstimatorSpec(FULL_RGE, EstimatorConfig(mu=s.config.mu)) for s in specs}
@@ -189,7 +185,7 @@ def measure_variance(specs, objective, x: ParamSpace, n_samples: int,
                           for k, run in enumerate(runs) for i in starts)
     var = [_merged_variance(moments[k:k + len(starts)]) for k in range(0, len(moments), len(starts))]
     ref_var = dict(zip(refs, var[len(specs):]))
-    return [VarianceReport(s.label(), v, n_samples, refs[s.config.mu].label(), ref_var[s.config.mu],
+    return [VarianceReport(s.label(), v, refs[s.config.mu].label(), ref_var[s.config.mu],
                            ratio=ref_var[s.config.mu] / v if v > 0 else float("nan"))
             for s, v in zip(specs, var)]
 
@@ -208,24 +204,24 @@ def conditioned_matrix(m: int, n: int, condition: float, rng) -> np.ndarray:
     return (u * s) @ v.T
 
 
-def compare_msign_backends(shape=(8, 8), condition_numbers=(2.0, 5.0, 10.0, 100.0, 1000.0),
-                           trials: int = 50, seed: int = 0,
-                           iterations: int = 5) -> list:
-    """Median relative Frobenius error of the Newton-Schulz msign against the
-    SVD msign, per condition-number bucket.
+def compare_msign_backends(seed: int = 0) -> list:
+    """Median relative Frobenius error of the five-step Newton-Schulz msign
+    against the SVD msign on 8x8 matrices, 50 trials for each condition
+    number 2, 5, 10, 100 and 1000 (``MSIGN_CONDITIONS``), all drawn in that
+    order from one generator seeded by ``seed``.
 
-    Returns a list of (condition_number, median_error) pairs, ordered as
-    given.  The error grows with conditioning because small singular values
-    are not pushed all the way to 1 within the iteration budget.
+    Returns a list of (condition_number, median_error) pairs, in that order.
+    The error grows with conditioning because small singular values are not
+    pushed all the way to 1 within the five steps.
     """
     rng = np.random.default_rng(seed)
     rows = []
-    for cond in condition_numbers:
+    for cond in MSIGN_CONDITIONS:
         errs = []
-        for _ in range(trials):
-            g = conditioned_matrix(shape[0], shape[1], cond, rng)
+        for _ in range(MSIGN_TRIALS):
+            g = conditioned_matrix(*MSIGN_SHAPE, cond, rng)
             exact = linalg.msign_svd(g)
-            approx = linalg.msign_ns(g, iterations=iterations)
+            approx = linalg.msign_ns(g)
             errs.append(
                 float(np.linalg.norm(approx - exact) / np.linalg.norm(exact))
             )

@@ -81,24 +81,24 @@ def quadratic_race_config(
     objective_seed: int = 100,
     run_seed: int = 0,
     budget: int = RACE_BUDGET,
-    kinds=(MEZO, SUBSPACE_MEZO, LOZO, ZO_MUON),
-    name: str = "quadrace",
 ) -> ExperimentConfig:
-    """The comparison experiment the acceptance ordering is checked on."""
-    entries = [race_optimizer_entry(kind) for kind in kinds]
-    return _race_experiment(name, entries, objective_seed, run_seed, budget)
+    """The comparison experiment the acceptance ordering is checked on,
+    named ``quadrace``: mezo, subspace_mezo, lozo and zo_muon, in that order."""
+    entries = [race_optimizer_entry(kind) for kind in (MEZO, SUBSPACE_MEZO, LOZO, ZO_MUON)]
+    return _race_experiment("quadrace", entries, objective_seed, run_seed, budget)
 
 
 def rank_study_config(
-    ranks=(2, 8, 32),
     objective_seed: int = 100,
     run_seed: int = 0,
     budget: int = RACE_BUDGET,
 ) -> ExperimentConfig:
-    """Projection-rank ablation (acceptance check C8): the race preset's
-    spectral optimizer at several subspace ranks, sharing everything else.
-    The planted curvature rank (8) should win; too small a rank discards
-    gradient directions, too large a rank spends the whitened step on noise."""
-    entries = [race_optimizer_entry(ZO_MUON, rank=r, label=f"zo_muon_r{r}") for r in ranks]
+    """Projection-rank ablation (acceptance check C8), named ``rankstudy``:
+    the race preset's spectral optimizer at subspace ranks 2, 8 and 32
+    (labels ``zo_muon_r2``, ``zo_muon_r8``, ``zo_muon_r32``), sharing
+    everything else.  The planted curvature rank (8) should win; too small a
+    rank discards gradient directions, too large a rank spends the whitened
+    step on noise."""
+    entries = [race_optimizer_entry(ZO_MUON, rank=r, label=f"zo_muon_r{r}") for r in (2, 8, 32)]
     return _race_experiment("rankstudy", entries, objective_seed, run_seed, budget)
 

