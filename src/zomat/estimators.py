@@ -156,7 +156,9 @@ def subspace_rge(
     caller makes after any map in Z's space (``zo_muon``'s msign), targets
     the projected gradient P P^T grad f.  Blocks without a projection get the
     full-space estimate from the same queries, so one call on a mixed space
-    still costs n_queries + 1 evaluations.  ``words`` is as in :func:`rge_full`.
+    still costs n_queries + 1 evaluations; with no projections it is the
+    forward :func:`rge_full`, the step of the full-space kind ``zo_sgd``.
+    ``words`` is as in :func:`rge_full`.
     """
     if cfg.scheme != FORWARD:
         raise ValueError("the subspace estimator is defined with forward differences")
@@ -172,7 +174,9 @@ def lge_lozo(obj, x: ParamSpace, a_factors: dict, cfg: EstimatorConfig, seed: in
     slot; their entry is g_B = c B with
     c = [f(X + mu AB) - f(X - mu AB)] / (2 mu), whose lift A @ g_B the caller
     makes.  Blocks without a factor get the full-space central estimate from
-    the same two evaluations.  ``words`` is as in :func:`rge_full`.
+    the same two evaluations; with no factors it is the central
+    :func:`rge_full`, the step of the full-space kind ``mezo``.  ``words`` is
+    as in :func:`rge_full`.
     """
     if cfg.scheme != CENTRAL:
         raise ValueError("the two-factor estimator is defined with central differences")

@@ -70,6 +70,26 @@ def sample_projection(m: int, r: int, seed: int) -> np.ndarray:
 GRAM_MIN_RATIO = 1e-5
 
 
+def _msign_input(g):
+    """``(arr, unit, transpose)`` for both msign backends: ``g`` as a float
+    matrix, divided by its largest absolute entry when its Frobenius norm
+    over- or underflows (msign is scale-invariant); that matrix at unit
+    Frobenius norm, turned to its wide side when ``transpose``, or None for
+    the zero matrix."""
+    arr = as_matrix(g)
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(arr)
+    if not 0.0 < norm < np.inf:
+        peak = np.max(np.abs(arr))
+        if peak == 0.0:
+            return arr, None, False
+        arr = arr / peak
+        norm = np.linalg.norm(arr)
+    transpose = arr.shape[0] > arr.shape[1]
+    unit = arr / norm
+    return arr, (unit.T if transpose else unit), transpose
+
+
 def msign_svd(g) -> np.ndarray:
     """Matrix sign (whitening) of ``g``, exact up to rounding.
 
@@ -82,28 +102,23 @@ def msign_svd(g) -> np.ndarray:
     smaller side: with g scaled to unit Frobenius norm (msign is
     scale-invariant, and the Gram can then neither overflow nor underflow)
     and g g^T = V diag(w) V^T, msign(g) = (V / sqrt(w)) V^T g.  When
-    w_min / w_max is at most ``GRAM_MIN_RATIO``, which covers zero and
-    rank-deficient inputs, it takes the SVD.
+    w_min / w_max is at most ``GRAM_MIN_RATIO``, which covers rank-deficient
+    inputs, it takes the SVD of g as given (divided by its largest absolute
+    entry only when its norm overflows or underflows).
     """
-    arr = as_matrix(g)
-    norm = np.linalg.norm(arr)
-    if 0.0 < norm < np.inf:
-        unit = arr / norm
-        transpose = unit.shape[0] > unit.shape[1]
-        if transpose:
-            unit = unit.T
-        w, v = np.linalg.eigh(unit @ unit.T)
-        if w[0] > GRAM_MIN_RATIO * w[-1]:
-            out = (v / np.sqrt(w)) @ (v.T @ unit)
-            return out.T if transpose else out
+    arr, unit, transpose = _msign_input(g)
+    if unit is None:
+        return np.zeros_like(arr)
+    w, v = np.linalg.eigh(unit @ unit.T)
+    if w[0] > GRAM_MIN_RATIO * w[-1]:
+        out = (v / np.sqrt(w)) @ (v.T @ unit)
+        return out.T if transpose else out
     try:
         u, s, vt = np.linalg.svd(arr, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             f"SVD did not converge for a {arr.shape[0]}x{arr.shape[1]} matrix"
         ) from exc
-    if s[0] <= 0.0:
-        return np.zeros_like(arr)
     k = int(np.count_nonzero(s > 1e-7 * s[0]))
     return u[:, :k] @ vt[:k, :]
 
@@ -125,12 +140,9 @@ def msign_ns(g) -> np.ndarray:
     conditioning worsens: singular values far below the largest one are not
     pushed all the way to 1 within five steps.
     """
-    arr = as_matrix(g)
-    norm = np.linalg.norm(arr)
-    if norm == 0.0:
+    arr, x, transpose = _msign_input(g)
+    if x is None:
         return np.zeros_like(arr)
-    transpose = arr.shape[0] > arr.shape[1]
-    x = (arr.T if transpose else arr) / norm
     for a, b, c in (AGGRESSIVE_QUINTIC,) * 2 + (CONTRACTIVE_QUINTIC,) * 3:
         gram = x @ x.T
         x = a * x + (b * gram + c * (gram @ gram)) @ x

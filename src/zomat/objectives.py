@@ -3,8 +3,9 @@
 Every objective is a pure function of its ParamSpace plus a monotone query
 counter.  Losses for reporting can be computed through the un-counted
 :meth:`Objective.loss` channel so that trace recording never touches the
-gradient-estimation query budget.  Analytic gradients are provided where the
-problem admits them and serve as the ground-truth anchor for estimator tests.
+gradient-estimation query budget.  The quadratic provides its analytic
+gradient, the ground-truth anchor of the oracle and of estimator tests; the
+mlp has none.
 """
 
 from __future__ import annotations
@@ -153,8 +154,8 @@ def make_mlp(widths, n_samples: int, seed: int = 0) -> Objective:
     weight layers are required and every width must be <= 64.  ``seed``
     (default 0) draws the data and the initial weights.  The matrix
     optimizers hold factors for the weights but not for the one-row biases,
-    which exercises their split treatment of parameters.  The analytic
-    gradient comes from manual backprop and exists for oracle use only.
+    which exercises their split treatment of parameters.  It has no analytic
+    gradient.
     """
     widths = tuple(int(w) for w in widths)
     if len(widths) < 3:
@@ -168,8 +169,7 @@ def make_mlp(widths, n_samples: int, seed: int = 0) -> Objective:
     centers = 2.0 * rng.standard_normal((n_classes, widths[0]))
     labels = np.arange(n_samples) % n_classes
     inputs = centers[labels] + 0.6 * rng.standard_normal((n_samples, widths[0]))
-    onehot = np.eye(n_classes)[labels]
-    true_class = onehot.astype(bool)
+    true_class = np.eye(n_classes, dtype=bool)[labels]
 
     blocks = {}
     for layer, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
@@ -177,41 +177,17 @@ def make_mlp(widths, n_samples: int, seed: int = 0) -> Objective:
         blocks[f"b{layer}"] = np.zeros((1, fan_out))
     n_layers = len(widths) - 1
 
-    def forward(x):
+    def loss_fn(x):
         h = inputs
-        hiddens = [h]
         for layer in range(n_layers):
             z = h @ x[f"w{layer}"] + x[f"b{layer}"]
             h = np.tanh(z) if layer < n_layers - 1 else z
-            hiddens.append(h)
-        return hiddens
-
-    def loss_from_logits(logits):
-        shifted = logits - logits.max(axis=1, keepdims=True)
+        shifted = h - h.max(axis=1, keepdims=True)
         logz = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
         return float(np.mean((logz - shifted)[true_class]))
-
-    def loss_fn(x):
-        return loss_from_logits(forward(x)[-1])
-
-    def gradient_fn(x):
-        hiddens = forward(x)
-        logits = hiddens[-1]
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        ez = np.exp(shifted)
-        probs = ez / ez.sum(axis=1, keepdims=True)
-        delta = (probs - onehot) / n_samples
-        grads = {}
-        for layer in range(n_layers - 1, -1, -1):
-            grads[f"w{layer}"] = hiddens[layer].T @ delta
-            grads[f"b{layer}"] = delta.sum(axis=0, keepdims=True)
-            if layer > 0:
-                delta = (delta @ x[f"w{layer}"].T) * (1.0 - hiddens[layer] ** 2)
-        return grads
 
     return Objective(
         name="mlp",
         loss_fn=loss_fn,
         initial_params=ParamSpace(blocks),
-        gradient_fn=gradient_fn,
     )

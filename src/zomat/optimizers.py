@@ -1,19 +1,20 @@
 """Step rules and run loops for the zeroth-order matrix optimizers.
 
 Every query-based optimizer takes the same :func:`step`, X <- X - eta * d,
-with d from one direction function over the ``_KINDS`` table.  A kind is a
-difference scheme (forward or central) and either no factor, for the
-full-space estimate, or a held m-by-r factor F per matrix block (min(m, n)
-> 1), for the held-factor estimate lifted back as F g:
+with d from one call of its scheme's held-factor estimate (``subspace_rge``
+forward, ``lge_lozo`` central).  A kind (``_KINDS``) is a scheme and either
+no factor, for the full-space estimate, or a held m-by-r factor F per
+matrix block (min(m, n) > 1), for the held-factor estimate lifted as F g:
 
-  - ``zo_sgd`` / ``mezo``: full-space forward / central estimate.
+  - ``zo_sgd`` / ``mezo``: no factor, full-space forward / central estimate.
   - ``subspace_mezo``: forward, F a column-orthonormal projection P, P g_Z.
   - ``zo_muon``: the same estimate whitened before the lift, P msign(g_Z).
   - ``lozo``: central, F a Gaussian left factor A, A g_B.
 
 A central kind costs 2 queries a step and needs ``n_queries`` = 1; a
-forward one costs ``n_queries`` + 1.  One-row and one-column blocks take
-the full-space estimate from the same shared queries.  The factors are
+forward one costs ``n_queries`` + 1.  A block without a factor (every block
+of a full-space kind, and the one-row and one-column blocks of the others)
+takes the full-space estimate from the same shared queries.  The factors are
 drawn once per resample epoch and held (:func:`_held_factors`).
 
 Seeds: a run owns one root seed.  The estimate stream is derived from
@@ -194,18 +195,13 @@ OPTIMIZER_KINDS = tuple(_KINDS)
 
 
 def _direction(kind, obj, x, cfg, state) -> dict:
-    """The step direction d of ``kind``: the full-space estimate, or the
-    held-factor estimate g lifted as F g (F msign(g) when whitened; allowed
-    but warned about at one query: a rank-one msign)."""
+    """The step direction d of ``kind`` from one call of its scheme's
+    held-factor estimate g, lifted as F g (F msign(g) when whitened) on each
+    block with a held factor F; a full-space kind holds none."""
     scheme, draw, whiten = _KINDS[kind]
     est_cfg = _estimator_config(state, cfg, scheme)
     seed, words = estimate_streams(state, cfg.n_queries, len(x.names))
-    if draw is None:
-        return estimators.rge_full(obj, x, est_cfg, seed, words)
-    if whiten and cfg.n_queries == 1:
-        warnings.warn("zo_muon with n_queries=1 reduces to a sign-scaled rank-one step; "
-                      "multi-query estimates are strongly recommended", stacklevel=3)
-    factors = _held_factors(state, cfg, x, draw)
+    factors = {} if draw is None else _held_factors(state, cfg, x, draw)
     estimate = estimators.subspace_rge if scheme == FORWARD else estimators.lge_lozo
     d = estimate(obj, x, factors, est_cfg, seed, words)
     for name, f in factors.items():
@@ -251,11 +247,16 @@ def run(obj, x0, cfg: OptimizerConfig, optimizer_kind: str, seed: int, eval_ever
     count of steps completed.
     Any error raised during the run carries the rows recorded before it as
     ``partial_trace`` and that count as ``steps``.  Deterministic for a fixed
-    seed except for the elapsed times.
+    seed except for the elapsed times.  A whitened kind at one query warns
+    once, before the first step.
     """
     check_kind(optimizer_kind, cfg)
-    if eval_every < 1:
-        raise ValueError("eval_every must be positive")
+    check_count("eval_every", eval_every, 1)
+    check_count("seed", seed, 0)
+    if _KINDS[optimizer_kind][2] and cfg.n_queries == 1:
+        warnings.warn(f"{optimizer_kind} with n_queries=1 steps along sign(c) P msign(D), which "
+                      "keeps only the sign of one finite difference; multi-query estimates are "
+                      "strongly recommended", stacklevel=2)
     state = OptimizerState(rng_root_seed=int(seed))
     x = x0.copy()
     start_queries = obj.query_count

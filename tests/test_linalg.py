@@ -104,6 +104,14 @@ class TestMsignSvd:
         with pytest.raises(ValueError, match="2-dimensional"):
             linalg.msign_svd(np.ones(3))
 
+    @pytest.mark.parametrize("scale", [1e308, 1e-170])
+    def test_norm_out_of_range_is_scaled_away(self, scale):
+        # the Frobenius norm overflows (1e308) or underflows to zero (1e-170)
+        # though every entry is finite and nonzero; msign is scale-invariant
+        signs = np.array([[1.0, -1.0, 1.0], [-1.0, 1.0, 1.0]])
+        assert np.array_equal(linalg.msign_svd(scale * signs), linalg.msign_svd(signs))
+        assert np.array_equal(linalg.msign_svd(scale * signs.T), linalg.msign_svd(signs.T))
+
 
 def msign_reference(g):
     """The SVD definition of msign: U[:, :k] V[:, :k]^T over the singular
@@ -198,6 +206,12 @@ class TestMsignNs:
 
     def test_zero_matrix(self):
         assert np.all(linalg.msign_ns(np.zeros((3, 5))) == 0.0)
+
+    @pytest.mark.parametrize("scale", [1e308, 1e-170])
+    def test_norm_out_of_range_is_scaled_away(self, scale):
+        signs = np.array([[1.0, -1.0, 1.0], [-1.0, 1.0, 1.0]])
+        assert np.array_equal(linalg.msign_ns(scale * signs), linalg.msign_ns(signs))
+        assert np.array_equal(linalg.msign_ns(scale * signs.T), linalg.msign_ns(signs.T))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_well_conditioned_matches_svd(self, seed):

@@ -128,22 +128,6 @@ class TestMlp:
         loss = obj.loss(obj.initial_params)
         assert abs(loss - np.log(4.0)) <= 0.2 * np.log(4.0)
 
-    def test_backprop_matches_finite_differences(self):
-        obj = objectives.make_mlp((5, 8, 4), n_samples=60, seed=1)
-        x = obj.initial_params
-        analytic = obj.analytic_gradient(x)
-        numeric = finite_diff_gradient(obj, x, mu=1e-5)
-        rng = np.random.default_rng(2)
-        checked = 0
-        names = list(x.names)
-        scale = max(np.max(np.abs(analytic[n])) for n in names)
-        while checked < 50:
-            name = names[rng.integers(len(names))]
-            idx = tuple(rng.integers(d) for d in x[name].shape)
-            a, f = analytic[name][idx], numeric[name][idx]
-            assert abs(a - f) <= 1e-4 * max(abs(a), 1e-3 * scale)
-            checked += 1
-
     def test_partition_weights_vs_biases(self):
         # a matrix method's step holds factors for the weights, not the biases
         obj = objectives.make_mlp((6, 10, 4), n_samples=40, seed=3)

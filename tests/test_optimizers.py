@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -214,7 +216,7 @@ class TestZoMuon:
             results.append(new_x["x"] - x["x"])
         assert np.max(np.abs(results[0] - results[1])) <= 1e-8
 
-    def test_single_query_warns_and_is_scale_free(self):
+    def test_single_query_is_scale_free(self):
         # at one query the direction is sign(coef) * P msign(Psi): the
         # magnitude of the finite difference cannot matter
         cfg = cfg_for(ZO_MUON, n_queries=1, rank=3)
@@ -222,12 +224,22 @@ class TestZoMuon:
         for scale in (1.0, 50.0):
             obj = quad_objective(shape=(8, 6), seed=5, scale=scale)
             x = obj.initial_params
-            with pytest.warns(UserWarning, match="n_queries=1"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # a step checks no config
                 new_x = optimizers.step(
                     ZO_MUON, obj, x, cfg, OptimizerState(rng_root_seed=7)
                 )
             deltas.append(new_x["x"] - x["x"])
         assert np.max(np.abs(deltas[0] - deltas[1])) <= 1e-8
+
+    def test_single_query_run_warns_once(self):
+        obj = quad_objective(shape=(8, 6), seed=5)
+        cfg = cfg_for(ZO_MUON, n_queries=1, total_steps=5)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run(obj, obj.initial_params, cfg, ZO_MUON, seed=0)
+        assert [str(w.message)[:24] for w in caught] == ["zo_muon with n_queries=1"]
+        assert caught[0].filename == __file__
 
     def test_vector_only_space_matches_forward_full_space_stepper(self):
         # with no matrix blocks the spectral machinery is inert and the
@@ -406,6 +418,19 @@ class TestRun:
         assert [rec.step for rec in result.records] == [0, 10, 20, 25]
         assert len(losses) == len(result.records)
         assert result.queries == 50
+
+    @pytest.mark.parametrize(
+        "name,value",
+        [("eval_every", 2.5), ("eval_every", 1.5), ("eval_every", True), ("eval_every", 0),
+         ("seed", 2.7), ("seed", True), ("seed", -1)],
+    )
+    def test_rejects_eval_every_and_seed_the_config_rejects(self, name, value):
+        # the same count rule as OptimizerConfig: an integer, not a bool
+        obj = quad_objective()
+        args = {"seed": 0, "eval_every": 1, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            run(obj, obj.initial_params, cfg_for(MEZO, total_steps=6), MEZO, **args)
+        assert obj.query_count == 0
 
     def test_divergence_on_final_step_raises_with_partial_trace(self):
         # evaluations around the start are finite; the single (final) step

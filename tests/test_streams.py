@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zomat import estimators, optimizers, streams
-from zomat.estimators import EstimatorConfig
+from zomat.estimators import CENTRAL, FORWARD, EstimatorConfig
 from zomat.objectives import Objective
 from zomat.optimizers import (
     LOZO,
@@ -196,17 +196,25 @@ class TestResume:
 
 
 class TestOneForwardLoop:
+    @pytest.mark.parametrize("scheme,n_queries,held_factor_estimate", [
+        pytest.param(FORWARD, 3, estimators.subspace_rge, id="forward"),
+        pytest.param(CENTRAL, 1, estimators.lge_lozo, id="central"),
+    ])
     @pytest.mark.parametrize("bulk", [False, True])
-    def test_full_estimate_is_subspace_estimate_without_projections(self, bulk):
-        # rge_full's forward scheme and subspace_rge with no projection run
-        # the same loop over the same draws
-        cfg = EstimatorConfig(mu=1e-3, n_queries=3)
+    def test_full_estimate_is_subspace_estimate_without_projections(
+        self, bulk, scheme, n_queries, held_factor_estimate
+    ):
+        # rge_full and its scheme's held-factor estimate (subspace_rge or
+        # lge_lozo) with no factor run the same loop over the same draws:
+        # the step of zo_sgd and of mezo
+        cfg = EstimatorConfig(mu=1e-3, n_queries=n_queries, scheme=scheme)
         seed = derive_seed(8, 1, 5)
-        words = streams.slot_words(np.array([seed], dtype=np.uint64), 3, 3)[0] if bulk else None
+        words = (streams.slot_words(np.array([seed], dtype=np.uint64), n_queries, 3)[0]
+                 if bulk else None)
         obj = mixed_objective()
         full = estimators.rge_full(obj, obj.initial_params, cfg, seed, words)
-        sub = estimators.subspace_rge(obj, obj.initial_params, {}, cfg, seed, words)
-        assert obj.query_count == 8
-        assert list(full) == list(sub) == ["a", "v", "b"]
+        held = held_factor_estimate(obj, obj.initial_params, {}, cfg, seed, words)
+        assert obj.query_count == 2 * (n_queries + 1)
+        assert list(full) == list(held) == ["a", "v", "b"]
         for name in full:
-            assert np.array_equal(full[name], sub[name])
+            assert np.array_equal(full[name], held[name])
