@@ -1,14 +1,41 @@
-"""Independent deterministic calls shared among forked worker processes.
+"""Forked helper processes: a batch of independent calls shared among CPUs,
+and a ring of rows that one helper fills ahead of this process.
 
-Workers are forked, not spawned: a spawned worker imports ``__main__``
-again, which re-runs a script that has no ``if __name__ == "__main__"``
-guard.
+Helpers are forked, not spawned: a spawned one imports ``__main__`` again,
+which re-runs a script that has no ``if __name__ == "__main__"`` guard.
+Each does only deterministic work whose result does not depend on which
+process made it, so output is the same on one CPU (``taskset -c 0``), where
+nothing is forked, as on many.
 """
 
 from __future__ import annotations
 
+import mmap
 import os
 import pickle
+
+#: True while :func:`in_parallel` shares a batch among processes: every CPU
+#: then has a batch process, so no :class:`Ring` helper starts beside them
+_batch = False
+#: Bytes a :class:`Ring` may map, about 1 MB: the pages its rows touch count
+#: toward the peak memory of this process as well as the helper's.
+RING_BYTES = 1 << 20
+#: Passes of a busy wait between two ``os.sched_yield()`` calls
+_SPINS = 64
+#: Start of the ring's rows; the two counters before them sit on cache lines
+#: of their own (int64 indices 0 and 8 of the map)
+_HEADER = 128
+_FILLED, _DONE = 0, 8
+#: Whether this CPU keeps stores and loads in program order, which the
+#: ring's plain counters need (x86)
+_X86 = hasattr(os, "uname") and os.uname().machine in ("x86_64", "amd64", "i386", "i686")
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on, or 1 when it cannot fork or ask."""
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return 1
 
 
 def in_parallel(calls) -> list:
@@ -25,14 +52,16 @@ def in_parallel(calls) -> list:
     Everything runs here when ``os.fork`` or ``os.sched_getaffinity`` is
     missing, when one CPU is usable, or when there is one call.  What a
     call changes in this process's objects (an objective's query count)
-    changes only in the process that ran it.
+    changes only in the process that ran it.  While workers run, here and
+    in them, :data:`_batch` is set, so no call starts a :class:`Ring`.
     """
+    global _batch
     calls = list(calls)
-    can_fork = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-    n = min(len(os.sched_getaffinity(0)), len(calls)) if can_fork else 1
+    n = min(_usable_cpus(), len(calls))
     if n < 2:
         return [call() for call in calls]
     results, sources, pids = {}, [], []
+    _batch = True
     try:
         for j in range(1, n):
             source, sink = os.pipe()
@@ -66,9 +95,111 @@ def in_parallel(calls) -> list:
                 except (EOFError, pickle.UnpicklingError):  # a worker that raised or died
                     pass
     finally:
+        _batch = False
         for fd in sources:
             os.close(fd)
         for pid in pids:
             os.kill(pid, 9)  # SIGKILL: a no-op for a worker that has finished
             os.waitpid(pid, 0)
     return [results[i] if i in results else calls[i]() for i in range(len(calls))]
+
+
+class Ring:
+    """Rows of a shared anonymous memory map that one forked helper process
+    fills, in item order, ahead of this process.
+
+    The helper calls ``fill(i, j, row)`` for items i = 0, 1, ..., with j =
+    i mod :attr:`n_rows` and ``row`` the bytes of ring row j, and counts the
+    items it has filled; :meth:`wait` counts the items this process is done
+    with.  So the helper runs at most ``n_rows`` items ahead and never
+    writes a row that is being read.  Both sides wait by spinning on the two
+    counters: waking a blocked process cost about 2 ms on a two-CPU VM,
+    more than most optimizer steps.  Every ``_SPINS`` passes each side
+    yields its CPU, so a machine with more processes than CPUs still
+    progresses, and looks at the other side: the helper exits once its
+    parent has changed (this process died), which it also checks once per
+    lap of the ring, and :meth:`wait` reports a helper that died before it
+    filled the item.  The counters are plain stores, which only a CPU that
+    keeps stores and loads in program order (x86) makes safe to read across
+    processes, so elsewhere no helper starts.  The map is unmapped once no
+    view of a row is left.
+    """
+
+    def __init__(self, n_rows, row_bytes):
+        self.n_rows = n_rows
+        self._row_bytes = row_bytes
+        self._map = mmap.mmap(-1, _HEADER + n_rows * row_bytes)
+        self._counts = memoryview(self._map)[:_HEADER].cast("q")
+        self._pid = 0
+        self._next = 0
+
+    @classmethod
+    def start(cls, fill, n_items: int, row_bytes: int):
+        """A ring whose helper fills ``n_items`` items of ``row_bytes`` each,
+        or None where none can start: without ``os.fork``, with fewer than
+        two usable CPUs, inside an :func:`in_parallel` batch, off x86, when
+        fewer than two rows fit in :data:`RING_BYTES`, or when the fork
+        fails."""
+        n_rows = min(n_items, RING_BYTES // row_bytes)
+        if _batch or not _X86 or n_rows < 2 or _usable_cpus() < 2:
+            return None
+        ring, parent = cls(n_rows, row_bytes), os.getpid()
+        try:
+            ring._pid = os.fork()
+        except OSError:  # out of processes: the caller draws inline
+            return None
+        if ring._pid == 0:
+            status = 1
+            try:
+                ring._fill(fill, n_items, parent)
+                status = 0
+            finally:
+                os._exit(status)  # never return into the caller's frames
+        return ring
+
+    def row(self, j: int) -> memoryview:
+        """The bytes of ring row j."""
+        start = _HEADER + j * self._row_bytes
+        return memoryview(self._map)[start : start + self._row_bytes]
+
+    def _fill(self, fill, n_items, parent):
+        counts, spins = self._counts, 0
+        for i in range(n_items):
+            j = i % self.n_rows
+            if j == 0 and os.getppid() != parent:  # once a lap, for a helper that never waits
+                return
+            while i - counts[_DONE] >= self.n_rows:
+                spins += 1
+                if spins % _SPINS == 0:
+                    os.sched_yield()
+                    if os.getppid() != parent:
+                        return
+            fill(i, j, self.row(j))
+            counts[_FILLED] = i + 1
+
+    def wait(self, i: int):
+        """Ring row holding item i once the helper has filled it, marking the
+        items before i done; None when the helper died before filling it,
+        or when i is not the item after the last one asked for."""
+        if i != self._next:
+            return None
+        self._next += 1
+        counts = self._counts
+        counts[_DONE] = i
+        spins = 0
+        while counts[_FILLED] <= i:
+            spins += 1
+            if spins % _SPINS == 0:
+                os.sched_yield()
+                if self._pid and os.waitpid(self._pid, os.WNOHANG)[0]:
+                    self._pid = 0  # died, and reaped
+                if not self._pid and counts[_FILLED] <= i:
+                    return None
+        return i % self.n_rows
+
+    def close(self):
+        """Stop the helper, if it still runs, and reap it."""
+        if self._pid:
+            os.kill(self._pid, 9)  # SIGKILL: a no-op for a helper that has finished
+            os.waitpid(self._pid, 0)
+            self._pid = 0

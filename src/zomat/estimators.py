@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import ParamSpace
-from .streams import gaussian, perturbation
+from .streams import perturbation, slot_gaussian
 
 FORWARD = "forward"
 CENTRAL = "central"
@@ -116,7 +116,7 @@ def _estimate(obj, x, factors, cfg, seed, words):
     for i in range(cfg.n_queries):
         deltas = {
             name: perturbation(seed, i, x.index(name), shape) if words is None
-            else gaussian(words[i, x.index(name)], shape)
+            else slot_gaussian(words[i, x.index(name)], shape)
             for name, shape in draws.items()
         }
         steps = {name: mu * (factors[name] @ d if name in factors else d)

@@ -25,14 +25,15 @@ Configs are flat INI-style key-value text with one section per optimizer:
 A key left out takes the default of the parameter it feeds; one without a
 default is required.  Unknown sections (anything but ``[experiment]``,
 ``[objective]``, ``[optimizer]`` and ``[optimizer:<label>]``), unknown or
-missing keys, bad values (a negative seed, a fractional ``m``) and per-kind
-constraints (mezo's single query) are rejected with a :class:`ConfigError`
-naming the section and the key, with a did-you-mean where one is close.  The
-config objects cast and check their fields when built, so a config built in
-code or changed with ``dataclasses.replace`` is checked as a parsed one is.
-Values are literal: a ``%`` is not interpolated.  :func:`config_to_ini`
-writes a config back as text that parses to an equal one; both directions
-read the same field tables.
+missing keys, bad values (a negative seed, a fractional ``m``, a name or
+label that is not a file name) and per-kind constraints (mezo's single
+query) are rejected with a :class:`ConfigError` naming the section and the
+key, with a did-you-mean where one is close.  The config objects cast and
+check their fields when built, so a config built in code or changed with
+``dataclasses.replace`` is checked as a parsed one is.  Values are literal:
+a ``%`` is not interpolated.  :func:`config_to_ini` writes a config back as
+text that parses to an equal one; both directions read the same field
+tables.
 
 Every optimizer's step count is derived from the shared query budget and its
 per-step query cost, so compared runs consume (up to remainder) the same
@@ -110,6 +111,8 @@ class OptimizerEntry:
     config: OptimizerConfig
 
     def __post_init__(self):
+        label = _cast(f"optimizer:{self.label}", "label", self.label, _file_name)
+        object.__setattr__(self, "label", label)
         try:
             check_kind(self.kind, self.config)
         except ValueError as exc:
@@ -161,6 +164,15 @@ def _float_list(raw):
     if not all(map(math.isfinite, values)):
         raise ValueError("entries must be finite")
     return values
+
+
+def _file_name(raw):
+    """A name that output file names are made of: no path separator or NUL,
+    and not ``.`` or ``..``."""
+    name = str(raw)
+    if name in (".", "..") or any(c in name for c in "/\\\0"):
+        raise ValueError("must be a file name: no '/', '\\' or NUL, and not '.' or '..'")
+    return name
 
 
 def _int_at_least(low):
@@ -220,7 +232,7 @@ def _reject_unknown_sections(parser, origin):
 
 #: [experiment]: ExperimentConfig's fields but its objective and optimizers
 _EXPERIMENT_FIELDS = {
-    "name": str, "seed": _int_at_least(0), "query_budget": _int_at_least(0),
+    "name": _file_name, "seed": _int_at_least(0), "query_budget": _int_at_least(0),
     "eval_every": _int_at_least(1), "out_dir": str, "loss_threshold_fractions": _float_list,
 }
 

@@ -26,6 +26,14 @@ any step takes the steps of a continuous one, and blocks never share a
 stream.  The estimate seeds and their slot words are derived in bulk, a
 chunk of steps at a time (:func:`zomat.streams.slot_table`), with the
 values of the scalar :func:`derive_seed` and ``perturbation``.
+
+A :func:`run` of at least ``streams.CHUNK`` steps uses one helper process
+when it can (``os.fork``, two usable CPUs, no ``_parallel.in_parallel``
+batch running): the helper draws each step's estimate Gaussians ahead into
+shared memory from the same slot words (:func:`zomat.streams.ahead_table`),
+so the trace is identical to a run that draws them itself, as every run
+does under ``taskset -c 0``.  The helper is reaped when the run ends, and
+exits by itself if this process dies.
 """
 
 from __future__ import annotations
@@ -111,7 +119,8 @@ class OptimizerState:
 
 def estimate_streams(state: OptimizerState, n_queries: int, n_blocks: int):
     """Seed ``derive_seed(root, tag, step)`` of the current step's estimate and
-    the PCG64 words of its (query, block) slots."""
+    the PCG64 words of its (query, block) slots, or their draws when a helper
+    process made them ahead (:func:`_draw_ahead`)."""
     root = state.rng_root_seed
     seed, words = state.constant(
         (_TAG_ESTIMATE, root, n_queries, n_blocks),
@@ -236,6 +245,24 @@ def steps_for_budget(kind: str, cfg: OptimizerConfig, query_budget: int) -> int:
     return max(query_budget, 0) // queries_per_step(kind, cfg)
 
 
+def _draw_ahead(kind, x, cfg, state):
+    """Have one helper process draw the run's estimate slots ahead, in the
+    shapes the estimate draws them (:func:`zomat.streams.ahead_table`), and
+    return its ring to close; None when the run draws them itself, as a run
+    of fewer than ``streams.CHUNK`` steps does."""
+    if cfg.total_steps < streams.CHUNK:
+        return None
+    draw = _KINDS[kind][1]
+    factors = {} if draw is None else _held_factors(state, cfg, x, draw)
+    shapes = list(estimators._draw_shapes(x, factors).values())
+    root = state.rng_root_seed
+    ahead = streams.ahead_table((root, _TAG_ESTIMATE), cfg.n_queries, shapes, cfg.total_steps)
+    if ahead is None:
+        return None
+    state.constants[(_TAG_ESTIMATE, root, cfg.n_queries, len(shapes))] = ahead[0]
+    return ahead[1]
+
+
 def run(obj, x0, cfg: OptimizerConfig, optimizer_kind: str, seed: int, eval_every: int = 1) -> RunResult:
     """Execute ``cfg.total_steps`` steps of one optimizer and trace the loss.
 
@@ -247,8 +274,10 @@ def run(obj, x0, cfg: OptimizerConfig, optimizer_kind: str, seed: int, eval_ever
     count of steps completed.
     Any error raised during the run carries the rows recorded before it as
     ``partial_trace`` and that count as ``steps``.  Deterministic for a fixed
-    seed except for the elapsed times.  A whitened kind at one query warns
-    once, before the first step.
+    seed except for the elapsed times, whether or not a helper process draws
+    the Gaussians (:func:`_draw_ahead`); the helper is gone when this returns
+    or raises.  A whitened kind at one query warns once, before the first
+    step.
     """
     check_kind(optimizer_kind, cfg)
     check_count("eval_every", eval_every, 1)
@@ -261,6 +290,7 @@ def run(obj, x0, cfg: OptimizerConfig, optimizer_kind: str, seed: int, eval_ever
     x = x0.copy()
     start_queries = obj.query_count
     records = []
+    ring = None
     t0 = time.perf_counter()
 
     def record(elapsed_ms):
@@ -272,6 +302,7 @@ def run(obj, x0, cfg: OptimizerConfig, optimizer_kind: str, seed: int, eval_ever
     try:
         if cfg.total_steps > 0:
             record(0.0)
+        ring = _draw_ahead(optimizer_kind, x, cfg, state)
         while state.step < cfg.total_steps:
             x = step(optimizer_kind, obj, x, cfg, state)
             if state.step % eval_every == 0 or state.step == cfg.total_steps:
@@ -283,6 +314,9 @@ def run(obj, x0, cfg: OptimizerConfig, optimizer_kind: str, seed: int, eval_ever
         exc.partial_trace = tuple(records)
         exc.steps = state.step
         raise
+    finally:
+        if ring is not None:
+            ring.close()
     return RunResult(
         records=tuple(records),
         final_params=x,

@@ -17,13 +17,26 @@ columns of entropy tuples, :func:`slot_words` gives the PCG64 seed words of
 every (query, block) slot of many seeds at once, :func:`gaussian` draws from
 such words without hashing again, and :func:`slot_table` derives them a
 chunk of steps at a time.  The values are bit-identical to the scalar path.
+
+What a step draws can also be drawn ahead: :func:`ahead_table` is a
+:func:`slot_table` whose rows carry each slot's Gaussian in place of its
+words, written into a shared-memory ring by one forked helper process
+(:class:`zomat._parallel.Ring`) that derives the same words and draws
+``gaussian(words[i, b], shape)`` from them.  :func:`slot_gaussian` takes
+either kind of slot, so a run's draws are the same values whether the
+helper made them or this process did; where no helper can start (one usable
+CPU, as under ``taskset -c 0``) every draw is made here.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from numpy.random import PCG64, Generator
 from numpy.random.bit_generator import ISeedSequence
+
+from . import _parallel
 
 # SeedSequence's hash constants (numpy/random/bit_generator.pyx).
 _POOL_SIZE = 4
@@ -45,6 +58,8 @@ PCG64_WORDS = 4
 #: temporaries grow with the chunk (about 1 MB at 1,024 steps of 4 slots), so
 #: 256 keeps both the per-step share and the added peak memory small.
 CHUNK = 256
+#: Bytes of a cache line; each part of an :func:`ahead_table` row starts on one
+_LINE = 64
 
 
 def derive_seed(*parts) -> int:
@@ -198,6 +213,13 @@ def gaussian(words, shape) -> np.ndarray:
     return Generator(PCG64(_PresetWords(words))).standard_normal(shape)
 
 
+def slot_gaussian(slot, shape) -> np.ndarray:
+    """The standard Gaussian of one (query, block) slot in ``shape``: drawn
+    from ``slot``, the slot's uint64 PCG64 words, or ``slot`` itself when it
+    is that draw, made ahead from the same words (:func:`ahead_table`)."""
+    return slot if slot.dtype == np.float64 else gaussian(slot, shape)
+
+
 def slot_table(prefix: tuple, n_queries: int, n_blocks: int):
     """Function of an index ``i`` that returns ``(derive_seed(*prefix, i),
     words)``, with ``words`` the :func:`slot_words` of that seed.
@@ -217,3 +239,61 @@ def slot_table(prefix: tuple, n_queries: int, n_blocks: int):
         return seeds[i - start], words[i - start]
 
     return row
+
+
+def _lines(n_bytes: int) -> int:
+    return -(-n_bytes // _LINE) * _LINE
+
+
+def _row_views(row, n_queries: int, shapes):
+    """One step's seed (a one-entry uint64 array) and its draws, {(query,
+    block): float64 array of the block's shape}, over the bytes ``row``."""
+    seed, draws, offset = np.frombuffer(row, np.uint64, 1), {}, _LINE
+    for i in range(n_queries):
+        for b, shape in enumerate(shapes):
+            size = math.prod(shape)
+            draws[i, b] = np.frombuffer(row, np.float64, size, offset).reshape(shape)
+            offset += _lines(8 * size)
+    return seed, draws
+
+
+def ahead_table(prefix: tuple, n_queries: int, shapes, n_steps: int):
+    """``(table, ring)``: a :func:`slot_table` row function for steps 0, 1,
+    ..., ``n_steps`` - 1, read in that order, whose ``words`` are the draws
+    of the steps' (query, block) slots, block b in ``shapes[b]``; and the
+    :class:`zomat._parallel.Ring` whose helper process draws them ahead, for
+    the caller to close; None where no helper can start.  From a step the
+    helper did not draw (it died, or a step was read out of order) on, the
+    table gives the steps' slot words, and the caller draws from them as it
+    would without a helper."""
+    row_bytes = _LINE + n_queries * sum(_lines(8 * math.prod(s)) for s in shapes)
+    words_of = slot_table(prefix, n_queries, len(shapes))
+    filled = {}
+
+    def fill(i, j, row):  # in the helper: step i into ring row j
+        if j not in filled:
+            filled[j] = _row_views(row, n_queries, shapes)
+        seed, draws = filled[j]
+        seed[0], words = words_of(i)
+        for (q, b), draw in draws.items():
+            draw[...] = gaussian(words[q, b], draw.shape)
+
+    ring = _parallel.Ring.start(fill, n_steps, row_bytes)
+    if ring is None:
+        return None
+    views, inline = {}, False
+
+    def table(i: int) -> tuple:
+        nonlocal inline
+        j = None if inline else ring.wait(i)
+        if j is None:
+            inline = True
+            return words_of(i)
+        if j not in views:
+            views[j] = _row_views(ring.row(j), n_queries, shapes)
+            for draw in views[j][1].values():
+                draw.flags.writeable = False
+        seed, draws = views[j]
+        return seed[0], draws
+
+    return table, ring

@@ -109,6 +109,39 @@ class TestParsing:
         assert exp.optimizers[1].kind == "zo_muon"
         assert exp.optimizers[1].label == "zo_muon"
 
+    @pytest.mark.parametrize("name", ["../escaped", "a/b", "a\\b", "..", "."])
+    def test_experiment_name_must_be_a_file_name(self, name):
+        text = TINY_CONFIG.replace("name = tiny", f"name = {name}")
+        with pytest.raises(ConfigError, match=r"^\[experiment\] field 'name' .*file name"):
+            parse_config_text(text)
+
+    @pytest.mark.parametrize("label", ["sub/zo_muon", "a\\b", "..", "."])
+    def test_optimizer_label_must_be_a_file_name(self, label):
+        text = TINY_CONFIG.replace("[optimizer:spectral]", f"[optimizer:{label}]")
+        message = rf"^\[optimizer:{re.escape(label)}\] field 'label' .*file name"
+        with pytest.raises(ConfigError, match=message):
+            parse_config_text(text)
+
+    @pytest.mark.parametrize("name", ["../escaped", "a\\b", "nul\0", ".."])
+    def test_code_built_names_must_be_file_names(self, name):
+        exp = parse_config_text(TINY_CONFIG)
+        with pytest.raises(ConfigError, match=r"^\[experiment\] field 'name'"):
+            dataclasses.replace(exp, name=name)
+        entry = exp.optimizers[0]
+        with pytest.raises(ConfigError, match=r"field 'label'"):
+            OptimizerEntry(label=name, kind=entry.kind, config=entry.config)
+
+    @pytest.mark.parametrize("old, new", [
+        ("name = tiny", "name = ../escaped"),
+        ("[optimizer:spectral]", "[optimizer:sub/zo_muon]"),
+    ])
+    def test_rejected_names_write_nothing(self, old, new, tmp_path):
+        # rejected at parse time, before any optimizer runs or any file is written
+        path = tmp_path / "bad.ini"
+        path.write_text(TINY_CONFIG.replace(old, new))
+        assert cli.main(["run", str(path), "--out-dir", str(tmp_path / "a" / "out")]) == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.ini"]
+
     def test_missing_experiment_section(self):
         with pytest.raises(ConfigError, match=r"missing \[experiment\]"):
             parse_config_text("[objective]\nkind = quadratic\n")
@@ -325,6 +358,8 @@ class TestParsing:
 
 #: single-line values without inline-comment markers, '%' included
 _words = st.text("abcXYZ019_-.%()/", min_size=1, max_size=12)
+#: experiment names and optimizer labels: file names, so no '/', '.' or '..'
+_names = st.text("abcXYZ019_-.%()", min_size=1, max_size=12).filter(lambda w: w not in (".", ".."))
 _magnitudes = st.floats(min_value=1e-300, max_value=1e300)
 _signed = _magnitudes | _magnitudes.map(lambda v: -v)
 _counts = st.integers(0, 10**6)
@@ -367,9 +402,9 @@ def _optimizer_entry(draw, label):
 
 @st.composite
 def experiment_configs(draw):
-    labels = draw(st.lists(_words, min_size=1, max_size=4, unique=True))
+    labels = draw(st.lists(_names, min_size=1, max_size=4, unique=True))
     return ExperimentConfig(
-        name=draw(_words),
+        name=draw(_names),
         seed=draw(_counts),
         query_budget=draw(_counts),
         objective=draw(_objective_specs),

@@ -3,17 +3,26 @@
 ``streams.seed_states`` must equal ``SeedSequence(row).generate_state`` row
 by row, and every table the step loop reads must give the same seeds and
 draws as ``derive_seed`` and ``perturbation``, on both sides of a chunk
-boundary and at any step a stepper is entered.
+boundary and at any step a stepper is entered, whether this process draws
+them or a helper process draws them ahead.
 """
+
+import os
+import select
+import signal
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zomat import estimators, optimizers, streams
+from zomat import _parallel, estimators, optimizers, streams
+from zomat._parallel import in_parallel
 from zomat.estimators import CENTRAL, FORWARD, EstimatorConfig
-from zomat.objectives import Objective
+from zomat.objectives import EvaluationError, Objective
 from zomat.optimizers import (
     LOZO,
     MEZO,
@@ -27,6 +36,8 @@ from zomat.optimizers import (
 from zomat.params import ParamSpace
 from zomat.streams import CHUNK, derive_seed, perturbation
 
+#: every kind, at a query count it can run
+KIND_QUERIES = [(ZO_SGD, 2), (MEZO, 1), (SUBSPACE_MEZO, 2), (LOZO, 1), (ZO_MUON, 3)]
 #: values at the word-count edges of SeedSequence's int coercion
 EDGES = (0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1)
 word = st.one_of(st.sampled_from(EDGES), st.integers(0, 2**64 - 1))
@@ -139,10 +150,7 @@ class TestStepTables:
             seed, _ = optimizers.estimate_streams(state, 1, 1)
             assert seed == derive_seed(11, optimizers._TAG_ESTIMATE, step)
 
-    @pytest.mark.parametrize(
-        "kind, n_queries",
-        [(ZO_SGD, 2), (MEZO, 1), (SUBSPACE_MEZO, 2), (LOZO, 1), (ZO_MUON, 3)],
-    )
+    @pytest.mark.parametrize("kind, n_queries", KIND_QUERIES)
     def test_run_across_chunk_boundary_equals_scalar_streams(self, kind, n_queries, monkeypatch):
         cfg = OptimizerConfig(
             learning_rate=1e-3, n_queries=n_queries, rank=2, resample_interval=50,
@@ -218,3 +226,214 @@ class TestOneForwardLoop:
         assert list(full) == list(held) == ["a", "v", "b"]
         for name in full:
             assert np.array_equal(full[name], held[name])
+
+
+def _fork_log(monkeypatch):
+    """Replace ``os.fork`` with one that logs the child pid of every fork made
+    in this process."""
+    pids, fork = [], os.fork
+
+    def logged_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", logged_fork)
+    return pids
+
+
+def _draws_here(monkeypatch):
+    """Count the Gaussians drawn from slot words in this process."""
+    draws, gaussian = [], streams.gaussian
+
+    def counted(*args, **kwargs):
+        draws.append(1)
+        return gaussian(*args, **kwargs)
+
+    monkeypatch.setattr(streams, "gaussian", counted)
+    return draws
+
+
+def _cpus(monkeypatch, n):
+    # two stand for a helper's CPU even where only one is real: the helper
+    # and this process then share it, each yielding it while it waits
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def failing_objective(after, value):
+    """The mixed objective, whose evaluations after the first ``after``
+    return ``value`` (a float) or raise it (an exception)."""
+    obj = mixed_objective()
+    loss, calls = obj._loss_fn, []
+
+    def failing(x):
+        calls.append(1)
+        if len(calls) <= after:
+            return loss(x)
+        if isinstance(value, Exception):
+            raise value
+        return value
+
+    obj._loss_fn = failing
+    return obj
+
+
+def _trace(result):
+    return [(r.step, r.queries, r.loss) for r in result.records]
+
+
+x86 = pytest.mark.skipif(not _parallel._X86, reason="no helper starts off x86")
+
+
+@x86
+class TestDrawAhead:
+    """``optimizers.run`` has one helper process draw its estimate slots
+    ahead where two CPUs are usable; its runs must equal inline ones."""
+
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def _run(self, kind, n_queries, obj=None, steps=CHUNK + 3):
+        cfg = OptimizerConfig(learning_rate=1e-3, n_queries=n_queries, rank=2,
+                              resample_interval=50, total_steps=steps)
+        obj = obj or mixed_objective()
+        return run(obj, obj.initial_params, cfg, kind, seed=4, eval_every=CHUNK // 4)
+
+    @pytest.mark.parametrize("kind, n_queries", KIND_QUERIES)
+    def test_helper_run_equals_inline_run(self, kind, n_queries, monkeypatch):
+        # a ring of 7 rows is reused 37 times in 259 steps, across the
+        # chunk boundary of the slot words at step 256
+        monkeypatch.setattr(_parallel, "RING_BYTES", 7 * 1024)
+        with monkeypatch.context() as m:
+            _cpus(m, 1)
+            inline = self._run(kind, n_queries)
+        _cpus(monkeypatch, 2)
+        forks, drawn_here = _fork_log(monkeypatch), _draws_here(monkeypatch)
+        ahead = self._run(kind, n_queries)
+        assert len(forks) == 1 and drawn_here == []  # the helper drew every slot
+        assert ahead.records and _trace(ahead) == _trace(inline)
+        for name in inline.final_params.names:
+            assert np.array_equal(ahead.final_params[name], inline.final_params[name])
+
+    def test_ring_rows_hold_the_inline_draws(self, monkeypatch):
+        _cpus(monkeypatch, 2)
+        shapes = [(2, 3), (4, 1), (2, 5)]
+        table, ring = streams.ahead_table((9, 1), 2, shapes, CHUNK + 2)
+        try:
+            for step in range(CHUNK + 2):
+                seed, draws = table(step)
+                assert seed == derive_seed(9, 1, step)
+                for (i, b), draw in draws.items():
+                    assert np.array_equal(draw, perturbation(seed, i, b, shapes[b]))
+                    assert not draw.flags.writeable
+        finally:
+            ring.close()
+
+    def test_short_run_draws_inline(self, monkeypatch):
+        _cpus(monkeypatch, 2)
+        forks = _fork_log(monkeypatch)
+        self._run(MEZO, 1, steps=CHUNK - 1)
+        assert forks == []
+
+    def test_a_killed_helper_leaves_the_trace_unchanged(self, monkeypatch):
+        # a ring of 3 rows: the helper is never more than 3 steps ahead
+        monkeypatch.setattr(_parallel, "RING_BYTES", 3 * 1024)
+        with monkeypatch.context() as m:
+            _cpus(m, 1)
+            inline = self._run(ZO_MUON, 3, steps=2 * CHUNK)
+        _cpus(monkeypatch, 2)
+        forks, drawn_here = _fork_log(monkeypatch), _draws_here(monkeypatch)
+        obj = mixed_objective()
+        loss, calls = obj._loss_fn, []
+
+        def kill_helper_midway(x):
+            calls.append(1)
+            if len(calls) == 4 * CHUNK:  # near step 128 of 512, at 4 queries a step
+                os.kill(forks[0], signal.SIGKILL)
+            return loss(x)
+
+        obj._loss_fn = kill_helper_midway
+        ahead = self._run(ZO_MUON, 3, obj=obj, steps=2 * CHUNK)
+        assert len(forks) == 1
+        # this process drew the slots of the steps the helper did not reach
+        assert 0 < len(drawn_here) < 2 * CHUNK * 3 * 3
+        assert _trace(ahead) == _trace(inline)
+
+    @pytest.mark.parametrize("value, error", [
+        (float("nan"), EvaluationError), (RuntimeError("boom"), RuntimeError),
+    ], ids=["diverged", "raised"])
+    def test_a_failed_run_reaps_its_helper(self, value, error, monkeypatch):
+        # a ring of 3 rows: the helper still runs, waiting, when the run fails
+        monkeypatch.setattr(_parallel, "RING_BYTES", 3 * 1024)
+        _cpus(monkeypatch, 2)
+        forks = _fork_log(monkeypatch)
+        with pytest.raises(error) as info:
+            self._run(MEZO, 1, obj=failing_objective(CHUNK, value))
+        assert len(forks) == 1 and 0 < info.value.steps < CHUNK // 2
+
+    def test_no_helper_inside_a_batch(self, monkeypatch):
+        _cpus(monkeypatch, 2)
+        forks = _fork_log(monkeypatch)
+
+        def forks_during_a_run():
+            before = len(forks)
+            self._run(SUBSPACE_MEZO, 2)
+            return len(forks) - before
+
+        assert in_parallel([forks_during_a_run, forks_during_a_run]) == [0, 0]
+        assert len(forks) == 1  # the batch's worker, no helper
+        assert forks_during_a_run() == 1  # and one once the batch is over
+
+
+HELPER_LEFT_BEHIND = """
+import os
+import numpy as np
+from zomat import optimizers
+from zomat.objectives import Objective
+from zomat.params import ParamSpace
+
+os.sched_getaffinity = lambda pid: {0, 1}
+fork = os.fork
+
+def announced_fork():
+    pid = fork()
+    if pid:
+        print(pid, flush=True)
+    return pid
+
+os.fork = announced_fork
+obj = Objective("q", lambda x: float(np.sum(x["x"] ** 2)), ParamSpace({"x": np.ones((4, 4))}))
+cfg = optimizers.OptimizerConfig(learning_rate=1e-6, total_steps=10**8)
+optimizers.run(obj, obj.initial_params, cfg, optimizers.MEZO, seed=0, eval_every=10**8)
+"""
+
+
+def _alive(pid):
+    """Whether process ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@x86
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads /proc")
+def test_a_killed_caller_leaves_no_helper_behind():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    caller = subprocess.Popen([sys.executable, "-c", HELPER_LEFT_BEHIND], env=env,
+                              stdout=subprocess.PIPE, text=True)
+    try:
+        assert select.select([caller.stdout], [], [], 60)[0], "no helper started in 60 s"
+        helper = int(caller.stdout.readline())
+        assert _alive(helper)
+    finally:
+        caller.kill()
+        caller.wait()
+        caller.stdout.close()
+    time.sleep(1.0)
+    assert not _alive(helper)
