@@ -13,6 +13,7 @@ from __future__ import annotations
 import mmap
 import os
 import pickle
+import time
 
 #: True while :func:`in_parallel` shares a batch among processes: every CPU
 #: then has a batch process, so no :class:`Ring` helper starts beside them
@@ -22,6 +23,21 @@ _batch = False
 RING_BYTES = 1 << 20
 #: Passes of a busy wait between two ``os.sched_yield()`` calls
 _SPINS = 64
+#: Seconds of wall time over which each side of a :class:`Ring` measures the
+#: share of a CPU it got (:func:`_starved`)
+_WINDOW = 0.1
+#: Share of a CPU below which a side of a :class:`Ring` stops it.  On a
+#: two-CPU VM, a forked process and its parent, both spinning, each got at
+#: least 0.9 of a CPU in every 0.1-s window (304 windows); with a third busy
+#: process each got 0.5-0.7.  There, two race runs at once, each with a
+#: helper that never stopped, took 20% longer than two runs without one.
+_MIN_SHARE = 0.75
+#: Seconds after a :class:`Ring` stopped early during which no other starts,
+#: so a process whose CPUs stay shared stops a ring every few seconds, not
+#: one per optimizer run
+_BACKOFF = 10.0
+#: ``time.perf_counter()`` before which no :class:`Ring` starts
+_resume = 0.0
 #: Start of the ring's rows; the two counters before them sit on cache lines
 #: of their own (int64 indices 0 and 8 of the map)
 _HEADER = 128
@@ -36,6 +52,33 @@ def _usable_cpus() -> int:
     if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return 1
+
+
+def _this_cpu():
+    """The CPU this process runs on (field 39 of ``/proc/self/stat``), or
+    None where that cannot be read."""
+    try:
+        with open("/proc/self/stat", "rb") as fh:
+            return int(fh.read().rsplit(b")", 1)[1].split()[36])
+    except (OSError, ValueError, IndexError):
+        return None
+
+
+def _clocks() -> list:
+    return [time.perf_counter(), time.thread_time()]
+
+
+def _starved(mark: list) -> bool:
+    """Whether this thread ran for less than :data:`_MIN_SHARE` of the wall
+    time since ``mark``, a ``[wall, cpu]`` pair of clock readings that moves
+    on each time :data:`_WINDOW` has passed; False within a window."""
+    wall = time.perf_counter()
+    if wall - mark[0] < _WINDOW:
+        return False
+    cpu = time.thread_time()
+    share = (cpu - mark[1]) / (wall - mark[0])
+    mark[:] = wall, cpu
+    return share < _MIN_SHARE
 
 
 def in_parallel(calls) -> list:
@@ -119,10 +162,15 @@ class Ring:
     progresses, and looks at the other side: the helper exits once its
     parent has changed (this process died), which it also checks once per
     lap of the ring, and :meth:`wait` reports a helper that died before it
-    filled the item.  The counters are plain stores, which only a CPU that
-    keeps stores and loads in program order (x86) makes safe to read across
-    processes, so elsewhere no helper starts.  The map is unmapped once no
-    view of a row is left.
+    filled the item.  Spinning only pays while each side has a CPU to
+    itself, so each also measures, once a lap and at each yield, the share
+    of a CPU it got over the last :data:`_WINDOW` seconds; below
+    :data:`_MIN_SHARE` the ring stops (the helper exits, or this process
+    stops it), the caller makes the remaining items itself, and no other
+    ring starts for :data:`_BACKOFF` seconds.  The counters are plain
+    stores, which only a CPU that keeps stores and loads in program order
+    (x86) makes safe to read across processes, so elsewhere no helper
+    starts.  The map is unmapped once no view of a row is left.
     """
 
     def __init__(self, n_rows, row_bytes):
@@ -132,18 +180,20 @@ class Ring:
         self._counts = memoryview(self._map)[:_HEADER].cast("q")
         self._pid = 0
         self._next = 0
+        self._mark = _clocks()
 
     @classmethod
     def start(cls, fill, n_items: int, row_bytes: int):
         """A ring whose helper fills ``n_items`` items of ``row_bytes`` each,
         or None where none can start: without ``os.fork``, with fewer than
         two usable CPUs, inside an :func:`in_parallel` batch, off x86, when
-        fewer than two rows fit in :data:`RING_BYTES`, or when the fork
-        fails."""
+        fewer than two rows fit in :data:`RING_BYTES`, within
+        :data:`_BACKOFF` seconds of a ring that stopped early, or when the
+        fork fails."""
         n_rows = min(n_items, RING_BYTES // row_bytes)
-        if _batch or not _X86 or n_rows < 2 or _usable_cpus() < 2:
+        if _batch or not _X86 or n_rows < 2 or _usable_cpus() < 2 or time.perf_counter() < _resume:
             return None
-        ring, parent = cls(n_rows, row_bytes), os.getpid()
+        ring, parent, cpu = cls(n_rows, row_bytes), os.getpid(), _this_cpu()
         try:
             ring._pid = os.fork()
         except OSError:  # out of processes: the caller draws inline
@@ -151,7 +201,7 @@ class Ring:
         if ring._pid == 0:
             status = 1
             try:
-                ring._fill(fill, n_items, parent)
+                ring._fill(fill, n_items, parent, cpu)
                 status = 0
             finally:
                 os._exit(status)  # never return into the caller's frames
@@ -162,27 +212,42 @@ class Ring:
         start = _HEADER + j * self._row_bytes
         return memoryview(self._map)[start : start + self._row_bytes]
 
-    def _fill(self, fill, n_items, parent):
-        counts, spins = self._counts, 0
+    def _fill(self, fill, n_items, parent, cpu):
+        # a forked process starts beside its parent, and two spinning
+        # processes on one CPU stayed there for up to 1.4 s on a two-CPU VM:
+        # leave the parent's CPU, then let the scheduler move this one again
+        cpus = os.sched_getaffinity(0)
+        if cpu in cpus and len(cpus) > 1:
+            try:
+                os.sched_setaffinity(0, cpus - {cpu})
+                os.sched_setaffinity(0, cpus)
+            except OSError:  # a CPU of the mask this process may not use
+                pass
+        counts, spins, mark = self._counts, 0, _clocks()
         for i in range(n_items):
             j = i % self.n_rows
-            if j == 0 and os.getppid() != parent:  # once a lap, for a helper that never waits
+            # once a lap, for a helper that never waits
+            if j == 0 and (os.getppid() != parent or _starved(mark)):
                 return
             while i - counts[_DONE] >= self.n_rows:
                 spins += 1
                 if spins % _SPINS == 0:
                     os.sched_yield()
-                    if os.getppid() != parent:
+                    if os.getppid() != parent or _starved(mark):
                         return
             fill(i, j, self.row(j))
             counts[_FILLED] = i + 1
 
     def wait(self, i: int):
         """Ring row holding item i once the helper has filled it, marking the
-        items before i done; None when the helper died before filling it,
-        or when i is not the item after the last one asked for."""
+        items before i done; None when the helper stopped before filling
+        it, when this process, which looks once a lap, is starved (then it
+        stops the helper), or when i is not the item after the last one
+        asked for."""
         if i != self._next:
             return None
+        if i % self.n_rows == 0 and self._pid and _starved(self._mark):
+            return self._stop()
         self._next += 1
         counts = self._counts
         counts[_DONE] = i
@@ -194,8 +259,16 @@ class Ring:
                 if self._pid and os.waitpid(self._pid, os.WNOHANG)[0]:
                     self._pid = 0  # died, and reaped
                 if not self._pid and counts[_FILLED] <= i:
-                    return None
+                    return self._stop()
         return i % self.n_rows
+
+    def _stop(self):
+        """Stop the helper before it filled every item, and keep other rings
+        from starting for :data:`_BACKOFF` seconds; None, as :meth:`wait`
+        returns for an item that this process makes itself."""
+        global _resume
+        self.close()
+        _resume = time.perf_counter() + _BACKOFF
 
     def close(self):
         """Stop the helper, if it still runs, and reap it."""

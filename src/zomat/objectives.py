@@ -176,12 +176,19 @@ def make_mlp(widths, n_samples: int, seed: int = 0) -> Objective:
         blocks[f"w{layer}"] = rng.standard_normal((fan_in, fan_out)) / np.sqrt(fan_in)
         blocks[f"b{layer}"] = np.zeros((1, fan_out))
     n_layers = len(widths) - 1
+    # Each layer's output is written in place into a buffer of its own: a
+    # fresh 256x64 float64 temporary is 128 KB, glibc's initial mmap
+    # threshold, and allocating several per evaluation made some processes
+    # trim and fault the heap back in on every evaluation (200-530 minor
+    # faults per optimizer step), a 30-40% slower step.
+    outs = [np.empty((n_samples, w)) for w in widths[1:]]
 
     def loss_fn(x):
         h = inputs
-        for layer in range(n_layers):
-            z = h @ x[f"w{layer}"] + x[f"b{layer}"]
-            h = np.tanh(z) if layer < n_layers - 1 else z
+        for layer, z in enumerate(outs):
+            np.matmul(h, x[f"w{layer}"], out=z)
+            z += x[f"b{layer}"]
+            h = np.tanh(z, out=z) if layer < n_layers - 1 else z
         shifted = h - h.max(axis=1, keepdims=True)
         logz = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
         return float(np.mean((logz - shifted)[true_class]))

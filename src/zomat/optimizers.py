@@ -27,13 +27,16 @@ stream.  The estimate seeds and their slot words are derived in bulk, a
 chunk of steps at a time (:func:`zomat.streams.slot_table`), with the
 values of the scalar :func:`derive_seed` and ``perturbation``.
 
-A :func:`run` of at least ``streams.CHUNK`` steps uses one helper process
-when it can (``os.fork``, two usable CPUs, no ``_parallel.in_parallel``
-batch running): the helper draws each step's estimate Gaussians ahead into
-shared memory from the same slot words (:func:`zomat.streams.ahead_table`),
-so the trace is identical to a run that draws them itself, as every run
-does under ``taskset -c 0``.  The helper is reaped when the run ends, and
-exits by itself if this process dies.
+A :func:`run` of at least :data:`AHEAD_MIN_STEPS` steps uses one helper
+process when it can (``os.fork``, two usable CPUs, no
+``_parallel.in_parallel`` batch running): the helper draws each step's
+estimate Gaussians ahead into shared memory from the same slot words
+(:func:`zomat.streams.ahead_table`), so the trace is identical to a run that
+draws them itself, as every run does under ``taskset -c 0``.  Once either
+process gets less than most of a CPU (other work shares the CPUs), the
+helper stops and the run draws the rest itself (:class:`zomat._parallel.Ring`).
+The helper is reaped when the run ends, and exits by itself if this process
+dies.
 """
 
 from __future__ import annotations
@@ -64,6 +67,14 @@ ZO_MUON = "zo_muon"
 _TAG_ESTIMATE = 1
 _TAG_PROJECTION = 2
 _TAG_LOZO_A = 4
+
+#: Fewest steps of a run that has a helper process draw ahead
+#: (:func:`_draw_ahead`).  Starting one cost the race's runs 5-7 ms (the
+#: fork, and the helper's first chunk of slot words before its first row)
+#: and saved them 25-40 us a step: on a two-CPU VM, 128-step mezo and
+#: zo_muon runs took as long with a helper as without (it was faster in 5
+#: and 3 of 10 alternating pairs), and 256-step ones 10% less (8 and 7 of 10).
+AHEAD_MIN_STEPS = 256
 
 
 @dataclass(frozen=True)
@@ -249,8 +260,8 @@ def _draw_ahead(kind, x, cfg, state):
     """Have one helper process draw the run's estimate slots ahead, in the
     shapes the estimate draws them (:func:`zomat.streams.ahead_table`), and
     return its ring to close; None when the run draws them itself, as a run
-    of fewer than ``streams.CHUNK`` steps does."""
-    if cfg.total_steps < streams.CHUNK:
+    of fewer than :data:`AHEAD_MIN_STEPS` steps does."""
+    if cfg.total_steps < AHEAD_MIN_STEPS:
         return None
     draw = _KINDS[kind][1]
     factors = {} if draw is None else _held_factors(state, cfg, x, draw)

@@ -25,7 +25,8 @@ words, written into a shared-memory ring by one forked helper process
 ``gaussian(words[i, b], shape)`` from them.  :func:`slot_gaussian` takes
 either kind of slot, so a run's draws are the same values whether the
 helper made them or this process did; where no helper can start (one usable
-CPU, as under ``taskset -c 0``) every draw is made here.
+CPU, as under ``taskset -c 0``) every draw is made here, and so is every
+draw after a helper stopped (it died, or a CPU was shared).
 """
 
 from __future__ import annotations
@@ -263,9 +264,9 @@ def ahead_table(prefix: tuple, n_queries: int, shapes, n_steps: int):
     of the steps' (query, block) slots, block b in ``shapes[b]``; and the
     :class:`zomat._parallel.Ring` whose helper process draws them ahead, for
     the caller to close; None where no helper can start.  From a step the
-    helper did not draw (it died, or a step was read out of order) on, the
-    table gives the steps' slot words, and the caller draws from them as it
-    would without a helper."""
+    helper did not draw (it stopped, or a step was read out of order) on,
+    the table gives the steps' slot words, and the caller draws from them as
+    it would without a helper."""
     row_bytes = _LINE + n_queries * sum(_lines(8 * math.prod(s)) for s in shapes)
     words_of = slot_table(prefix, n_queries, len(shapes))
     filled = {}

@@ -257,7 +257,8 @@ def _draws_here(monkeypatch):
 
 def _cpus(monkeypatch, n):
     # two stand for a helper's CPU even where only one is real: the helper
-    # and this process then share it, each yielding it while it waits
+    # then moves to another CPU of the machine, or shares this process's,
+    # each yielding it while it waits
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
@@ -292,7 +293,11 @@ class TestDrawAhead:
     ahead where two CPUs are usable; its runs must equal inline ones."""
 
     @pytest.fixture(autouse=True)
-    def no_child_left(self):
+    def no_child_left(self, monkeypatch):
+        # a loaded test machine must not stop a ring, and a ring one test
+        # stops must not keep the next test's from starting
+        monkeypatch.setattr(_parallel, "_MIN_SHARE", 0.0)
+        monkeypatch.setattr(_parallel, "_resume", 0.0)
         yield
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -363,6 +368,35 @@ class TestDrawAhead:
         assert 0 < len(drawn_here) < 2 * CHUNK * 3 * 3
         assert _trace(ahead) == _trace(inline)
 
+    @pytest.mark.parametrize("side", ["caller", "helper"])
+    def test_a_starved_ring_hands_the_run_to_the_caller(self, side, monkeypatch):
+        # a ring of 3 rows; the side starves at its third look at the clocks
+        monkeypatch.setattr(_parallel, "RING_BYTES", 3 * 1024)
+        drawn_here = _draws_here(monkeypatch)
+        with monkeypatch.context() as m:
+            _cpus(m, 1)
+            inline = self._run(LOZO, 1)
+        n_draws = len(drawn_here)
+        drawn_here.clear()
+        _cpus(monkeypatch, 2)
+        forks, caller, looks = _fork_log(monkeypatch), os.getpid(), []
+
+        def starved(mark):
+            looks.append(1)
+            return (os.getpid() == caller) == (side == "caller") and len(looks) >= 3
+
+        monkeypatch.setattr(_parallel, "_starved", starved)
+        ahead = self._run(LOZO, 1)
+        assert len(forks) == 1 and 0 < len(drawn_here) < n_draws
+        assert _trace(ahead) == _trace(inline)
+        # no ring for the next _BACKOFF seconds, then one again
+        assert _parallel._resume > time.perf_counter()
+        self._run(LOZO, 1)
+        assert len(forks) == 1
+        monkeypatch.setattr(_parallel, "_resume", 0.0)
+        self._run(LOZO, 1)
+        assert len(forks) == 2
+
     @pytest.mark.parametrize("value, error", [
         (float("nan"), EvaluationError), (RuntimeError("boom"), RuntimeError),
     ], ids=["diverged", "raised"])
@@ -387,6 +421,19 @@ class TestDrawAhead:
         assert in_parallel([forks_during_a_run, forks_during_a_run]) == [0, 0]
         assert len(forks) == 1  # the batch's worker, no helper
         assert forks_during_a_run() == 1  # and one once the batch is over
+
+
+def test_starved_measures_this_thread_once_a_window():
+    wall, cpu = time.perf_counter(), time.thread_time()
+    mark = [wall, cpu]
+    assert not _parallel._starved(mark) and mark == [wall, cpu]  # within a window
+    mark = [wall - 10 * _parallel._WINDOW, cpu]  # a long wait that took no CPU
+    assert _parallel._starved(mark) and mark[0] > wall
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads /proc")
+def test_this_cpu_is_one_this_process_may_use():
+    assert _parallel._this_cpu() in os.sched_getaffinity(0)
 
 
 HELPER_LEFT_BEHIND = """
