@@ -3,16 +3,20 @@ and a ring of rows that one helper fills ahead of this process.
 
 Helpers are forked, not spawned: a spawned one imports ``__main__`` again,
 which re-runs a script that has no ``if __name__ == "__main__"`` guard.
-Each does only deterministic work whose result does not depend on which
-process made it, so output is the same on one CPU (``taskset -c 0``), where
-nothing is forked, as on many.
+Every helper, a batch's worker or a ring's, starts, leaves this process's
+CPU, exits and is reaped the same way (:func:`_fork`, :func:`_reap`).  Each
+does only deterministic work whose result does not depend on which process
+made it, so output is the same on one CPU (``taskset -c 0``), where nothing
+is forked, as on many.
 """
 
 from __future__ import annotations
 
+import contextlib
 import mmap
 import os
 import pickle
+import signal
 import time
 
 #: True while :func:`in_parallel` shares a batch among processes: every CPU
@@ -81,22 +85,54 @@ def _starved(mark: list) -> bool:
     return share < _MIN_SHARE
 
 
+def _fork(body, *args):
+    """Pid of a forked child that calls ``body(*args)`` and exits, never
+    returning into the caller's frames; None when the fork fails.  The child
+    first leaves this process's CPU, where a busy child and parent stayed for
+    up to 1.4 s on a two-CPU VM: it narrows its affinity to the mask without
+    that CPU, then restores the mask for the scheduler."""
+    cpu = _this_cpu()
+    try:
+        pid = os.fork()
+    except OSError:  # out of processes: the caller does the work itself
+        return None
+    if pid:
+        return pid
+    try:
+        cpus = os.sched_getaffinity(0)
+        if cpu in cpus and len(cpus) > 1:
+            with contextlib.suppress(OSError):  # a CPU of the mask it may not use
+                os.sched_setaffinity(0, cpus - {cpu})
+                os.sched_setaffinity(0, cpus)
+        body(*args)
+        os._exit(0)
+    finally:
+        os._exit(1)  # body raised
+
+
+def _reap(pid):
+    """Stop the forked child ``pid`` if it still runs, and reap it."""
+    os.kill(pid, signal.SIGKILL)  # a no-op for a child that has exited
+    os.waitpid(pid, 0)
+
+
 def in_parallel(calls) -> list:
     """Results of the zero-argument ``calls``, in call order.
 
     With n processes, one per usable CPU, process j runs calls j, j + n,
-    j + 2n, ...: this process is process 0, and the others are forked
-    workers, each of which sends all its results at once, pickled as one
-    ``{index: result}`` dict, over a pipe of its own.  So this process's
-    share is fixed by the CPU count, and a worker whose results exceed the
-    pipe's buffer waits for this process, not the other way round.  A call
-    that raised, or whose worker died, is run again here after the workers
-    are reaped, in call order, so an exception is the serial run's.
-    Everything runs here when ``os.fork`` or ``os.sched_getaffinity`` is
-    missing, when one CPU is usable, or when there is one call.  What a
-    call changes in this process's objects (an objective's query count)
-    changes only in the process that ran it.  While workers run, here and
-    in them, :data:`_batch` is set, so no call starts a :class:`Ring`.
+    j + 2n, ...: this process is process 0, and the others are workers that
+    :func:`_fork` moves off this process's CPU, each of which sends all its
+    results at once, pickled as one ``{index: result}`` dict, over a pipe of
+    its own.  So this process's share is fixed by the CPU count, and a
+    worker whose results exceed the pipe's buffer waits for this process,
+    not the other way round.  A call that raised, or whose worker died, is
+    run again here after the workers are reaped, in call order, so an
+    exception is the serial run's.  Everything runs here when ``os.fork``
+    or ``os.sched_getaffinity`` is missing, when one CPU is usable, or when
+    there is one call.  What a call changes in this process's objects (an
+    objective's query count) changes only in the process that ran it.
+    While workers run, here and in them, :data:`_batch` is set, so no call
+    starts a :class:`Ring`.
     """
     global _batch
     calls = list(calls)
@@ -104,28 +140,23 @@ def in_parallel(calls) -> list:
     if n < 2:
         return [call() for call in calls]
     results, sources, pids = {}, [], []
+
+    def work(j, sink):  # in worker j
+        for fd in sources:  # so a worker whose caller died gets EPIPE, not a wait
+            os.close(fd)
+        with open(sink, "wb") as out:
+            pickle.dump({i: calls[i]() for i in range(j, len(calls), n)}, out)
+
     _batch = True
     try:
         for j in range(1, n):
             source, sink = os.pipe()
             sources.append(source)
-            try:
-                pid = os.fork()
-            except OSError:  # out of processes: this process runs the rest
-                os.close(sink)
-                break
-            if pid == 0:
-                status = 1
-                try:
-                    for fd in sources:
-                        os.close(fd)
-                    with open(sink, "wb") as out:
-                        pickle.dump({i: calls[i]() for i in range(j, len(calls), n)}, out)
-                    status = 0
-                finally:
-                    os._exit(status)  # never return into the caller's frames
-            pids.append(pid)
+            pid = _fork(work, j, sink)
             os.close(sink)
+            if pid is None:  # out of processes: this process runs the rest
+                break
+            pids.append(pid)
         for i in range(0, len(calls), n):
             try:
                 results[i] = calls[i]()
@@ -142,8 +173,7 @@ def in_parallel(calls) -> list:
         for fd in sources:
             os.close(fd)
         for pid in pids:
-            os.kill(pid, 9)  # SIGKILL: a no-op for a worker that has finished
-            os.waitpid(pid, 0)
+            _reap(pid)
     return [results[i] if i in results else calls[i]() for i in range(len(calls))]
 
 
@@ -193,36 +223,16 @@ class Ring:
         n_rows = min(n_items, RING_BYTES // row_bytes)
         if _batch or not _X86 or n_rows < 2 or _usable_cpus() < 2 or time.perf_counter() < _resume:
             return None
-        ring, parent, cpu = cls(n_rows, row_bytes), os.getpid(), _this_cpu()
-        try:
-            ring._pid = os.fork()
-        except OSError:  # out of processes: the caller draws inline
-            return None
-        if ring._pid == 0:
-            status = 1
-            try:
-                ring._fill(fill, n_items, parent, cpu)
-                status = 0
-            finally:
-                os._exit(status)  # never return into the caller's frames
-        return ring
+        ring = cls(n_rows, row_bytes)
+        ring._pid = _fork(ring._fill, fill, n_items, os.getpid())
+        return ring if ring._pid else None
 
     def row(self, j: int) -> memoryview:
         """The bytes of ring row j."""
         start = _HEADER + j * self._row_bytes
         return memoryview(self._map)[start : start + self._row_bytes]
 
-    def _fill(self, fill, n_items, parent, cpu):
-        # a forked process starts beside its parent, and two spinning
-        # processes on one CPU stayed there for up to 1.4 s on a two-CPU VM:
-        # leave the parent's CPU, then let the scheduler move this one again
-        cpus = os.sched_getaffinity(0)
-        if cpu in cpus and len(cpus) > 1:
-            try:
-                os.sched_setaffinity(0, cpus - {cpu})
-                os.sched_setaffinity(0, cpus)
-            except OSError:  # a CPU of the mask this process may not use
-                pass
+    def _fill(self, fill, n_items, parent):
         counts, spins, mark = self._counts, 0, _clocks()
         for i in range(n_items):
             j = i % self.n_rows
@@ -240,25 +250,23 @@ class Ring:
 
     def wait(self, i: int):
         """Ring row holding item i once the helper has filled it, marking the
-        items before i done; None when the helper stopped before filling
-        it, when this process, which looks once a lap, is starved (then it
-        stops the helper), or when i is not the item after the last one
-        asked for."""
-        if i != self._next:
+        items before i done; None once the ring has stopped (the helper died
+        before filling an item asked for, or this process, which looks once
+        a lap, was starved and stopped it), and when i is not the item after
+        the last one asked for."""
+        if i != self._next or not self._pid:
             return None
-        if i % self.n_rows == 0 and self._pid and _starved(self._mark):
+        if i % self.n_rows == 0 and _starved(self._mark):
             return self._stop()
         self._next += 1
-        counts = self._counts
+        counts, spins = self._counts, 0
         counts[_DONE] = i
-        spins = 0
         while counts[_FILLED] <= i:
             spins += 1
             if spins % _SPINS == 0:
                 os.sched_yield()
-                if self._pid and os.waitpid(self._pid, os.WNOHANG)[0]:
-                    self._pid = 0  # died, and reaped
-                if not self._pid and counts[_FILLED] <= i:
+                if os.waitpid(self._pid, os.WNOHANG)[0]:  # died, and reaped
+                    self._pid = 0
                     return self._stop()
         return i % self.n_rows
 
@@ -273,6 +281,5 @@ class Ring:
     def close(self):
         """Stop the helper, if it still runs, and reap it."""
         if self._pid:
-            os.kill(self._pid, 9)  # SIGKILL: a no-op for a helper that has finished
-            os.waitpid(self._pid, 0)
+            _reap(self._pid)
             self._pid = 0

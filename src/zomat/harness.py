@@ -159,10 +159,13 @@ def _parts(raw):
     return [part for part in raw.split(",") if part.strip()] if isinstance(raw, str) else raw
 
 
-def _float_list(raw):
+def _fractions(raw):
+    """Positive finite fractions whose ``f"{frac:g}x_initial"`` keys differ."""
     values = tuple(map(float, _parts(raw)))
-    if not all(map(math.isfinite, values)):
-        raise ValueError("entries must be finite")
+    if not all(0 < v < math.inf for v in values):
+        raise ValueError("entries must be positive and finite")
+    if len({f"{v:g}" for v in values}) < len(values):
+        raise ValueError("entries must differ in their first six significant digits")
     return values
 
 
@@ -233,7 +236,7 @@ def _reject_unknown_sections(parser, origin):
 #: [experiment]: ExperimentConfig's fields but its objective and optimizers
 _EXPERIMENT_FIELDS = {
     "name": _file_name, "seed": _int_at_least(0), "query_budget": _int_at_least(0),
-    "eval_every": _int_at_least(1), "out_dir": str, "loss_threshold_fractions": _float_list,
+    "eval_every": _int_at_least(1), "out_dir": str, "loss_threshold_fractions": _fractions,
 }
 
 #: [objective]: per kind, the factory its options are passed to and its fields

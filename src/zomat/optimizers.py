@@ -44,7 +44,8 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,34 +110,29 @@ class OptimizerConfig:
 
 @dataclass
 class OptimizerState:
-    """Mutable per-run state: step counter, the held factors as (epoch,
-    {matrix block name: m-by-r factor}) or None before the first draw, and
-    the per-run constants (estimator configs, bulk-derived stream tables)
-    keyed by what they hold.  A fresh state at any step draws the factors of
+    """Mutable state of one run (one kind, config and parameter space): the
+    step counter; the held factors as (epoch, {matrix block name: m-by-r
+    factor}), None before the first draw; and what the first step makes
+    once for the run, its scheme's :class:`EstimatorConfig` (so checked
+    once, not per step) and the table of the estimate streams by step
+    (:func:`estimate_streams`), unless a helper process draws them ahead
+    (:func:`_draw_ahead`).  A fresh state at any step draws the factors of
     that step's epoch, so it steps as a continuous run does."""
 
     rng_root_seed: int = 0
     step: int = 0
     factors: tuple | None = None
-    constants: dict = field(default_factory=dict)
-
-    def constant(self, key, make):
-        """The per-run constant ``key``, made by ``make()`` on first use."""
-        value = self.constants.get(key)
-        if value is None:
-            value = self.constants[key] = make()
-        return value
+    est_cfg: EstimatorConfig | None = None
+    table: Callable | None = None
 
 
 def estimate_streams(state: OptimizerState, n_queries: int, n_blocks: int):
     """Seed ``derive_seed(root, tag, step)`` of the current step's estimate and
     the PCG64 words of its (query, block) slots, or their draws when a helper
     process made them ahead (:func:`_draw_ahead`)."""
-    root = state.rng_root_seed
-    seed, words = state.constant(
-        (_TAG_ESTIMATE, root, n_queries, n_blocks),
-        lambda: streams.slot_table((root, _TAG_ESTIMATE), n_queries, n_blocks),
-    )(state.step)
+    if state.table is None:
+        state.table = streams.slot_table((state.rng_root_seed, _TAG_ESTIMATE), n_queries, n_blocks)
+    seed, words = state.table(state.step)
     return int(seed), words
 
 
@@ -196,13 +192,6 @@ def _gaussian_factor(root, m, r, epoch, idx):
     return rng.standard_normal((m, r))
 
 
-def _estimator_config(state, cfg, scheme):
-    return state.constant(
-        ("estimator_config", scheme, cfg.mu, cfg.n_queries),
-        lambda: EstimatorConfig(mu=cfg.mu, n_queries=cfg.n_queries, scheme=scheme),
-    )
-
-
 #: kind -> (difference scheme, held-factor draw or None, whiten before the lift)
 _KINDS = {
     MEZO: (CENTRAL, None, False),
@@ -219,11 +208,12 @@ def _direction(kind, obj, x, cfg, state) -> dict:
     held-factor estimate g, lifted as F g (F msign(g) when whitened) on each
     block with a held factor F; a full-space kind holds none."""
     scheme, draw, whiten = _KINDS[kind]
-    est_cfg = _estimator_config(state, cfg, scheme)
+    if state.est_cfg is None:
+        state.est_cfg = EstimatorConfig(mu=cfg.mu, n_queries=cfg.n_queries, scheme=scheme)
     seed, words = estimate_streams(state, cfg.n_queries, len(x.names))
     factors = {} if draw is None else _held_factors(state, cfg, x, draw)
     estimate = estimators.subspace_rge if scheme == FORWARD else estimators.lge_lozo
-    d = estimate(obj, x, factors, est_cfg, seed, words)
+    d = estimate(obj, x, factors, state.est_cfg, seed, words)
     for name, f in factors.items():
         d[name] = f @ (_msign(d[name], cfg, name) if whiten else d[name])
     return d
@@ -266,12 +256,9 @@ def _draw_ahead(kind, x, cfg, state):
     draw = _KINDS[kind][1]
     factors = {} if draw is None else _held_factors(state, cfg, x, draw)
     shapes = list(estimators._draw_shapes(x, factors).values())
-    root = state.rng_root_seed
-    ahead = streams.ahead_table((root, _TAG_ESTIMATE), cfg.n_queries, shapes, cfg.total_steps)
-    if ahead is None:
-        return None
-    state.constants[(_TAG_ESTIMATE, root, cfg.n_queries, len(shapes))] = ahead[0]
-    return ahead[1]
+    state.table, ring = streams.ahead_table(
+        (state.rng_root_seed, _TAG_ESTIMATE), cfg.n_queries, shapes, cfg.total_steps)
+    return ring
 
 
 def run(obj, x0, cfg: OptimizerConfig, optimizer_kind: str, seed: int, eval_every: int = 1) -> RunResult:

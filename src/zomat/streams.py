@@ -263,10 +263,10 @@ def ahead_table(prefix: tuple, n_queries: int, shapes, n_steps: int):
     ..., ``n_steps`` - 1, read in that order, whose ``words`` are the draws
     of the steps' (query, block) slots, block b in ``shapes[b]``; and the
     :class:`zomat._parallel.Ring` whose helper process draws them ahead, for
-    the caller to close; None where no helper can start.  From a step the
-    helper did not draw (it stopped, or a step was read out of order) on,
-    the table gives the steps' slot words, and the caller draws from them as
-    it would without a helper."""
+    the caller to close; ``(None, None)`` where no helper can start.  For a
+    step the helper did not draw (it stopped, or the step was read out of
+    order) the table gives the step's slot words, and the caller draws from
+    them as it would without a helper."""
     row_bytes = _LINE + n_queries * sum(_lines(8 * math.prod(s)) for s in shapes)
     words_of = slot_table(prefix, n_queries, len(shapes))
     filled = {}
@@ -281,14 +281,12 @@ def ahead_table(prefix: tuple, n_queries: int, shapes, n_steps: int):
 
     ring = _parallel.Ring.start(fill, n_steps, row_bytes)
     if ring is None:
-        return None
-    views, inline = {}, False
+        return None, None
+    views = {}
 
     def table(i: int) -> tuple:
-        nonlocal inline
-        j = None if inline else ring.wait(i)
+        j = ring.wait(i)
         if j is None:
-            inline = True
             return words_of(i)
         if j not in views:
             views[j] = _row_views(ring.row(j), n_queries, shapes)

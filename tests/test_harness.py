@@ -34,7 +34,7 @@ name = tiny
 seed = 1
 query_budget = 40
 eval_every = 2
-loss_threshold_fractions = 1.0, -1
+loss_threshold_fractions = 1.0, 1e-9
 
 [objective]
 kind = quadratic
@@ -98,7 +98,7 @@ class TestParsing:
         assert exp.seed == 1
         assert exp.query_budget == 40
         assert exp.eval_every == 2
-        assert exp.loss_threshold_fractions == (1.0, -1.0)
+        assert exp.loss_threshold_fractions == (1.0, 1e-9)
         assert exp.objective.kind == "quadratic"
         assert [e.label for e in exp.optimizers] == ["mezo", "spectral"]
         assert exp.optimizers[1].config.n_queries == 4
@@ -295,7 +295,6 @@ class TestParsing:
             ("seed = 1", "seed = -1", "seed"),
             ("query_budget = 40", "query_budget = -5", "query_budget"),
             ("eval_every = 2", "eval_every = 0", "eval_every"),
-            # a negative fraction (-1 above) stays legal; a non-finite one is not
             ("loss_threshold_fractions = 1.0", "loss_threshold_fractions = inf",
              "loss_threshold_fractions"),
             ("loss_threshold_fractions = 1.0", "loss_threshold_fractions = -inf",
@@ -306,12 +305,26 @@ class TestParsing:
              "loss_threshold_fractions"),
             ("loss_threshold_fractions = 1.0", "loss_threshold_fractions = 0.1, inf",
              "loss_threshold_fractions"),
+            # a fraction <= 0 names a loss no run reaches; two whose threshold
+            # keys (six significant digits) agree would share one summary key
+            ("loss_threshold_fractions = 1.0", "loss_threshold_fractions = 0.5, 0",
+             "loss_threshold_fractions"),
+            ("loss_threshold_fractions = 1.0", "loss_threshold_fractions = -1",
+             "loss_threshold_fractions"),
+            ("loss_threshold_fractions = 1.0", "loss_threshold_fractions = 0.5, 0.50000001",
+             "loss_threshold_fractions"),
+            ("loss_threshold_fractions = 1.0", "loss_threshold_fractions = 0.01, 0.01",
+             "loss_threshold_fractions"),
         ],
     )
     def test_out_of_range_experiment_field_rejected(self, line, bad, key):
         text = TINY_CONFIG.replace(line, bad)
         with pytest.raises(ConfigError, match=rf"\[experiment\] field '{key}' has invalid value"):
             parse_config_text(text)
+
+    def test_threshold_fractions_apart_in_six_digits_accepted(self):
+        text = TINY_CONFIG.replace("= 1.0, 1e-9", "= 0.5, 0.50001")
+        assert parse_config_text(text).loss_threshold_fractions == (0.5, 0.50001)
 
     @pytest.mark.parametrize(
         "options, message",
@@ -411,7 +424,9 @@ def experiment_configs(draw):
         optimizers=tuple(draw(_optimizer_entry(label)) for label in labels),
         eval_every=draw(st.integers(1, 100)),
         out_dir=draw(st.none() | _words),
-        loss_threshold_fractions=tuple(draw(st.lists(_signed, max_size=3))),
+        # positive, and apart in their six-digit threshold keys
+        loss_threshold_fractions=tuple(draw(st.lists(_magnitudes, max_size=3,
+                                                     unique_by=lambda v: f"{v:g}"))),
     )
 
 
@@ -550,7 +565,7 @@ class TestRunExperiment:
         exp = parse_config_text(TINY_CONFIG)
         summary = run_experiment(exp, out_dir=tmp_path)
         for label in ("mezo", "spectral"):
-            assert summary["results"][label]["queries_to_threshold"]["-1x_initial"] is None
+            assert summary["results"][label]["queries_to_threshold"]["1e-09x_initial"] is None
 
     def test_diverging_optimizer_keeps_results(self, tmp_path):
         summary = run_experiment(parse_config_text(DIVERGING_CONFIG), out_dir=tmp_path)
@@ -673,6 +688,8 @@ class TestRunExperiment:
     @pytest.mark.parametrize("key, value", [
         ("seed", -1), ("eval_every", 0), ("query_budget", -5), ("query_budget", 40.7),
         ("loss_threshold_fractions", (0.5, float("nan"))),
+        ("loss_threshold_fractions", (0.5, 0.50000001, -1.0)),
+        ("loss_threshold_fractions", (0.0,)), ("loss_threshold_fractions", (0.25, 0.25)),
     ])
     def test_bad_config_value_rejected_up_front(self, tmp_path, key, value):
         exp = parse_config_text(TINY_CONFIG)
@@ -759,10 +776,10 @@ class TestCompare:
         q, ratio = by_key[("mezo", "1x_initial")]
         assert q == 0
         # ratio against a zero-query baseline is undefined, stays None
-        assert by_key[("spectral", "-1x_initial")] == (None, None)
+        assert by_key[("spectral", "1e-09x_initial")] == (None, None)
 
     def test_compare_requires_threshold(self, tmp_path):
-        text = TINY_CONFIG.replace("loss_threshold_fractions = 1.0, -1\n", "")
+        text = TINY_CONFIG.replace("loss_threshold_fractions = 1.0, 1e-9\n", "")
         exp = parse_config_text(text)
         with pytest.raises(ConfigError, match="threshold"):
             harness.compare_experiment(exp, out_dir=tmp_path)
@@ -858,7 +875,7 @@ class TestCli:
             ("seed = 4\n", "seed = 4\ndelta = nan\n", "[objective] delta must be finite"),
             ("rank = 2\nseed = 4\n", "rank = 2\nseed = 4\nblock_condition = inf\n",
              "[objective] block_condition must be finite"),
-            ("loss_threshold_fractions = 1.0, -1", "loss_threshold_fractions = inf",
+            ("loss_threshold_fractions = 1.0, 1e-9", "loss_threshold_fractions = inf",
              "[experiment] field 'loss_threshold_fractions' has invalid value 'inf'"),
             ("seed = 4\n", "seed = 4\ndelta = 1e308\n", "[objective] initial loss is inf"),
             ("seed = 4\n", "seed = 4\ninit_offset = 1e200\n", "[objective] initial loss is inf"),

@@ -462,6 +462,17 @@ class TestRun:
         assert trace[0].step == 0  # initial record plus the completed steps
         assert trace[-1].step >= 1
 
+    @pytest.mark.parametrize("kind", optimizers.OPTIMIZER_KINDS)
+    def test_estimator_config_is_checked_once_a_run(self, kind, monkeypatch):
+        # an EstimatorConfig checks its fields when built, so a run builds
+        # its scheme's at most once, not at every step
+        cfg = cfg_for(kind, rank=2, n_queries=1 if kind in (MEZO, LOZO) else 2, total_steps=300)
+        obj, built, check = quad_objective(), [], EstimatorConfig.__post_init__
+        monkeypatch.setattr(EstimatorConfig, "__post_init__",
+                            lambda self: built.append(self.scheme) or check(self))
+        run(obj, obj.initial_params, cfg, kind, seed=0, eval_every=100)
+        assert len(built) <= 1
+
 
 class TestBudgeting:
     def test_steps_for_budget(self):

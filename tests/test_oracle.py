@@ -6,7 +6,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from zomat import linalg, objectives, oracle, streams
+from zomat import _parallel, linalg, objectives, oracle, streams
 from zomat._parallel import in_parallel
 from zomat.estimators import EstimatorConfig, rge_full, subspace_rge
 from zomat.objectives import Objective
@@ -290,6 +290,27 @@ class TestInParallel:
         assert in_parallel([partial(_log_pid, log, i) for i in range(10)]) == list(range(10))
         pids = dict(line.split() for line in log.read_text().splitlines())
         assert sorted(int(i) for i, pid in pids.items() if pid == str(os.getpid())) == [0, 3, 6, 9]
+
+    def test_a_worker_leaves_the_callers_cpu_before_its_calls(self, monkeypatch, tmp_path):
+        # a forked worker starts on its caller's CPU (here CPU 1 of 0-2): it
+        # narrows its affinity to the others, then restores the mask for the
+        # scheduler, before it runs a call
+        log = tmp_path / "log"
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        monkeypatch.setattr(_parallel, "_this_cpu", lambda: 1)
+        monkeypatch.setattr(os, "sched_setaffinity",
+                            lambda pid, cpus: _log(log, f"{os.getpid()} mask {sorted(cpus)}"))
+        calls = [partial(lambda i: _log(log, f"{os.getpid()} call {i}") and i, i) for i in range(6)]
+        assert in_parallel(calls) == list(range(6))
+        events = {}
+        for line in log.read_text().splitlines():
+            pid, event = line.split(" ", 1)
+            events.setdefault(int(pid), []).append(event)
+        assert events.pop(os.getpid()) == ["call 0", "call 3"]
+        assert sorted(events.values()) == [
+            ["mask [0, 2]", "mask [0, 1, 2]", "call 1", "call 4"],
+            ["mask [0, 2]", "mask [0, 1, 2]", "call 2", "call 5"],
+        ]
 
     def test_inline_path_never_forks(self, monkeypatch):
         _one_cpu(monkeypatch)
