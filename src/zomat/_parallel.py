@@ -265,9 +265,10 @@ class Ring:
             spins += 1
             if spins % _SPINS == 0:
                 os.sched_yield()
-                if os.waitpid(self._pid, os.WNOHANG)[0]:  # died, and reaped
+                if os.waitpid(self._pid, os.WNOHANG)[0]:  # exited, and reaped
                     self._pid = 0
-                    return self._stop()
+                    if counts[_FILLED] <= i:  # not a helper that filled i, then exited
+                        return self._stop()
         return i % self.n_rows
 
     def _stop(self):

@@ -45,7 +45,7 @@ import math
 import time
 import warnings
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -122,8 +122,8 @@ class OptimizerState:
     rng_root_seed: int = 0
     step: int = 0
     factors: tuple | None = None
-    est_cfg: EstimatorConfig | None = None
-    table: Callable | None = None
+    est_cfg: EstimatorConfig | None = field(default=None, init=False, repr=False, compare=False)
+    table: Callable | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def estimate_streams(state: OptimizerState, n_queries: int, n_blocks: int):
@@ -229,7 +229,9 @@ def check_kind(kind: str, cfg: OptimizerConfig) -> None:
 
 def step(kind: str, obj, x: ParamSpace, cfg: OptimizerConfig, state: OptimizerState) -> ParamSpace:
     """One step of ``kind``: X <- X - eta * d with d from :func:`_direction`;
-    advances ``state.step`` and returns the new iterate."""
+    advances ``state.step`` and returns the new iterate.  ``state`` must
+    keep one kind, ``cfg``, root seed and parameter space (see
+    :class:`OptimizerState`)."""
     direction = _direction(kind, obj, x, cfg, state)
     state.step += 1
     return x.updated({name: x[name] - cfg.learning_rate * d for name, d in direction.items()})

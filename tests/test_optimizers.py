@@ -473,6 +473,13 @@ class TestRun:
         run(obj, obj.initial_params, cfg, kind, seed=0, eval_every=100)
         assert len(built) <= 1
 
+    @pytest.mark.parametrize("name", ["est_cfg", "table"])
+    def test_run_derived_state_cannot_be_passed_in(self, name):
+        # a state's first step builds these from its kind, config and seed
+        with pytest.raises(TypeError):
+            OptimizerState(**{name: None})
+        assert name not in repr(OptimizerState())
+
 
 class TestBudgeting:
     def test_steps_for_budget(self):

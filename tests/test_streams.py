@@ -397,6 +397,25 @@ class TestDrawAhead:
         self._run(LOZO, 1)
         assert len(forks) == 2
 
+    def test_a_helper_that_fills_and_exits_while_waited_on_did_not_stop_early(self, monkeypatch):
+        # the helper fills both items and exits while this process yields in
+        # wait(0); reaping it there must hand back row 0 and set no backoff
+        _cpus(monkeypatch, 2)
+
+        def fill(i, j, row):
+            if i == 0:
+                time.sleep(0.05)
+            row[0] = 7 + i
+
+        ring = _parallel.Ring.start(fill, 2, 8)
+        monkeypatch.setattr(os, "sched_yield", lambda: time.sleep(0.5))
+        try:
+            j = ring.wait(0)
+            assert j == 0 and ring.row(j)[0] == 7
+            assert _parallel._resume == 0.0
+        finally:
+            ring.close()
+
     @pytest.mark.parametrize("value, error", [
         (float("nan"), EvaluationError), (RuntimeError("boom"), RuntimeError),
     ], ids=["diverged", "raised"])
