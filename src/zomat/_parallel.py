@@ -7,7 +7,9 @@ Every helper, a batch's worker or a ring's, starts, leaves this process's
 CPU, exits and is reaped the same way (:func:`_fork`, :func:`_reap`).  Each
 does only deterministic work whose result does not depend on which process
 made it, so output is the same on one CPU (``taskset -c 0``), where nothing
-is forked, as on many.
+is forked, as on many.  One rule keeps helpers from crowding the CPUs: a
+ring whose sides do not each get most of a CPU stops (:func:`_starved`),
+whether the other load is a batch's workers or anything else.
 """
 
 from __future__ import annotations
@@ -19,9 +21,6 @@ import pickle
 import signal
 import time
 
-#: True while :func:`in_parallel` shares a batch among processes: every CPU
-#: then has a batch process, so no :class:`Ring` helper starts beside them
-_batch = False
 #: Bytes a :class:`Ring` may map, about 1 MB: the pages its rows touch count
 #: toward the peak memory of this process as well as the helper's.
 RING_BYTES = 1 << 20
@@ -131,10 +130,7 @@ def in_parallel(calls) -> list:
     or ``os.sched_getaffinity`` is missing, when one CPU is usable, or when
     there is one call.  What a call changes in this process's objects (an
     objective's query count) changes only in the process that ran it.
-    While workers run, here and in them, :data:`_batch` is set, so no call
-    starts a :class:`Ring`.
     """
-    global _batch
     calls = list(calls)
     n = min(_usable_cpus(), len(calls))
     if n < 2:
@@ -147,7 +143,6 @@ def in_parallel(calls) -> list:
         with open(sink, "wb") as out:
             pickle.dump({i: calls[i]() for i in range(j, len(calls), n)}, out)
 
-    _batch = True
     try:
         for j in range(1, n):
             source, sink = os.pipe()
@@ -169,7 +164,6 @@ def in_parallel(calls) -> list:
                 except (EOFError, pickle.UnpicklingError):  # a worker that raised or died
                     pass
     finally:
-        _batch = False
         for fd in sources:
             os.close(fd)
         for pid in pids:
@@ -216,12 +210,14 @@ class Ring:
     def start(cls, fill, n_items: int, row_bytes: int):
         """A ring whose helper fills ``n_items`` items of ``row_bytes`` each,
         or None where none can start: without ``os.fork``, with fewer than
-        two usable CPUs, inside an :func:`in_parallel` batch, off x86, when
-        fewer than two rows fit in :data:`RING_BYTES`, within
-        :data:`_BACKOFF` seconds of a ring that stopped early, or when the
-        fork fails."""
+        two usable CPUs, off x86, for fewer than two items or when fewer than
+        two rows fit in :data:`RING_BYTES`, within :data:`_BACKOFF` seconds
+        of a ring that stopped early, or when the fork fails.  A ring may
+        start inside an :func:`in_parallel` worker; if the batch leaves its
+        sides less than :data:`_MIN_SHARE` of a CPU, it stops as any starved
+        ring does."""
         n_rows = min(n_items, RING_BYTES // row_bytes)
-        if _batch or not _X86 or n_rows < 2 or _usable_cpus() < 2 or time.perf_counter() < _resume:
+        if not _X86 or n_rows < 2 or _usable_cpus() < 2 or time.perf_counter() < _resume:
             return None
         ring = cls(n_rows, row_bytes)
         ring._pid = _fork(ring._fill, fill, n_items, os.getpid())

@@ -21,11 +21,11 @@ points and returns the coefficient-weighted mean of the draws.
 Perturbations are never stored across a call: each Gaussian draw is
 regenerated from a counter-based split of the call seed per (query index,
 block index), the stream of :func:`perturbation`, so replaying a seed
-reproduces an estimate bit-for-bit and the peak scratch memory per block is
-a single perturbation matrix.  Callers that make many calls (the optimizer
-step loop, the oracle's Monte-Carlo runs) derive the PCG64 seed words of
-every slot in bulk, a chunk of calls at a time (:mod:`zomat.streams`), and
-pass them in as ``words``; the draws are the same values either way.  All
+reproduces an estimate bit-for-bit.  Callers that make many calls (the
+optimizer step loop, the oracle's Monte-Carlo runs) read each call's draws,
+all its queries' at once, from a row of :func:`zomat.streams.draw_table`,
+whose slot words are derived in bulk, and pass them in as ``draws``; the
+values are the same either way.  All
 blocks are perturbed jointly per query, and in the forward scheme the base
 value f(X) is evaluated once and shared across queries and blocks.
 """
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import ParamSpace
-from .streams import perturbation, slot_gaussian
+from .streams import perturbation
 
 FORWARD = "forward"
 CENTRAL = "central"
@@ -99,25 +99,25 @@ def _draw_shapes(x, factors) -> dict:
     return shapes
 
 
-def _estimate(obj, x, factors, cfg, seed, words):
+def _estimate(obj, x, factors, cfg, seed, draws):
     """(1/Nq) sum_i c_i D_i per block, the one finite-difference core.
 
     Each block of ``x``, in order, draws the Gaussian D_i of its (query i,
-    block) slot of ``seed`` (or of ``words``) in the shape of
-    :func:`_draw_shapes`.  A block with a factor (m-by-r F) is shifted by
+    block) slot of ``seed`` in the shape of :func:`_draw_shapes`, or reads it
+    from ``draws``.  A block with a factor (m-by-r F) is shifted by
     mu F D_i, any other by mu D_i.  Forward: one shared base f(X),
     c_i = (f(X + mu F D_i) - f(X)) / mu.  Central (one query):
     c = (f(X + mu F D) - f(X - mu F D)) / (2 mu).
     """
-    draws, mu = _draw_shapes(x, factors), cfg.mu
+    shapes, mu = _draw_shapes(x, factors), cfg.mu
     if cfg.scheme == FORWARD:
         base = obj.evaluate(x)
-        accum = {name: np.zeros(shape) for name, shape in draws.items()}
+        accum = {name: np.zeros(shape) for name, shape in shapes.items()}
     for i in range(cfg.n_queries):
         deltas = {
-            name: perturbation(seed, i, x.index(name), shape) if words is None
-            else slot_gaussian(words[i, x.index(name)], shape)
-            for name, shape in draws.items()
+            name: perturbation(seed, i, x.index(name), shape) if draws is None
+            else draws[i, x.index(name)]
+            for name, shape in shapes.items()
         }
         steps = {name: mu * (factors[name] @ d if name in factors else d)
                  for name, d in deltas.items()}
@@ -133,20 +133,20 @@ def _estimate(obj, x, factors, cfg, seed, words):
     return {name: accum[name] / cfg.n_queries for name in x.names}
 
 
-def rge_full(obj, x: ParamSpace, cfg: EstimatorConfig, seed: int, words=None) -> dict:
+def rge_full(obj, x: ParamSpace, cfg: EstimatorConfig, seed: int, draws=None) -> dict:
     """Full-space randomized gradient estimate, one array per block.
 
     Forward scheme: (1/Nq) sum_i [(f(X + mu Psi_i) - f(X)) / mu] Psi_i with
     Psi_i standard Gaussian per block.  Central scheme (single query):
-    [(f(X + mu Psi) - f(X - mu Psi)) / (2 mu)] Psi.  ``words``, when given,
-    holds the (query, block) slot words of ``seed`` from
-    :func:`zomat.streams.slot_words`.
+    [(f(X + mu Psi) - f(X - mu Psi)) / (2 mu)] Psi.  ``draws``, when given,
+    holds the draws of ``seed``'s (query, block) slots, a row of
+    :func:`zomat.streams.draw_table`.
     """
-    return _estimate(obj, x, {}, cfg, seed, words)
+    return _estimate(obj, x, {}, cfg, seed, draws)
 
 
 def subspace_rge(
-    obj, x: ParamSpace, projections: dict, cfg: EstimatorConfig, seed: int, words=None
+    obj, x: ParamSpace, projections: dict, cfg: EstimatorConfig, seed: int, draws=None
 ) -> dict:
     """Subspace randomized gradient estimate g_Z, one array per block.
 
@@ -158,15 +158,15 @@ def subspace_rge(
     full-space estimate from the same queries, so one call on a mixed space
     still costs n_queries + 1 evaluations; with no projections it is the
     forward :func:`rge_full`, the step of the full-space kind ``zo_sgd``.
-    ``words`` is as in :func:`rge_full`.
+    ``draws`` is as in :func:`rge_full`.
     """
     if cfg.scheme != FORWARD:
         raise ValueError("the subspace estimator is defined with forward differences")
-    return _estimate(obj, x, projections, cfg, seed, words)
+    return _estimate(obj, x, projections, cfg, seed, draws)
 
 
 def lge_lozo(obj, x: ParamSpace, a_factors: dict, cfg: EstimatorConfig, seed: int = 0,
-             words=None) -> dict:
+             draws=None) -> dict:
     """Two-factor low-rank estimate g_B, one array per block.
 
     Blocks with a left factor A (an m-by-r array) are perturbed by
@@ -175,9 +175,9 @@ def lge_lozo(obj, x: ParamSpace, a_factors: dict, cfg: EstimatorConfig, seed: in
     c = [f(X + mu AB) - f(X - mu AB)] / (2 mu), whose lift A @ g_B the caller
     makes.  Blocks without a factor get the full-space central estimate from
     the same two evaluations; with no factors it is the central
-    :func:`rge_full`, the step of the full-space kind ``mezo``.  ``words`` is
+    :func:`rge_full`, the step of the full-space kind ``mezo``.  ``draws`` is
     as in :func:`rge_full`.
     """
     if cfg.scheme != CENTRAL:
         raise ValueError("the two-factor estimator is defined with central differences")
-    return _estimate(obj, x, a_factors, cfg, seed, words)
+    return _estimate(obj, x, a_factors, cfg, seed, draws)

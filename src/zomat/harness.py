@@ -24,16 +24,16 @@ Configs are flat INI-style key-value text with one section per optimizer:
 
 A key left out takes the default of the parameter it feeds; one without a
 default is required.  Unknown sections (anything but ``[experiment]``,
-``[objective]``, ``[optimizer]`` and ``[optimizer:<label>]``), unknown or
-missing keys, bad values (a negative seed, a fractional ``m``, a name or
-label that is not a file name) and per-kind constraints (mezo's single
-query) are rejected with a :class:`ConfigError` naming the section and the
-key, with a did-you-mean where one is close.  The config objects cast and
-check their fields when built, so a config built in code or changed with
-``dataclasses.replace`` is checked as a parsed one is.  Values are literal:
-a ``%`` is not interpolated.  :func:`config_to_ini` writes a config back as
-text that parses to an equal one; both directions read the same field
-tables.
+``[objective]``, ``[optimizer]`` and ``[optimizer:<label>]``; ``[DEFAULT]``
+too), unknown or missing keys, bad values (a negative seed, a fractional
+``m``, a name or label that is not a file name) and per-kind constraints
+(mezo's single query) are rejected with a :class:`ConfigError` naming the
+section and the key, with a did-you-mean where one is close.  The config
+objects cast and check their fields when built, so a config built in code or
+changed with ``dataclasses.replace`` is checked as a parsed one is.  Values
+are literal: a ``%`` is not interpolated.  :func:`config_to_ini` writes a
+config back as text that parses to an equal one; both directions read the
+same field tables.
 
 Every optimizer's step count is derived from the shared query budget and its
 per-step query cost, so compared runs consume (up to remainder) the same
@@ -258,8 +258,12 @@ _OPTIMIZER_FIELDS = {
 
 
 def parse_config_text(text: str, origin: str = "<config>") -> ExperimentConfig:
-    # no interpolation: a '%' in a value (a name, a directory) is literal
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
+    # no interpolation: a '%' in a value (a name, a directory) is literal; and
+    # no default section, whose keys configparser would copy into every other
+    # one: [DEFAULT] is a section like any other, and unknown (no header line
+    # can name a section "\n")
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None,
+                                       default_section="\n")
     try:
         parser.read_string(text, source=origin)
     except configparser.Error as exc:

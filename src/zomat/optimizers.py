@@ -23,15 +23,14 @@ the r-by-n draw of slot (0, block); the held factor streams from (root, tag,
 epoch, block index), the epoch being the step rounded down to a multiple of
 ``resample_interval``.  So trajectories are reproducible, a run entered at
 any step takes the steps of a continuous one, and blocks never share a
-stream.  The estimate seeds and their slot words are derived in bulk, a
-chunk of steps at a time (:func:`zomat.streams.slot_table`), with the
-values of the scalar :func:`derive_seed` and ``perturbation``.
+stream.  A step reads its estimate seed and Gaussians from a row of the
+run's table (:func:`zomat.streams.draw_table`), built once per run by
+:func:`_start_table`, with the values of the scalar :func:`derive_seed` and
+``perturbation``.
 
-A :func:`run` of at least :data:`AHEAD_MIN_STEPS` steps uses one helper
-process when it can (``os.fork``, two usable CPUs, no
-``_parallel.in_parallel`` batch running): the helper draws each step's
-estimate Gaussians ahead into shared memory from the same slot words
-(:func:`zomat.streams.ahead_table`), so the trace is identical to a run that
+A :func:`run` of at least :data:`AHEAD_MIN_STEPS` steps has the table's
+helper process draw the rows ahead into shared memory where it can
+(``os.fork``, two usable CPUs), so the trace is identical to a run that
 draws them itself, as every run does under ``taskset -c 0``.  Once either
 process gets less than most of a CPU (other work shares the CPUs), the
 helper stops and the run draws the rest itself (:class:`zomat._parallel.Ring`).
@@ -69,12 +68,12 @@ _TAG_ESTIMATE = 1
 _TAG_PROJECTION = 2
 _TAG_LOZO_A = 4
 
-#: Fewest steps of a run that has a helper process draw ahead
-#: (:func:`_draw_ahead`).  Starting one cost the race's runs 5-7 ms (the
-#: fork, and the helper's first chunk of slot words before its first row)
-#: and saved them 25-40 us a step: on a two-CPU VM, 128-step mezo and
-#: zo_muon runs took as long with a helper as without (it was faster in 5
-#: and 3 of 10 alternating pairs), and 256-step ones 10% less (8 and 7 of 10).
+#: Fewest steps of a run that has a helper process draw ahead.  Starting one
+#: cost the race's runs 5-7 ms (the fork, and the helper's first chunk of
+#: slot words before its first row) and saved them 25-40 us a step: on a
+#: two-CPU VM, 128-step mezo and zo_muon runs took as long with a helper as
+#: without (it was faster in 5 and 3 of 10 alternating pairs), and 256-step
+#: ones 10% less (8 and 7 of 10).
 AHEAD_MIN_STEPS = 256
 
 
@@ -112,28 +111,17 @@ class OptimizerConfig:
 class OptimizerState:
     """Mutable state of one run (one kind, config and parameter space): the
     step counter; the held factors as (epoch, {matrix block name: m-by-r
-    factor}), None before the first draw; and what the first step makes
-    once for the run, its scheme's :class:`EstimatorConfig` (so checked
-    once, not per step) and the table of the estimate streams by step
-    (:func:`estimate_streams`), unless a helper process draws them ahead
-    (:func:`_draw_ahead`).  A fresh state at any step draws the factors of
-    that step's epoch, so it steps as a continuous run does."""
+    factor}), None before the first draw; and what :func:`_start_table`
+    makes once for the run, its scheme's :class:`EstimatorConfig` (so
+    checked once, not per step) and its table of estimate seeds and draws
+    by step.  A fresh state at any step draws the factors of that step's
+    epoch, so it steps as a continuous run does."""
 
     rng_root_seed: int = 0
     step: int = 0
     factors: tuple | None = None
     est_cfg: EstimatorConfig | None = field(default=None, init=False, repr=False, compare=False)
     table: Callable | None = field(default=None, init=False, repr=False, compare=False)
-
-
-def estimate_streams(state: OptimizerState, n_queries: int, n_blocks: int):
-    """Seed ``derive_seed(root, tag, step)`` of the current step's estimate and
-    the PCG64 words of its (query, block) slots, or their draws when a helper
-    process made them ahead (:func:`_draw_ahead`)."""
-    if state.table is None:
-        state.table = streams.slot_table((state.rng_root_seed, _TAG_ESTIMATE), n_queries, n_blocks)
-    seed, words = state.table(state.step)
-    return int(seed), words
 
 
 @dataclass(frozen=True)
@@ -203,17 +191,32 @@ _KINDS = {
 OPTIMIZER_KINDS = tuple(_KINDS)
 
 
+def _start_table(kind, x, cfg, state, n_ahead=0):
+    """Make what a run builds once: its scheme's estimator config, the held
+    factors of the state's step and the table of estimate seeds and draws,
+    in the shapes the estimate draws them (:func:`zomat.streams.draw_table`),
+    whose helper draws the first ``n_ahead`` steps ahead.  Returns the
+    table's ring to close, or None."""
+    scheme, draw, _ = _KINDS[kind]
+    state.est_cfg = EstimatorConfig(mu=cfg.mu, n_queries=cfg.n_queries, scheme=scheme)
+    factors = {} if draw is None else _held_factors(state, cfg, x, draw)
+    shapes = list(estimators._draw_shapes(x, factors).values())
+    state.table, ring = streams.draw_table(
+        (state.rng_root_seed, _TAG_ESTIMATE), cfg.n_queries, shapes, n_ahead)
+    return ring
+
+
 def _direction(kind, obj, x, cfg, state) -> dict:
     """The step direction d of ``kind`` from one call of its scheme's
     held-factor estimate g, lifted as F g (F msign(g) when whitened) on each
     block with a held factor F; a full-space kind holds none."""
     scheme, draw, whiten = _KINDS[kind]
-    if state.est_cfg is None:
-        state.est_cfg = EstimatorConfig(mu=cfg.mu, n_queries=cfg.n_queries, scheme=scheme)
-    seed, words = estimate_streams(state, cfg.n_queries, len(x.names))
+    if state.table is None:
+        _start_table(kind, x, cfg, state)
+    seed, draws = state.table(state.step)
     factors = {} if draw is None else _held_factors(state, cfg, x, draw)
     estimate = estimators.subspace_rge if scheme == FORWARD else estimators.lge_lozo
-    d = estimate(obj, x, factors, state.est_cfg, seed, words)
+    d = estimate(obj, x, factors, state.est_cfg, seed, draws)
     for name, f in factors.items():
         d[name] = f @ (_msign(d[name], cfg, name) if whiten else d[name])
     return d
@@ -248,21 +251,6 @@ def steps_for_budget(kind: str, cfg: OptimizerConfig, query_budget: int) -> int:
     return max(query_budget, 0) // queries_per_step(kind, cfg)
 
 
-def _draw_ahead(kind, x, cfg, state):
-    """Have one helper process draw the run's estimate slots ahead, in the
-    shapes the estimate draws them (:func:`zomat.streams.ahead_table`), and
-    return its ring to close; None when the run draws them itself, as a run
-    of fewer than :data:`AHEAD_MIN_STEPS` steps does."""
-    if cfg.total_steps < AHEAD_MIN_STEPS:
-        return None
-    draw = _KINDS[kind][1]
-    factors = {} if draw is None else _held_factors(state, cfg, x, draw)
-    shapes = list(estimators._draw_shapes(x, factors).values())
-    state.table, ring = streams.ahead_table(
-        (state.rng_root_seed, _TAG_ESTIMATE), cfg.n_queries, shapes, cfg.total_steps)
-    return ring
-
-
 def run(obj, x0, cfg: OptimizerConfig, optimizer_kind: str, seed: int, eval_every: int = 1) -> RunResult:
     """Execute ``cfg.total_steps`` steps of one optimizer and trace the loss.
 
@@ -272,26 +260,15 @@ def run(obj, x0, cfg: OptimizerConfig, optimizer_kind: str, seed: int, eval_ever
     recorded row.  A non-finite trace loss or query, or a zo_muon estimate
     that overflowed, raises :class:`EvaluationError` naming the step, the
     count of steps completed.
-    Any error raised during the run carries the rows recorded before it as
+    Every exception that leaves it, a bad argument or a warning that a
+    filter turned into an error too, carries the rows recorded before it as
     ``partial_trace`` and that count as ``steps``.  Deterministic for a fixed
     seed except for the elapsed times, whether or not a helper process draws
-    the Gaussians (:func:`_draw_ahead`); the helper is gone when this returns
-    or raises.  A whitened kind at one query warns once, before the first
-    step.
+    the Gaussians ahead (a run of at least :data:`AHEAD_MIN_STEPS` steps);
+    the helper is gone when this returns or raises.  A whitened kind at one
+    query warns once, before the first step.
     """
-    check_kind(optimizer_kind, cfg)
-    check_count("eval_every", eval_every, 1)
-    check_count("seed", seed, 0)
-    if _KINDS[optimizer_kind][2] and cfg.n_queries == 1:
-        warnings.warn(f"{optimizer_kind} with n_queries=1 steps along sign(c) P msign(D), which "
-                      "keeps only the sign of one finite difference; multi-query estimates are "
-                      "strongly recommended", stacklevel=2)
-    state = OptimizerState(rng_root_seed=int(seed))
-    x = x0.copy()
-    start_queries = obj.query_count
-    records = []
-    ring = None
-    t0 = time.perf_counter()
+    state, records, ring = OptimizerState(), [], None
 
     def record(elapsed_ms):
         loss = obj.loss(x)
@@ -300,9 +277,19 @@ def run(obj, x0, cfg: OptimizerConfig, optimizer_kind: str, seed: int, eval_ever
         records.append(StepRecord(state.step, obj.query_count - start_queries, loss, elapsed_ms))
 
     try:
+        check_kind(optimizer_kind, cfg)
+        check_count("eval_every", eval_every, 1)
+        check_count("seed", seed, 0)
+        if _KINDS[optimizer_kind][2] and cfg.n_queries == 1:
+            warnings.warn(f"{optimizer_kind} with n_queries=1 steps along sign(c) P msign(D), "
+                          "which keeps only the sign of one finite difference; multi-query "
+                          "estimates are strongly recommended", stacklevel=2)
+        state.rng_root_seed = int(seed)
+        x, start_queries, t0 = x0.copy(), obj.query_count, time.perf_counter()
         if cfg.total_steps > 0:
             record(0.0)
-        ring = _draw_ahead(optimizer_kind, x, cfg, state)
+            n_ahead = cfg.total_steps if cfg.total_steps >= AHEAD_MIN_STEPS else 0
+            ring = _start_table(optimizer_kind, x, cfg, state, n_ahead)
         while state.step < cfg.total_steps:
             x = step(optimizer_kind, obj, x, cfg, state)
             if state.step % eval_every == 0 or state.step == cfg.total_steps:

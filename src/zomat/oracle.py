@@ -127,18 +127,19 @@ def gradient_aligned_projection(objective, x: ParamSpace, rank: int) -> np.ndarr
 
 def _range_moments(spec, objective, x, seed, start, n_samples) -> tuple:
     """Count, mean and Welford sum of squared deviations of one sample range."""
-    if spec.kind == SUBSPACE_RGE:
-        projection = gradient_aligned_projection(objective, x, spec.rank)
-    table = streams.slot_table((seed,), spec.config.n_queries, len(x.names))
     name, stop = x.names[0], min(start + SAMPLE_RANGE, n_samples)
+    factors = ({name: gradient_aligned_projection(objective, x, spec.rank)}
+               if spec.kind == SUBSPACE_RGE else {})
+    shapes = list(estimators._draw_shapes(x, factors).values())
+    table, _ = streams.draw_table((seed,), spec.config.n_queries, shapes)
     mean, m2 = np.zeros_like(x[name]), np.zeros_like(x[name])
     for i in range(start, stop):
-        sample, words = table(i)
+        sample, draws = table(i)
         if spec.kind == FULL_RGE:
-            est = estimators.rge_full(objective, x, spec.config, int(sample), words)[name]
+            est = estimators.rge_full(objective, x, spec.config, sample, draws)[name]
         else:
-            est = projection @ estimators.subspace_rge(
-                objective, x, {name: projection}, spec.config, int(sample), words)[name]
+            est = factors[name] @ estimators.subspace_rge(
+                objective, x, factors, spec.config, sample, draws)[name]
         delta = est - mean
         mean += delta / (i - start + 1)
         m2 += delta * (est - mean)

@@ -15,18 +15,19 @@ instead: :func:`seed_states` is a vectorized copy of NumPy's documented
 ``SeedSequence`` hash (``mix_entropy`` then ``generate_state``) over whole
 columns of entropy tuples, :func:`slot_words` gives the PCG64 seed words of
 every (query, block) slot of many seeds at once, :func:`gaussian` draws from
-such words without hashing again, and :func:`slot_table` derives them a
-chunk of steps at a time.  The values are bit-identical to the scalar path.
+such words without hashing again.  The values are bit-identical to the
+scalar path.
 
-What a step draws can also be drawn ahead: :func:`ahead_table` is a
-:func:`slot_table` whose rows carry each slot's Gaussian in place of its
-words, written into a shared-memory ring by one forked helper process
-(:class:`zomat._parallel.Ring`) that derives the same words and draws
-``gaussian(words[i, b], shape)`` from them.  :func:`slot_gaussian` takes
-either kind of slot, so a run's draws are the same values whether the
-helper made them or this process did; where no helper can start (one usable
-CPU, as under ``taskset -c 0``) every draw is made here, and so is every
-draw after a helper stopped (it died, or a CPU was shared).
+:func:`draw_table` is the one source of the Gaussians a run of estimates
+uses (an optimizer's steps, the oracle's Monte-Carlo samples): its row i is
+the seed of index i and the draws of all its (query, block) slots, derived
+a chunk of indices at a time.  Given a
+count of rows to draw ahead, one forked helper process
+(:class:`zomat._parallel.Ring`) writes them into a shared-memory ring from
+the same words; any row it did not draw is drawn here, so the values are the
+same whichever process made them.  Where no helper can start (one usable
+CPU, as under ``taskset -c 0``) every row is drawn here, and so is every
+row after a helper stopped (it died, or a CPU was shared).
 """
 
 from __future__ import annotations
@@ -54,12 +55,12 @@ _SHIFT32 = np.uint64(32)
 
 #: uint64 words PCG64 asks its seed sequence for
 PCG64_WORDS = 4
-#: Steps (or samples) whose streams :func:`slot_table` derives in one pass.
+#: Steps (or samples) whose streams :func:`draw_table` derives in one pass.
 #: A pass costs a fixed few hundred µs plus about 0.1 µs per slot, and its
 #: temporaries grow with the chunk (about 1 MB at 1,024 steps of 4 slots), so
 #: 256 keeps both the per-step share and the added peak memory small.
 CHUNK = 256
-#: Bytes of a cache line; each part of an :func:`ahead_table` row starts on one
+#: Bytes of a cache line; each part of a :func:`draw_table` ring row starts on one
 _LINE = 64
 
 
@@ -214,40 +215,12 @@ def gaussian(words, shape) -> np.ndarray:
     return Generator(PCG64(_PresetWords(words))).standard_normal(shape)
 
 
-def slot_gaussian(slot, shape) -> np.ndarray:
-    """The standard Gaussian of one (query, block) slot in ``shape``: drawn
-    from ``slot``, the slot's uint64 PCG64 words, or ``slot`` itself when it
-    is that draw, made ahead from the same words (:func:`ahead_table`)."""
-    return slot if slot.dtype == np.float64 else gaussian(slot, shape)
-
-
-def slot_table(prefix: tuple, n_queries: int, n_blocks: int):
-    """Function of an index ``i`` that returns ``(derive_seed(*prefix, i),
-    words)``, with ``words`` the :func:`slot_words` of that seed.
-
-    The rows are derived :data:`CHUNK` indices at a time.  Reading an index
-    outside the chunk in hand derives that index's chunk, so indices may be
-    read in any order.
-    """
-    start, seeds, words = -CHUNK, None, None
-
-    def row(i: int) -> tuple:
-        nonlocal start, seeds, words
-        if not start <= i < start + CHUNK:
-            start = i - i % CHUNK
-            seeds = seed_states((*prefix, np.arange(start, start + CHUNK, dtype=np.uint64)), 1)[:, 0]
-            words = slot_words(seeds, n_queries, n_blocks)
-        return seeds[i - start], words[i - start]
-
-    return row
-
-
 def _lines(n_bytes: int) -> int:
     return -(-n_bytes // _LINE) * _LINE
 
 
 def _row_views(row, n_queries: int, shapes):
-    """One step's seed (a one-entry uint64 array) and its draws, {(query,
+    """One row's seed (a one-entry uint64 array) and its draws, {(query,
     block): float64 array of the block's shape}, over the bytes ``row``."""
     seed, draws, offset = np.frombuffer(row, np.uint64, 1), {}, _LINE
     for i in range(n_queries):
@@ -258,41 +231,57 @@ def _row_views(row, n_queries: int, shapes):
     return seed, draws
 
 
-def ahead_table(prefix: tuple, n_queries: int, shapes, n_steps: int):
-    """``(table, ring)``: a :func:`slot_table` row function for steps 0, 1,
-    ..., ``n_steps`` - 1, read in that order, whose ``words`` are the draws
-    of the steps' (query, block) slots, block b in ``shapes[b]``; and the
-    :class:`zomat._parallel.Ring` whose helper process draws them ahead, for
-    the caller to close; ``(None, None)`` where no helper can start.  For a
-    step the helper did not draw (it stopped, or the step was read out of
-    order) the table gives the step's slot words, and the caller draws from
-    them as it would without a helper."""
+def draw_table(prefix: tuple, n_queries: int, shapes, n_ahead: int = 0):
+    """``(table, ring)``.  ``table(i)`` gives ``(derive_seed(*prefix, i),
+    draws)``, where ``draws[q, b]`` is the float64 Gaussian of that seed's
+    (query q, block b) slot in ``shapes[b]``, the values of
+    :func:`perturbation`.  ``ring`` is the :class:`zomat._parallel.Ring`
+    whose helper process draws indices 0, 1, ..., ``n_ahead`` - 1 ahead, read
+    in that order, for the caller to close; None where none started
+    (``n_ahead`` below 2 too).  A row the helper drew is read-only and is
+    overwritten a ring lap later.  Any other row (no ring, a stopped helper,
+    an index read out of order) is drawn here from the same slot words.
+
+    The seeds and their :func:`slot_words` are derived :data:`CHUNK` indices
+    at a time.  Reading an index outside the chunk in hand derives that
+    index's chunk, so indices may be read in any order.
+    """
+    slots = [(q, b, shape) for q in range(n_queries) for b, shape in enumerate(shapes)]
+    start, seeds, words = -CHUNK, None, None
+
+    def drawn(i: int) -> tuple:
+        nonlocal start, seeds, words
+        if not start <= i < start + CHUNK:
+            start = i - i % CHUNK
+            seeds = seed_states((*prefix, np.arange(start, start + CHUNK, dtype=np.uint64)), 1)[:, 0]
+            words = slot_words(seeds, n_queries, len(shapes))
+        slot = words[i - start]
+        return int(seeds[i - start]), {(q, b): gaussian(slot[q, b], s) for q, b, s in slots}
+
+    views = {}  # ring row j as (seed, draws); each process makes its own after the fork
+
+    def fill(i, j, row):  # in the helper: index i into ring row j
+        if j not in views:
+            views[j] = _row_views(row, n_queries, shapes)
+        seed, draws = views[j]
+        # copied in: drawing straight into the row (``out=``) made mezo's
+        # 10,000-step race run take 0.44 s, against 0.33 s, on a two-CPU VM
+        seed[0], fresh = drawn(i)
+        for key, draw in draws.items():
+            draw[...] = fresh[key]
+
     row_bytes = _LINE + n_queries * sum(_lines(8 * math.prod(s)) for s in shapes)
-    words_of = slot_table(prefix, n_queries, len(shapes))
-    filled = {}
-
-    def fill(i, j, row):  # in the helper: step i into ring row j
-        if j not in filled:
-            filled[j] = _row_views(row, n_queries, shapes)
-        seed, draws = filled[j]
-        seed[0], words = words_of(i)
-        for (q, b), draw in draws.items():
-            draw[...] = gaussian(words[q, b], draw.shape)
-
-    ring = _parallel.Ring.start(fill, n_steps, row_bytes)
+    ring = _parallel.Ring.start(fill, n_ahead, row_bytes)
     if ring is None:
-        return None, None
-    views = {}
+        return drawn, None
 
     def table(i: int) -> tuple:
         j = ring.wait(i)
         if j is None:
-            return words_of(i)
+            return drawn(i)
         if j not in views:
-            views[j] = _row_views(ring.row(j), n_queries, shapes)
-            for draw in views[j][1].values():
-                draw.flags.writeable = False
+            views[j] = _row_views(ring.row(j).toreadonly(), n_queries, shapes)
         seed, draws = views[j]
-        return seed[0], draws
+        return int(seed[0]), draws
 
     return table, ring

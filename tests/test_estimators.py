@@ -390,19 +390,19 @@ def mixed_space_objective():
     return Objective("mixed", loss, ParamSpace(start))
 
 
-def bulk_words(seed, n_queries, n_blocks, bulk):
+def bulk_draws(seed, n_queries, x, lifts, bulk):
+    """The draws of ``seed``'s slots from its bulk-derived words, as a row of
+    ``streams.draw_table`` holds them, or None (draw through ``perturbation``)."""
     if not bulk:
         return None
-    return streams.slot_words(np.array([seed], dtype=np.uint64), n_queries, n_blocks)[0]
+    shapes = [(lifts[name].shape[1], v.shape[1]) if name in lifts else v.shape
+              for name, v in x.items()]
+    words = streams.slot_words(np.array([seed], dtype=np.uint64), n_queries, len(shapes))[0]
+    return {(i, b): streams.gaussian(words[i, b], shape)
+            for i in range(n_queries) for b, shape in enumerate(shapes)}
 
 
-def slot_draw(seed, words, i, k, shape):
-    if words is None:
-        return perturbation(seed, i, k, shape)
-    return streams.gaussian(words[i, k], shape)
-
-
-def reference_forward(obj, x, lifts, mu, n_queries, seed, words):
+def reference_forward(obj, x, lifts, mu, n_queries, seed):
     """Forward differences written out one query at a time, in the order of
     the arithmetic the estimators are pinned to."""
     shapes = {name: (lifts[name].shape[1], v.shape[1]) if name in lifts else v.shape
@@ -410,7 +410,7 @@ def reference_forward(obj, x, lifts, mu, n_queries, seed, words):
     accum = {name: np.zeros(shape) for name, shape in shapes.items()}
     base = obj.evaluate(x)
     for i in range(n_queries):
-        deltas = {name: slot_draw(seed, words, i, x.index(name), shape)
+        deltas = {name: perturbation(seed, i, x.index(name), shape)
                   for name, shape in shapes.items()}
         shifted = x.updated({
             name: x[name] + mu * (lifts[name] @ d if name in lifts else d)
@@ -444,24 +444,23 @@ class TestReferenceArithmetic:
     @pytest.mark.parametrize("bulk", [False, True])
     def test_rge_full_forward(self, bulk):
         seed, cfg = 2, EstimatorConfig(mu=MU, n_queries=3)
-        words = bulk_words(seed, 3, 3, bulk)
         obj = mixed_space_objective()
-        got = estimators.rge_full(obj, obj.initial_params, cfg, seed, words)
+        draws = bulk_draws(seed, 3, obj.initial_params, {}, bulk)
+        got = estimators.rge_full(obj, obj.initial_params, cfg, seed, draws)
         assert obj.query_count == 4
         ref = mixed_space_objective()
-        assert_same_estimate(got, reference_forward(ref, ref.initial_params, {}, MU, 3,
-                                                    seed, words))
+        assert_same_estimate(got, reference_forward(ref, ref.initial_params, {}, MU, 3, seed))
 
     @pytest.mark.parametrize("bulk", [False, True])
     def test_rge_full_central(self, bulk):
         seed, cfg = 3, EstimatorConfig(mu=MU, scheme=CENTRAL)
-        words = bulk_words(seed, 1, 3, bulk)
         obj = mixed_space_objective()
-        got = estimators.rge_full(obj, obj.initial_params, cfg, seed, words)
+        draws = bulk_draws(seed, 1, obj.initial_params, {}, bulk)
+        got = estimators.rge_full(obj, obj.initial_params, cfg, seed, draws)
         assert obj.query_count == 2
         ref = mixed_space_objective()
         x = ref.initial_params
-        deltas = {name: slot_draw(seed, words, 0, x.index(name), v.shape) for name, v in x.items()}
+        deltas = {name: perturbation(seed, 0, x.index(name), v.shape) for name, v in x.items()}
         assert_same_estimate(got, reference_central(ref, x, {}, deltas, MU))
 
     @pytest.mark.parametrize("bulk", [False, True])
@@ -469,31 +468,30 @@ class TestReferenceArithmetic:
         # a projected matrix block, a vector block and a matrix block
         # without a projection, all from the same three queries
         seed, cfg = 1234, EstimatorConfig(mu=MU, n_queries=3)
-        words = bulk_words(seed, 3, 3, bulk)
         proj = {"a": linalg.sample_projection(5, 2, seed=9)}
         obj = mixed_space_objective()
-        got = estimators.subspace_rge(obj, obj.initial_params, proj, cfg, seed, words)
+        draws = bulk_draws(seed, 3, obj.initial_params, proj, bulk)
+        got = estimators.subspace_rge(obj, obj.initial_params, proj, cfg, seed, draws)
         assert obj.query_count == 4
         assert got["a"].shape == (2, 4)
         ref = mixed_space_objective()
-        assert_same_estimate(got, reference_forward(ref, ref.initial_params, proj, MU, 3,
-                                                    seed, words))
+        assert_same_estimate(got, reference_forward(ref, ref.initial_params, proj, MU, 3, seed))
 
     @pytest.mark.parametrize("bulk", [False, True])
     def test_lge_lozo(self, bulk):
         # a factored block, a vector block and a matrix block left to the
         # full Gaussian fallback
         seed, cfg = 41, EstimatorConfig(mu=MU, scheme=CENTRAL)
-        words = bulk_words(seed, 1, 3, bulk)
         a = {"a": np.random.default_rng(3).standard_normal((5, 2))}
         obj = mixed_space_objective()
-        got = estimators.lge_lozo(obj, obj.initial_params, a, cfg, seed=seed, words=words)
+        draws = bulk_draws(seed, 1, obj.initial_params, a, bulk)
+        got = estimators.lge_lozo(obj, obj.initial_params, a, cfg, seed=seed, draws=draws)
         assert obj.query_count == 2
         assert got["a"].shape == (2, 4)
         ref = mixed_space_objective()
         x = ref.initial_params
-        deltas = {name: slot_draw(seed, words, 0, x.index(name),
-                                  (2, v.shape[1]) if name in a else v.shape)
+        deltas = {name: perturbation(seed, 0, x.index(name),
+                                     (2, v.shape[1]) if name in a else v.shape)
                   for name, v in x.items()}
         assert_same_estimate(got, reference_central(ref, x, a, deltas, MU))
 

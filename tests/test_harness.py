@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -261,6 +262,15 @@ class TestParsing:
     def test_unknown_section_rejected(self, section, hint):
         text = TINY_CONFIG + f"\n[{section}]\nkind = mezo\nlearning_rate = 1e-3\n"
         with pytest.raises(ConfigError, match=rf"unknown section \[{section}\]; {hint}"):
+            parse_config_text(text)
+
+    # configparser would copy [DEFAULT]'s keys into every other section and
+    # blame them on it
+    @pytest.mark.parametrize("body", ["seed = 3\n", "foo = 1\n", ""],
+                             ids=["known-key", "unknown-key", "empty"])
+    def test_default_section_rejected(self, body):
+        text = f"[DEFAULT]\n{body}" + TINY_CONFIG
+        with pytest.raises(ConfigError, match=r"unknown section \[DEFAULT\]; valid: \[experiment\]"):
             parse_config_text(text)
 
     def test_mezo_multi_query_rejected_at_parse_time(self):
@@ -625,6 +635,21 @@ class TestRunExperiment:
         assert [r.step for r in partial] == [0, 1, 2]
         assert failed["final_loss"] == partial[-1].loss
         assert results["mezo"]["queries"] == 200
+
+    def test_warning_raised_as_error_fails_only_its_optimizer(self, tmp_path):
+        # under `python -W error`, zo_muon's single-query warning is an
+        # exception raised before its first step; the others still run
+        text = TINY_CONFIG.replace("n_queries = 4\n", "")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            summary = run_experiment(parse_config_text(text), out_dir=tmp_path)
+        results = summary["results"]
+        assert results["mezo"]["status"] == "ok"
+        spectral = results["spectral"]
+        assert spectral["status"] == "error" and spectral["steps"] == 0
+        assert spectral["error"].startswith("UserWarning at step 0: zo_muon with n_queries=1")
+        assert spectral["final_loss"] is None and read_trace_csv(tmp_path / "tiny_spectral.csv") == []
+        assert json.loads((tmp_path / "summary.json").read_text())["results"] == results
 
     @pytest.mark.parametrize("backend", ["svd", "ns"])
     def test_overflowing_zo_muon_estimate_diverges(self, tmp_path, monkeypatch, backend):

@@ -293,13 +293,13 @@ class TestSubspaceDirections:
         epoch, factors = state.factors
         assert epoch == 0 and set(factors) == {"a", "b"}
 
-        seed, words = optimizers.estimate_streams(OptimizerState(rng_root_seed=9), n_queries, 3)
+        seed = optimizers.derive_seed(9, optimizers._TAG_ESTIMATE, 0)
         if kind == LOZO:
             est_cfg = EstimatorConfig(mu=cfg.mu, scheme=CENTRAL)
-            g = estimators.lge_lozo(self.mixed_objective(), x, factors, est_cfg, seed, words)
+            g = estimators.lge_lozo(self.mixed_objective(), x, factors, est_cfg, seed)
         else:
             est_cfg = EstimatorConfig(mu=cfg.mu, n_queries=n_queries)
-            g = estimators.subspace_rge(self.mixed_objective(), x, factors, est_cfg, seed, words)
+            g = estimators.subspace_rge(self.mixed_objective(), x, factors, est_cfg, seed)
         for name in x.names:
             d = g[name]
             if name in factors:

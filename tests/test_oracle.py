@@ -222,12 +222,6 @@ two_cpus = pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs tw
 
 
 class TestInParallel:
-    @pytest.fixture(autouse=True)
-    def no_child_left(self):
-        yield
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
     @two_cpus
     def test_forks_a_worker_per_other_usable_cpu(self, monkeypatch):
         forks = []

@@ -20,7 +20,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zomat import _parallel, estimators, optimizers, streams
-from zomat._parallel import in_parallel
 from zomat.estimators import CENTRAL, FORWARD, EstimatorConfig
 from zomat.objectives import EvaluationError, Objective
 from zomat.optimizers import (
@@ -126,29 +125,35 @@ def single_block_objective():
                      ParamSpace({"x": np.zeros((6, 5))}))
 
 
-def scalar_estimate_streams(state, n_queries, n_blocks):
-    """The per-step estimate seed derived one at a time; no words, so the
-    estimators draw through ``perturbation``."""
-    return derive_seed(state.rng_root_seed, optimizers._TAG_ESTIMATE, state.step), None
+def scalar_draw_table(prefix, n_queries, shapes, n_ahead=0):
+    """A draw table whose rows are derived one at a time through the scalar
+    ``derive_seed`` and ``perturbation``, with no helper."""
+    def table(i):
+        seed = derive_seed(*prefix, i)
+        return seed, {(q, b): perturbation(seed, q, b, shape)
+                      for q in range(n_queries) for b, shape in enumerate(shapes)}
+
+    return table, None
 
 
 class TestStepTables:
     @pytest.mark.parametrize("step", [0, 1, CHUNK - 1, CHUNK, CHUNK + 2, 5 * CHUNK + 17])
     def test_estimate_table_equals_scalar(self, step):
-        state = OptimizerState(rng_root_seed=2**40 + 9, step=step)
-        seed, words = optimizers.estimate_streams(state, 3, 2)
-        assert seed == derive_seed(state.rng_root_seed, optimizers._TAG_ESTIMATE, step)
-        for i in range(3):
-            for b in range(2):
-                drawn = streams.gaussian(words[i, b], (2, 5))
-                assert np.array_equal(drawn, perturbation(seed, i, b, (2, 5)))
+        root = 2**40 + 9
+        table, ring = streams.draw_table((root, optimizers._TAG_ESTIMATE), 3, [(2, 5), (4, 1)])
+        assert ring is None
+        seed, draws = table(step)
+        assert seed == derive_seed(root, optimizers._TAG_ESTIMATE, step)
+        assert sorted(draws) == [(i, b) for i in range(3) for b in range(2)]
+        for (i, b), drawn in draws.items():
+            assert np.array_equal(drawn, perturbation(seed, i, b, [(2, 5), (4, 1)][b]))
 
     def test_steps_read_in_any_order(self):
-        state = OptimizerState(rng_root_seed=11)
+        table, _ = streams.draw_table((11, optimizers._TAG_ESTIMATE), 1, [(1, 1)])
         for step in (3 * CHUNK + 5, 2, CHUNK, 3 * CHUNK + 4, 0):
-            state.step = step
-            seed, _ = optimizers.estimate_streams(state, 1, 1)
+            seed, draws = table(step)
             assert seed == derive_seed(11, optimizers._TAG_ESTIMATE, step)
+            assert draws[0, 0] == perturbation(seed, 0, 0, (1, 1))
 
     @pytest.mark.parametrize("kind, n_queries", KIND_QUERIES)
     def test_run_across_chunk_boundary_equals_scalar_streams(self, kind, n_queries, monkeypatch):
@@ -158,7 +163,7 @@ class TestStepTables:
         )
         bulk = run(mixed_objective(), mixed_objective().initial_params, cfg, kind, seed=4,
                    eval_every=CHUNK // 2)
-        monkeypatch.setattr(optimizers, "estimate_streams", scalar_estimate_streams)
+        monkeypatch.setattr(streams, "draw_table", scalar_draw_table)
         scalar = run(mixed_objective(), mixed_objective().initial_params, cfg, kind, seed=4,
                      eval_every=CHUNK // 2)
         assert [r.loss for r in bulk.records] == [r.loss for r in scalar.records]
@@ -174,7 +179,7 @@ class TestStepTables:
         bulk = optimizers.step(
             kind, obj, x, cfg, OptimizerState(rng_root_seed=5, step=3 * CHUNK - 1)
         )
-        monkeypatch.setattr(optimizers, "estimate_streams", scalar_estimate_streams)
+        monkeypatch.setattr(streams, "draw_table", scalar_draw_table)
         scalar = optimizers.step(
             kind, obj, x, cfg, OptimizerState(rng_root_seed=5, step=3 * CHUNK - 1)
         )
@@ -216,12 +221,12 @@ class TestOneForwardLoop:
         # lge_lozo) with no factor run the same loop over the same draws:
         # the step of zo_sgd and of mezo
         cfg = EstimatorConfig(mu=1e-3, n_queries=n_queries, scheme=scheme)
-        seed = derive_seed(8, 1, 5)
-        words = (streams.slot_words(np.array([seed], dtype=np.uint64), n_queries, 3)[0]
-                 if bulk else None)
         obj = mixed_objective()
-        full = estimators.rge_full(obj, obj.initial_params, cfg, seed, words)
-        held = held_factor_estimate(obj, obj.initial_params, {}, cfg, seed, words)
+        shapes = [v.shape for _, v in obj.initial_params.items()]
+        seed, draws = streams.draw_table((8, 1), n_queries, shapes)[0](5)
+        draws = draws if bulk else None
+        full = estimators.rge_full(obj, obj.initial_params, cfg, seed, draws)
+        held = held_factor_estimate(obj, obj.initial_params, {}, cfg, seed, draws)
         assert obj.query_count == 2 * (n_queries + 1)
         assert list(full) == list(held) == ["a", "v", "b"]
         for name in full:
@@ -293,14 +298,11 @@ class TestDrawAhead:
     ahead where two CPUs are usable; its runs must equal inline ones."""
 
     @pytest.fixture(autouse=True)
-    def no_child_left(self, monkeypatch):
+    def never_starved(self, monkeypatch):
         # a loaded test machine must not stop a ring, and a ring one test
         # stops must not keep the next test's from starting
         monkeypatch.setattr(_parallel, "_MIN_SHARE", 0.0)
         monkeypatch.setattr(_parallel, "_resume", 0.0)
-        yield
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
 
     def _run(self, kind, n_queries, obj=None, steps=CHUNK + 3):
         cfg = OptimizerConfig(learning_rate=1e-3, n_queries=n_queries, rank=2,
@@ -327,14 +329,17 @@ class TestDrawAhead:
     def test_ring_rows_hold_the_inline_draws(self, monkeypatch):
         _cpus(monkeypatch, 2)
         shapes = [(2, 3), (4, 1), (2, 5)]
-        table, ring = streams.ahead_table((9, 1), 2, shapes, CHUNK + 2)
+        table, ring = streams.draw_table((9, 1), 2, shapes, n_ahead=CHUNK + 2)
+        assert ring is not None
         try:
-            for step in range(CHUNK + 2):
+            # the last read is out of order, so drawn here
+            for n, step in enumerate([*range(CHUNK + 2), 3]):
                 seed, draws = table(step)
                 assert seed == derive_seed(9, 1, step)
+                assert len(draws) == 2 * len(shapes)
                 for (i, b), draw in draws.items():
                     assert np.array_equal(draw, perturbation(seed, i, b, shapes[b]))
-                    assert not draw.flags.writeable
+                    assert draw.flags.writeable == (n == CHUNK + 2)
         finally:
             ring.close()
 
@@ -427,19 +432,6 @@ class TestDrawAhead:
         with pytest.raises(error) as info:
             self._run(MEZO, 1, obj=failing_objective(CHUNK, value))
         assert len(forks) == 1 and 0 < info.value.steps < CHUNK // 2
-
-    def test_no_helper_inside_a_batch(self, monkeypatch):
-        _cpus(monkeypatch, 2)
-        forks = _fork_log(monkeypatch)
-
-        def forks_during_a_run():
-            before = len(forks)
-            self._run(SUBSPACE_MEZO, 2)
-            return len(forks) - before
-
-        assert in_parallel([forks_during_a_run, forks_during_a_run]) == [0, 0]
-        assert len(forks) == 1  # the batch's worker, no helper
-        assert forks_during_a_run() == 1  # and one once the batch is over
 
 
 def test_starved_measures_this_thread_once_a_window():
