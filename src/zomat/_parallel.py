@@ -41,10 +41,11 @@ _MIN_SHARE = 0.75
 _BACKOFF = 10.0
 #: ``time.perf_counter()`` before which no :class:`Ring` starts
 _resume = 0.0
-#: Start of the ring's rows; the two counters before them sit on cache lines
-#: of their own (int64 indices 0 and 8 of the map)
+#: Start of the ring's rows.  The counters before them are int64 indices of
+#: the map: the helper's (items filled) on one cache line, this process's
+#: (items done, the item it took) on another
 _HEADER = 128
-_FILLED, _DONE = 0, 8
+_FILLED, _DONE, _TAKEN = 0, 8, 9
 #: Whether this CPU keeps stores and loads in program order, which the
 #: ring's plain counters need (x86)
 _X86 = hasattr(os, "uname") and os.uname().machine in ("x86_64", "amd64", "i386", "i686")
@@ -179,29 +180,34 @@ class Ring:
     i mod :attr:`n_rows` and ``row`` the bytes of ring row j, and counts the
     items it has filled; :meth:`wait` counts the items this process is done
     with.  So the helper runs at most ``n_rows`` items ahead and never
-    writes a row that is being read.  Both sides wait by spinning on the two
-    counters: waking a blocked process cost about 2 ms on a two-CPU VM,
-    more than most optimizer steps.  Every ``_SPINS`` passes each side
-    yields its CPU, so a machine with more processes than CPUs still
-    progresses, and looks at the other side: the helper exits once its
-    parent has changed (this process died), which it also checks once per
-    lap of the ring, and :meth:`wait` reports a helper that died before it
-    filled the item.  Spinning only pays while each side has a CPU to
-    itself, so each also measures, once a lap and at each yield, the share
-    of a CPU it got over the last :data:`_WINDOW` seconds; below
+    writes a row that is being read.  Where the helper lags, the two share
+    its work: finding item i unfilled, this process takes item i + 1, which
+    it makes itself while the helper finishes item i, and which the helper
+    skips.  Both sides wait by spinning on the counters: waking a blocked
+    process cost about 2 ms on a two-CPU VM, more than most optimizer
+    steps.  Every ``_SPINS`` passes each side yields its CPU, so a machine
+    with more processes than CPUs still progresses, and looks at the other
+    side: the helper exits once its parent has changed (this process died),
+    which it also checks once per lap of the ring, and :meth:`wait` reaps a
+    helper that has exited.  Spinning only pays while each side has a CPU
+    to itself, so each also measures, once a lap and at each yield, the
+    share of a CPU it got over the last :data:`_WINDOW` seconds; below
     :data:`_MIN_SHARE` the ring stops (the helper exits, or this process
     stops it), the caller makes the remaining items itself, and no other
-    ring starts for :data:`_BACKOFF` seconds.  The counters are plain
-    stores, which only a CPU that keeps stores and loads in program order
-    (x86) makes safe to read across processes, so elsewhere no helper
-    starts.  The map is unmapped once no view of a row is left.
+    ring starts for :data:`_BACKOFF` seconds, as after a helper that exited
+    or died before it filled every item.  The counters are plain stores,
+    which only a CPU that keeps stores and loads in program order (x86)
+    makes safe to read across processes, so elsewhere no helper starts.
+    The map is unmapped once no view of a row is left.
     """
 
-    def __init__(self, n_rows, row_bytes):
+    def __init__(self, n_rows, row_bytes, n_items):
         self.n_rows = n_rows
         self._row_bytes = row_bytes
+        self._n_items = n_items
         self._map = mmap.mmap(-1, _HEADER + n_rows * row_bytes)
         self._counts = memoryview(self._map)[:_HEADER].cast("q")
+        self._counts[_TAKEN] = -1
         self._pid = 0
         self._next = 0
         self._mark = _clocks()
@@ -219,8 +225,8 @@ class Ring:
         n_rows = min(n_items, RING_BYTES // row_bytes)
         if not _X86 or n_rows < 2 or _usable_cpus() < 2 or time.perf_counter() < _resume:
             return None
-        ring = cls(n_rows, row_bytes)
-        ring._pid = _fork(ring._fill, fill, n_items, os.getpid())
+        ring = cls(n_rows, row_bytes, n_items)
+        ring._pid = _fork(ring._fill, fill, os.getpid())
         return ring if ring._pid else None
 
     def row(self, j: int) -> memoryview:
@@ -228,9 +234,9 @@ class Ring:
         start = _HEADER + j * self._row_bytes
         return memoryview(self._map)[start : start + self._row_bytes]
 
-    def _fill(self, fill, n_items, parent):
+    def _fill(self, fill, parent):
         counts, spins, mark = self._counts, 0, _clocks()
-        for i in range(n_items):
+        for i in range(self._n_items):
             j = i % self.n_rows
             # once a lap, for a helper that never waits
             if j == 0 and (os.getppid() != parent or _starved(mark)):
@@ -241,15 +247,21 @@ class Ring:
                     os.sched_yield()
                     if os.getppid() != parent or _starved(mark):
                         return
-            fill(i, j, self.row(j))
+            if i != counts[_TAKEN]:  # else this process makes item i
+                fill(i, j, self.row(j))
             counts[_FILLED] = i + 1
 
-    def wait(self, i: int):
+    def wait(self, i: int, take):
         """Ring row holding item i once the helper has filled it, marking the
-        items before i done; None once the ring has stopped (the helper died
-        before filling an item asked for, or this process, which looks once
-        a lap, was starved and stopped it), and when i is not the item after
-        the last one asked for."""
+        items before i done.  While the helper has not filled item i, this
+        process first calls ``take(i + 1)`` to make the next item itself, and
+        the helper skips it.  None for an item that this process makes: one
+        it took, every item once the ring has stopped (its helper exited or
+        died before filling the item, or this process, which looks once a
+        lap, was starved and stopped it), and an item that is not the one
+        after the last asked for.  If the helper had started the item taken
+        before it saw it taken, both processes make it, and only this one's
+        is read."""
         if i != self._next or not self._pid:
             return None
         if i % self.n_rows == 0 and _starved(self._mark):
@@ -257,14 +269,21 @@ class Ring:
         self._next += 1
         counts, spins = self._counts, 0
         counts[_DONE] = i
+        if counts[_TAKEN] == i:
+            return None
+        if counts[_FILLED] <= i and i + 1 < self._n_items:
+            counts[_TAKEN] = i + 1
+            take(i + 1)
         while counts[_FILLED] <= i:
             spins += 1
             if spins % _SPINS == 0:
                 os.sched_yield()
                 if os.waitpid(self._pid, os.WNOHANG)[0]:  # exited, and reaped
                     self._pid = 0
+                    if counts[_FILLED] < self._n_items:  # it stopped early
+                        self._stop()
                     if counts[_FILLED] <= i:  # not a helper that filled i, then exited
-                        return self._stop()
+                        return None
         return i % self.n_rows
 
     def _stop(self):

@@ -25,9 +25,11 @@ a chunk of indices at a time.  Given a
 count of rows to draw ahead, one forked helper process
 (:class:`zomat._parallel.Ring`) writes them into a shared-memory ring from
 the same words; any row it did not draw is drawn here, so the values are the
-same whichever process made them.  Where no helper can start (one usable
-CPU, as under ``taskset -c 0``) every row is drawn here, and so is every
-row after a helper stopped (it died, or a CPU was shared).
+same whichever process made them.  Where the helper lags, this process
+draws the row after the one it waits for, and the helper skips that row.
+Where no helper can start (one usable CPU, as under ``taskset -c 0``) every
+row is drawn here, and so is every row after a helper stopped (it died, or
+a CPU was shared).
 """
 
 from __future__ import annotations
@@ -239,8 +241,10 @@ def draw_table(prefix: tuple, n_queries: int, shapes, n_ahead: int = 0):
     whose helper process draws indices 0, 1, ..., ``n_ahead`` - 1 ahead, read
     in that order, for the caller to close; None where none started
     (``n_ahead`` below 2 too).  A row the helper drew is read-only and is
-    overwritten a ring lap later.  Any other row (no ring, a stopped helper,
-    an index read out of order) is drawn here from the same slot words.
+    overwritten a ring lap later.  Any other row is drawn here from the same
+    slot words: every row without a ring, after a stopped helper or read out
+    of order, and the row after one the helper has not drawn yet, drawn
+    while waiting for it and kept until it is read.
 
     The seeds and their :func:`slot_words` are derived :data:`CHUNK` indices
     at a time.  Reading an index outside the chunk in hand derives that
@@ -275,10 +279,15 @@ def draw_table(prefix: tuple, n_queries: int, shapes, n_ahead: int = 0):
     if ring is None:
         return drawn, None
 
+    stash = {}  # the index this process took from its lagging helper, read next
+
+    def take(i):
+        stash[i] = drawn(i)
+
     def table(i: int) -> tuple:
-        j = ring.wait(i)
+        j = ring.wait(i, take)
         if j is None:
-            return drawn(i)
+            return stash.pop(i, None) or drawn(i)
         if j not in views:
             views[j] = _row_views(ring.row(j).toreadonly(), n_queries, shapes)
         seed, draws = views[j]

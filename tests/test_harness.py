@@ -556,6 +556,34 @@ class TestRunExperiment:
         for name in ("tiny_mezo.csv", "tiny_spectral.csv"):
             assert strip_elapsed(tmp_path / "a" / name) == strip_elapsed(tmp_path / "b" / name)
 
+    def test_a_rerun_replaces_its_outputs(self, tmp_path):
+        # the first run into ``out`` writes longer traces than the second;
+        # the second's files must be new ones, the same as in a fresh
+        # directory, and must leave links to the old ones alone
+        short = parse_config_text(TINY_CONFIG)
+        long = parse_config_text(TINY_CONFIG.replace("query_budget = 40", "query_budget = 100"))
+        fresh, out, kept = tmp_path / "fresh", tmp_path / "out", tmp_path / "kept"
+        run_experiment(short, out_dir=fresh)
+        run_experiment(long, out_dir=out)
+        kept.mkdir()
+        names = ("tiny_mezo.csv", "tiny_spectral.csv", "summary.json")
+        old = {name: (out / name).read_bytes() for name in names}
+        for name in names:
+            (kept / name).hardlink_to(out / name)
+        (kept / "outside.json").write_text("{}")
+        (out / "summary.json").unlink()
+        (out / "summary.json").symlink_to(kept / "outside.json")
+        run_experiment(short, out_dir=out)
+        for name in names:
+            assert not (out / name).is_symlink()
+            assert (out / name).stat().st_ino != (kept / name).stat().st_ino
+            assert (kept / name).read_bytes() == old[name]
+        assert (kept / "outside.json").read_text() == "{}"
+        for name in names[:2]:
+            assert len(strip_elapsed(out / name)) < len(old[name].splitlines())
+            assert strip_elapsed(out / name) == strip_elapsed(fresh / name)
+        assert (out / "summary.json").read_bytes() == (fresh / "summary.json").read_bytes()
+
     def test_seed_override_changes_trace(self, tmp_path):
         exp = parse_config_text(TINY_CONFIG)
         run_experiment(exp, out_dir=tmp_path / "a")

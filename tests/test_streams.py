@@ -7,6 +7,7 @@ boundary and at any step a stepper is entered, whether this process draws
 them or a helper process draws them ahead.
 """
 
+import mmap
 import os
 import select
 import signal
@@ -260,6 +261,28 @@ def _draws_here(monkeypatch):
     return draws
 
 
+def _made_here(monkeypatch):
+    """Log the items whose rows this process makes itself while a ring runs:
+    those it takes from a lagging helper (``take`` of
+    :meth:`zomat._parallel.Ring.wait`), and those asked for once the ring
+    has stopped (a helper reaped after filling every item counts: the rows
+    it filled are not read after that)."""
+    taken, stopped, wait = [], [], _parallel.Ring.wait
+
+    def logged_wait(ring, i, take):
+        def logged_take(k):
+            taken.append(k)
+            take(k)
+
+        j = wait(ring, i, logged_take)
+        if j is None and not ring._pid:
+            stopped.append(i)
+        return j
+
+    monkeypatch.setattr(_parallel.Ring, "wait", logged_wait)
+    return taken, stopped
+
+
 def _cpus(monkeypatch, n):
     # two stand for a helper's CPU even where only one is real: the helper
     # then moves to another CPU of the machine, or shares this process's,
@@ -315,13 +338,19 @@ class TestDrawAhead:
         # a ring of 7 rows is reused 37 times in 259 steps, across the
         # chunk boundary of the slot words at step 256
         monkeypatch.setattr(_parallel, "RING_BYTES", 7 * 1024)
+        drawn_here = _draws_here(monkeypatch)
         with monkeypatch.context() as m:
             _cpus(m, 1)
             inline = self._run(kind, n_queries)
+        slots, left = divmod(len(drawn_here), CHUNK + 3)
+        assert left == 0
+        drawn_here.clear()
         _cpus(monkeypatch, 2)
-        forks, drawn_here = _fork_log(monkeypatch), _draws_here(monkeypatch)
+        forks, (taken, stopped) = _fork_log(monkeypatch), _made_here(monkeypatch)
         ahead = self._run(kind, n_queries)
-        assert len(forks) == 1 and drawn_here == []  # the helper drew every slot
+        # the helper drew every step's slots but those of the steps this
+        # process took while the helper lagged, or asked for once it stopped
+        assert len(forks) == 1 and len(drawn_here) == slots * len({*taken, *stopped})
         assert ahead.records and _trace(ahead) == _trace(inline)
         for name in inline.final_params.names:
             assert np.array_equal(ahead.final_params[name], inline.final_params[name])
@@ -329,6 +358,7 @@ class TestDrawAhead:
     def test_ring_rows_hold_the_inline_draws(self, monkeypatch):
         _cpus(monkeypatch, 2)
         shapes = [(2, 3), (4, 1), (2, 5)]
+        taken, stopped = _made_here(monkeypatch)
         table, ring = streams.draw_table((9, 1), 2, shapes, n_ahead=CHUNK + 2)
         assert ring is not None
         try:
@@ -337,11 +367,92 @@ class TestDrawAhead:
                 seed, draws = table(step)
                 assert seed == derive_seed(9, 1, step)
                 assert len(draws) == 2 * len(shapes)
+                # a ring row is read-only; a row drawn here (taken while the
+                # helper lagged, asked for once it stopped, or read out of
+                # order) is not
+                drawn_here = n == CHUNK + 2 or step in taken or step in stopped
                 for (i, b), draw in draws.items():
                     assert np.array_equal(draw, perturbation(seed, i, b, shapes[b]))
-                    assert draw.flags.writeable == (n == CHUNK + 2)
+                    assert draw.flags.writeable == drawn_here
         finally:
             ring.close()
+
+    def test_a_lagging_helper_skips_the_steps_the_caller_takes(self, monkeypatch):
+        # before each chosen step this process waits until the helper has
+        # filled the step before it, so it does not take the chosen step
+        # itself; the helper's fill of the chosen step waits until this
+        # process, finding that step unfilled, has taken the next one; this
+        # process then waits until the helper has passed the step it took
+        chosen, steps = {5, 100, CHUNK + 1}, CHUNK + 3
+        drawn_here = _draws_here(monkeypatch)
+        with monkeypatch.context() as m:
+            _cpus(m, 1)
+            inline = self._run(MEZO, 1)
+        slots = len(drawn_here) // steps
+        drawn_here.clear()
+        _cpus(monkeypatch, 2)
+        taken, stopped = _made_here(monkeypatch)
+        filled, took = mmap.mmap(-1, steps), mmap.mmap(-1, steps)  # shared with the helper
+        start, wait = _parallel.Ring.start.__func__, _parallel.Ring.wait
+
+        def until(done):
+            deadline = time.perf_counter() + 10
+            while not done() and time.perf_counter() < deadline:
+                time.sleep(0.001)
+
+        def lagging_start(cls, fill, n_items, row_bytes):
+            def lagging_fill(i, j, row):  # in the helper
+                if i in chosen:
+                    until(lambda: took[i + 1])
+                filled[i] = 1
+                fill(i, j, row)
+
+            return start(cls, lagging_fill, n_items, row_bytes)
+
+        def logged_wait(ring, i, take):
+            if i + 1 in chosen:
+                until(lambda: ring._counts[_parallel._FILLED] > i)
+
+            def logged_take(k):
+                took[k] = 1
+                take(k)
+                if k - 1 in chosen:
+                    until(lambda: ring._counts[_parallel._FILLED] > k)
+
+            return wait(ring, i, logged_take)
+
+        monkeypatch.setattr(_parallel.Ring, "start", classmethod(lagging_start))
+        monkeypatch.setattr(_parallel.Ring, "wait", logged_wait)
+        ahead = self._run(MEZO, 1)
+        assert _trace(ahead) == _trace(inline)
+        for k in chosen:
+            assert filled[k] and took[k + 1] and not filled[k + 1]
+        # this process draws each step it takes once, and no other step
+        assert len(drawn_here) == slots * len({*taken, *stopped})
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="pins to one CPU")
+    def test_rows_stay_intact_when_both_sides_share_one_cpu(self, monkeypatch):
+        # this process and its helper on one CPU take turns: the helper
+        # fills the ring while this process yields, and this process takes
+        # a row in each of the about 100 laps of the 9-row ring; each row
+        # read must hold its own draws
+        monkeypatch.setattr(_parallel, "RING_BYTES", 4 * 1024)
+        monkeypatch.setattr(_parallel, "_usable_cpus", lambda: 2)
+        shapes, n = [(3, 4), (5,)], 4 * CHUNK
+        inline, _ = streams.draw_table((7, 2), 2, shapes)
+        cpus = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {min(cpus)})
+        try:
+            table, ring = streams.draw_table((7, 2), 2, shapes, n_ahead=n)
+            try:
+                for i in range(n):
+                    (seed, draws), (want_seed, want) = table(i), inline(i)
+                    assert seed == want_seed
+                    assert all(np.array_equal(draws[key], want[key]) for key in want)
+            finally:
+                ring.close()
+        finally:
+            os.sched_setaffinity(0, cpus)
 
     def test_short_run_draws_inline(self, monkeypatch):
         _cpus(monkeypatch, 2)
@@ -415,9 +526,30 @@ class TestDrawAhead:
         ring = _parallel.Ring.start(fill, 2, 8)
         monkeypatch.setattr(os, "sched_yield", lambda: time.sleep(0.5))
         try:
-            j = ring.wait(0)
+            j = ring.wait(0, lambda k: None)
             assert j == 0 and ring.row(j)[0] == 7
             assert _parallel._resume == 0.0
+        finally:
+            ring.close()
+
+    def test_a_helper_that_stops_early_while_waited_on_sets_the_backoff(self, monkeypatch):
+        # the helper fills item 0 and exits before item 2 of 3 (a starved
+        # helper exits so) while this process yields in wait(0); reaping it
+        # there must hand back row 0 and keep rings off for _BACKOFF seconds
+        _cpus(monkeypatch, 2)
+
+        def fill(i, j, row):
+            if i == 2:
+                os._exit(0)
+            time.sleep(0.05)
+            row[0] = 7 + i
+
+        ring = _parallel.Ring.start(fill, 3, 8)
+        monkeypatch.setattr(os, "sched_yield", lambda: time.sleep(0.5))
+        try:
+            j = ring.wait(0, lambda k: None)
+            assert j == 0 and ring.row(j)[0] == 7
+            assert _parallel._resume > time.perf_counter()
         finally:
             ring.close()
 
