@@ -30,13 +30,13 @@ run's table (:func:`zomat.streams.draw_table`), built once per run by
 
 A :func:`run` of at least :data:`AHEAD_MIN_STEPS` steps has the table's
 helper process draw the rows ahead into shared memory where it can
-(``os.fork``, two usable CPUs), so the trace is identical to a run that
-draws them itself, as every run does under ``taskset -c 0``.  Where the
-helper lags (mezo's 64-by-64 draw takes it longer than this process's
-step), the run draws the row after the one it waits for, and the helper
-skips that row, so the two share the drawing.  Once either
-process gets less than most of a CPU (other work shares the CPUs), the
-helper stops and the run draws the rest itself (:class:`zomat._parallel.Ring`).
+(``os.fork``, two usable CPUs, Linux's idle scheduling class), so the trace
+is identical to a run that draws them itself, as every run does under
+``taskset -c 0``.  The helper runs only on CPU time no other process wants,
+and the run never waits for it: a row the helper has not drawn yet (mezo's
+64-by-64 draw takes it longer than this process's step, and other work may
+leave it no CPU) the run draws itself, with the row after it, which the
+helper skips, so the two share the drawing (:class:`zomat._parallel.Ring`).
 The helper is reaped when the run ends, and exits by itself if this process
 dies.
 """

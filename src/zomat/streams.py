@@ -24,12 +24,12 @@ the seed of index i and the draws of all its (query, block) slots, derived
 a chunk of indices at a time.  Given a
 count of rows to draw ahead, one forked helper process
 (:class:`zomat._parallel.Ring`) writes them into a shared-memory ring from
-the same words; any row it did not draw is drawn here, so the values are the
-same whichever process made them.  Where the helper lags, this process
-draws the row after the one it waits for, and the helper skips that row.
+the same words, on CPU time no other process wants; any row it did not draw
+is drawn here, so the values are the same whichever process made them.
+This process never waits for the helper: a row it has not drawn yet is
+drawn here, and so is the row after it, which the helper then skips.
 Where no helper can start (one usable CPU, as under ``taskset -c 0``) every
-row is drawn here, and so is every row after a helper stopped (it died, or
-a CPU was shared).
+row is drawn here, and so is every row after a helper died.
 """
 
 from __future__ import annotations
@@ -242,9 +242,9 @@ def draw_table(prefix: tuple, n_queries: int, shapes, n_ahead: int = 0):
     in that order, for the caller to close; None where none started
     (``n_ahead`` below 2 too).  A row the helper drew is read-only and is
     overwritten a ring lap later.  Any other row is drawn here from the same
-    slot words: every row without a ring, after a stopped helper or read out
-    of order, and the row after one the helper has not drawn yet, drawn
-    while waiting for it and kept until it is read.
+    slot words: every row without a ring or read out of order, a row the
+    helper has not drawn yet when it is read, and the row after it, drawn
+    then and kept until it is read.
 
     The seeds and their :func:`slot_words` are derived :data:`CHUNK` indices
     at a time.  Reading an index outside the chunk in hand derives that

@@ -7,6 +7,7 @@ boundary and at any step a stepper is entered, whether this process draws
 them or a helper process draws them ahead.
 """
 
+import json
 import mmap
 import os
 import select
@@ -264,10 +265,9 @@ def _draws_here(monkeypatch):
 def _made_here(monkeypatch):
     """Log the items whose rows this process makes itself while a ring runs:
     those it takes from a lagging helper (``take`` of
-    :meth:`zomat._parallel.Ring.wait`), and those asked for once the ring
-    has stopped (a helper reaped after filling every item counts: the rows
-    it filled are not read after that)."""
-    taken, stopped, wait = [], [], _parallel.Ring.wait
+    :meth:`zomat._parallel.Ring.wait`), and those still unfilled after its
+    take (or read out of order)."""
+    taken, unfilled, wait = [], [], _parallel.Ring.wait
 
     def logged_wait(ring, i, take):
         def logged_take(k):
@@ -275,12 +275,12 @@ def _made_here(monkeypatch):
             take(k)
 
         j = wait(ring, i, logged_take)
-        if j is None and not ring._pid:
-            stopped.append(i)
+        if j is None and i not in taken:
+            unfilled.append(i)
         return j
 
     monkeypatch.setattr(_parallel.Ring, "wait", logged_wait)
-    return taken, stopped
+    return taken, unfilled
 
 
 def _cpus(monkeypatch, n):
@@ -308,24 +308,25 @@ def failing_objective(after, value):
     return obj
 
 
+def _until(done):
+    """Poll ``done()`` until it is true, for at most 10 s."""
+    deadline = time.perf_counter() + 10
+    while not done() and time.perf_counter() < deadline:
+        time.sleep(0.001)
+
+
 def _trace(result):
     return [(r.step, r.queries, r.loss) for r in result.records]
 
 
-x86 = pytest.mark.skipif(not _parallel._X86, reason="no helper starts off x86")
+helper_starts = pytest.mark.skipif(not (_parallel._X86 and hasattr(os, "SCHED_IDLE")),
+                                   reason="a helper starts only on x86 Linux")
 
 
-@x86
+@helper_starts
 class TestDrawAhead:
     """``optimizers.run`` has one helper process draw its estimate slots
     ahead where two CPUs are usable; its runs must equal inline ones."""
-
-    @pytest.fixture(autouse=True)
-    def never_starved(self, monkeypatch):
-        # a loaded test machine must not stop a ring, and a ring one test
-        # stops must not keep the next test's from starting
-        monkeypatch.setattr(_parallel, "_MIN_SHARE", 0.0)
-        monkeypatch.setattr(_parallel, "_resume", 0.0)
 
     def _run(self, kind, n_queries, obj=None, steps=CHUNK + 3):
         cfg = OptimizerConfig(learning_rate=1e-3, n_queries=n_queries, rank=2,
@@ -346,11 +347,11 @@ class TestDrawAhead:
         assert left == 0
         drawn_here.clear()
         _cpus(monkeypatch, 2)
-        forks, (taken, stopped) = _fork_log(monkeypatch), _made_here(monkeypatch)
+        forks, (taken, unfilled) = _fork_log(monkeypatch), _made_here(monkeypatch)
         ahead = self._run(kind, n_queries)
         # the helper drew every step's slots but those of the steps this
-        # process took while the helper lagged, or asked for once it stopped
-        assert len(forks) == 1 and len(drawn_here) == slots * len({*taken, *stopped})
+        # process took while the helper lagged, or found still unfilled
+        assert len(forks) == 1 and len(drawn_here) == slots * len({*taken, *unfilled})
         assert ahead.records and _trace(ahead) == _trace(inline)
         for name in inline.final_params.names:
             assert np.array_equal(ahead.final_params[name], inline.final_params[name])
@@ -358,7 +359,7 @@ class TestDrawAhead:
     def test_ring_rows_hold_the_inline_draws(self, monkeypatch):
         _cpus(monkeypatch, 2)
         shapes = [(2, 3), (4, 1), (2, 5)]
-        taken, stopped = _made_here(monkeypatch)
+        taken, unfilled = _made_here(monkeypatch)
         table, ring = streams.draw_table((9, 1), 2, shapes, n_ahead=CHUNK + 2)
         assert ring is not None
         try:
@@ -368,9 +369,9 @@ class TestDrawAhead:
                 assert seed == derive_seed(9, 1, step)
                 assert len(draws) == 2 * len(shapes)
                 # a ring row is read-only; a row drawn here (taken while the
-                # helper lagged, asked for once it stopped, or read out of
-                # order) is not
-                drawn_here = n == CHUNK + 2 or step in taken or step in stopped
+                # helper lagged, still unfilled after the take, or read out
+                # of order) is not
+                drawn_here = n == CHUNK + 2 or step in taken or step in unfilled
                 for (i, b), draw in draws.items():
                     assert np.array_equal(draw, perturbation(seed, i, b, shapes[b]))
                     assert draw.flags.writeable == drawn_here
@@ -391,19 +392,14 @@ class TestDrawAhead:
         slots = len(drawn_here) // steps
         drawn_here.clear()
         _cpus(monkeypatch, 2)
-        taken, stopped = _made_here(monkeypatch)
+        taken, unfilled = _made_here(monkeypatch)
         filled, took = mmap.mmap(-1, steps), mmap.mmap(-1, steps)  # shared with the helper
         start, wait = _parallel.Ring.start.__func__, _parallel.Ring.wait
-
-        def until(done):
-            deadline = time.perf_counter() + 10
-            while not done() and time.perf_counter() < deadline:
-                time.sleep(0.001)
 
         def lagging_start(cls, fill, n_items, row_bytes):
             def lagging_fill(i, j, row):  # in the helper
                 if i in chosen:
-                    until(lambda: took[i + 1])
+                    _until(lambda: took[i + 1])
                 filled[i] = 1
                 fill(i, j, row)
 
@@ -411,13 +407,13 @@ class TestDrawAhead:
 
         def logged_wait(ring, i, take):
             if i + 1 in chosen:
-                until(lambda: ring._counts[_parallel._FILLED] > i)
+                _until(lambda: ring._counts[_parallel._FILLED] > i)
 
             def logged_take(k):
                 took[k] = 1
                 take(k)
                 if k - 1 in chosen:
-                    until(lambda: ring._counts[_parallel._FILLED] > k)
+                    _until(lambda: ring._counts[_parallel._FILLED] > k)
 
             return wait(ring, i, logged_take)
 
@@ -428,14 +424,38 @@ class TestDrawAhead:
         for k in chosen:
             assert filled[k] and took[k + 1] and not filled[k + 1]
         # this process draws each step it takes once, and no other step
-        assert len(drawn_here) == slots * len({*taken, *stopped})
+        assert len(drawn_here) == slots * len({*taken, *unfilled})
+
+    def test_a_lagging_helper_skips_the_items_the_caller_passed(self, monkeypatch):
+        # the helper's fill of item 0 waits until this process has passed
+        # items 0-5: it found each unfilled, drew it, and took the odd ones
+        _cpus(monkeypatch, 2)
+        filled, passed = mmap.mmap(-1, 8), mmap.mmap(-1, 1)  # shared with the helper
+
+        def fill(i, j, row):  # in the helper
+            filled[i] = 1
+            if i == 0:
+                _until(lambda: passed[0])
+
+        ring = _parallel.Ring.start(fill, 8, 8)
+        try:
+            _until(lambda: filled[0])
+            taken = []
+            assert [ring.wait(i, taken.append) for i in range(6)] == [None] * 6
+            assert taken == [1, 3, 5]
+            passed[0] = 1
+            _until(lambda: ring._counts[_parallel._FILLED] == 8)
+            assert [ring.wait(i, taken.append) for i in (6, 7)] == [6, 7]
+            assert list(filled[:]) == [1, 0, 0, 0, 0, 0, 1, 1]
+        finally:
+            ring.close()
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="pins to one CPU")
     def test_rows_stay_intact_when_both_sides_share_one_cpu(self, monkeypatch):
-        # this process and its helper on one CPU take turns: the helper
-        # fills the ring while this process yields, and this process takes
-        # a row in each of the about 100 laps of the 9-row ring; each row
-        # read must hold its own draws
+        # this process and its helper on one CPU: the idle-class helper
+        # fills rows only in the gaps this process leaves, over the about
+        # 100 laps of the 9-row ring, and this process draws the rest; each
+        # row read must hold its own draws, whichever process drew it
         monkeypatch.setattr(_parallel, "RING_BYTES", 4 * 1024)
         monkeypatch.setattr(_parallel, "_usable_cpus", lambda: 2)
         shapes, n = [(3, 4), (5,)], 4 * CHUNK
@@ -484,72 +504,47 @@ class TestDrawAhead:
         assert 0 < len(drawn_here) < 2 * CHUNK * 3 * 3
         assert _trace(ahead) == _trace(inline)
 
-    @pytest.mark.parametrize("side", ["caller", "helper"])
-    def test_a_starved_ring_hands_the_run_to_the_caller(self, side, monkeypatch):
-        # a ring of 3 rows; the side starves at its third look at the clocks
-        monkeypatch.setattr(_parallel, "RING_BYTES", 3 * 1024)
-        drawn_here = _draws_here(monkeypatch)
-        with monkeypatch.context() as m:
-            _cpus(m, 1)
-            inline = self._run(LOZO, 1)
-        n_draws = len(drawn_here)
-        drawn_here.clear()
+    def test_the_helper_runs_in_the_idle_class(self, monkeypatch):
+        # two rows of four items: the helper fills both and then spins until
+        # this process is done with one
         _cpus(monkeypatch, 2)
-        forks, caller, looks = _fork_log(monkeypatch), os.getpid(), []
-
-        def starved(mark):
-            looks.append(1)
-            return (os.getpid() == caller) == (side == "caller") and len(looks) >= 3
-
-        monkeypatch.setattr(_parallel, "_starved", starved)
-        ahead = self._run(LOZO, 1)
-        assert len(forks) == 1 and 0 < len(drawn_here) < n_draws
-        assert _trace(ahead) == _trace(inline)
-        # no ring for the next _BACKOFF seconds, then one again
-        assert _parallel._resume > time.perf_counter()
-        self._run(LOZO, 1)
-        assert len(forks) == 1
-        monkeypatch.setattr(_parallel, "_resume", 0.0)
-        self._run(LOZO, 1)
-        assert len(forks) == 2
-
-    def test_a_helper_that_fills_and_exits_while_waited_on_did_not_stop_early(self, monkeypatch):
-        # the helper fills both items and exits while this process yields in
-        # wait(0); reaping it there must hand back row 0 and set no backoff
-        _cpus(monkeypatch, 2)
-
-        def fill(i, j, row):
-            if i == 0:
-                time.sleep(0.05)
-            row[0] = 7 + i
-
-        ring = _parallel.Ring.start(fill, 2, 8)
-        monkeypatch.setattr(os, "sched_yield", lambda: time.sleep(0.5))
+        ring = _parallel.Ring.start(lambda i, j, row: None, 4, _parallel.RING_BYTES // 2)
         try:
-            j = ring.wait(0, lambda k: None)
-            assert j == 0 and ring.row(j)[0] == 7
-            assert _parallel._resume == 0.0
+            _until(lambda: os.sched_getscheduler(ring._pid) == os.SCHED_IDLE)
+            assert os.sched_getscheduler(ring._pid) == os.SCHED_IDLE
         finally:
             ring.close()
 
-    def test_a_helper_that_stops_early_while_waited_on_sets_the_backoff(self, monkeypatch):
-        # the helper fills item 0 and exits before item 2 of 3 (a starved
-        # helper exits so) while this process yields in wait(0); reaping it
-        # there must hand back row 0 and keep rings off for _BACKOFF seconds
+    def test_a_helper_that_cannot_idle_leaves_the_trace_unchanged(self, monkeypatch):
+        with monkeypatch.context() as m:
+            _cpus(m, 1)
+            inline = self._run(ZO_MUON, 3)
         _cpus(monkeypatch, 2)
 
-        def fill(i, j, row):
-            if i == 2:
-                os._exit(0)
-            time.sleep(0.05)
-            row[0] = 7 + i
+        def refused(pid, policy, param):
+            raise PermissionError("no idle class here")
 
-        ring = _parallel.Ring.start(fill, 3, 8)
-        monkeypatch.setattr(os, "sched_yield", lambda: time.sleep(0.5))
+        # the forked helper inherits the patch, raises and exits
+        monkeypatch.setattr(os, "sched_setscheduler", refused)
+        forks, drawn_here = _fork_log(monkeypatch), _draws_here(monkeypatch)
+        ahead = self._run(ZO_MUON, 3)
+        assert len(forks) == 1 and len(drawn_here) == (CHUNK + 3) * 3 * 3
+        assert _trace(ahead) == _trace(inline)
+
+    def test_a_helper_that_filled_every_item_and_exited_still_serves_its_rows(self, monkeypatch):
+        _cpus(monkeypatch, 2)
+        shapes, n = [(3, 4), (5,)], 8
+        inline, _ = streams.draw_table((7, 3), 2, shapes)
+        want = [inline(i) for i in range(n)]
+        table, ring = streams.draw_table((7, 3), 2, shapes, n_ahead=n)
         try:
-            j = ring.wait(0, lambda k: None)
-            assert j == 0 and ring.row(j)[0] == 7
-            assert _parallel._resume > time.perf_counter()
+            os.waitid(os.P_PID, ring._pid, os.WEXITED | os.WNOWAIT)  # left for close to reap
+            drawn_here = _draws_here(monkeypatch)
+            for i, (want_seed, want_draws) in enumerate(want):
+                seed, draws = table(i)
+                assert seed == want_seed
+                assert all(np.array_equal(draws[key], want_draws[key]) for key in want_draws)
+            assert drawn_here == []
         finally:
             ring.close()
 
@@ -564,14 +559,6 @@ class TestDrawAhead:
         with pytest.raises(error) as info:
             self._run(MEZO, 1, obj=failing_objective(CHUNK, value))
         assert len(forks) == 1 and 0 < info.value.steps < CHUNK // 2
-
-
-def test_starved_measures_this_thread_once_a_window():
-    wall, cpu = time.perf_counter(), time.thread_time()
-    mark = [wall, cpu]
-    assert not _parallel._starved(mark) and mark == [wall, cpu]  # within a window
-    mark = [wall - 10 * _parallel._WINDOW, cpu]  # a long wait that took no CPU
-    assert _parallel._starved(mark) and mark[0] > wall
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads /proc")
@@ -611,7 +598,7 @@ def _alive(pid):
         return False
 
 
-@x86
+@helper_starts
 @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads /proc")
 def test_a_killed_caller_leaves_no_helper_behind():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
@@ -627,3 +614,68 @@ def test_a_killed_caller_leaves_no_helper_behind():
         caller.stdout.close()
     time.sleep(1.0)
     assert not _alive(helper)
+
+
+HELPER_STOPPED = """
+import contextlib, json, os, signal
+import numpy as np
+from zomat import _parallel, optimizers
+from zomat.objectives import Objective
+from zomat.params import ParamSpace
+
+_parallel.RING_BYTES = 3 * 1024  # a ring of a few rows, which the helper fills and waits on
+fork, helpers = os.fork, []
+
+def announced_fork():
+    pid = fork()
+    if pid:
+        helpers.append(pid)
+        print(pid, flush=True)
+    return pid
+
+os.fork = announced_fork
+
+def trace(stop_after):
+    evaluations = []
+
+    def loss(x):
+        evaluations.append(1)
+        if len(evaluations) == stop_after:
+            os.kill(helpers[-1], signal.SIGSTOP)
+        return float(np.sum(x["x"] ** 2))
+
+    obj = Objective("q", loss, ParamSpace({"x": np.ones((4, 4))}))
+    cfg = optimizers.OptimizerConfig(learning_rate=1e-3, total_steps=2000)
+    result = optimizers.run(obj, obj.initial_params, cfg, optimizers.MEZO, seed=0, eval_every=100)
+    return [(r.step, r.queries, r.loss) for r in result.records]
+
+os.sched_getaffinity = lambda pid: {0}
+inline = trace(None)
+os.sched_getaffinity = lambda pid: {0, 1}
+try:
+    stopped = trace(200)
+finally:
+    for pid in helpers:  # the run reaps its helper; a no-op then
+        with contextlib.suppress(ProcessLookupError, ChildProcessError):
+            os.kill(pid, signal.SIGCONT)
+            os.waitpid(pid, 0)
+print(json.dumps([inline, stopped]), flush=True)
+"""
+
+
+@helper_starts
+def test_a_stopped_helper_cannot_stall_a_run():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    caller = subprocess.Popen([sys.executable, "-c", HELPER_STOPPED], env=env,
+                              stdout=subprocess.PIPE, text=True)
+    try:
+        out = caller.communicate(timeout=60)[0]
+    except subprocess.TimeoutExpired:
+        caller.kill()
+        for line in caller.communicate()[0].splitlines():
+            os.kill(int(line), signal.SIGCONT)  # orphaned, it sees its parent gone and exits
+        pytest.fail("the run stalled on its stopped helper")
+    lines = out.splitlines()
+    assert caller.returncode == 0
+    inline, stopped = json.loads(lines[-1])
+    assert len(lines) == 2 and len(stopped) == 21 and stopped == inline
