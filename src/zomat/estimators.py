@@ -27,7 +27,10 @@ all its queries' at once, from a row of :func:`zomat.streams.draw_table`,
 whose slot words are derived in bulk, and pass them in as ``draws``; the
 values are the same either way.  All
 blocks are perturbed jointly per query, and in the forward scheme the base
-value f(X) is evaluated once and shared across queries and blocks.
+value f(X) is evaluated once and shared across queries and blocks.  A caller
+that takes many forward estimates at one X (the oracle's Monte-Carlo runs)
+evaluates f(X) once itself and passes it as ``base``; an estimate given its
+base costs Nq queries, not Nq + 1, and is the same array.
 """
 
 from __future__ import annotations
@@ -65,7 +68,8 @@ class EstimatorConfig:
 
     The central scheme costs two evaluations per query and is only permitted
     with a single query; the forward scheme shares one base evaluation across
-    all queries, costing n_queries + 1 in total.
+    all queries, costing n_queries + 1 in total, or n_queries when the caller
+    gives the base it already evaluated.
     """
 
     mu: float = 1e-3
@@ -99,20 +103,24 @@ def _draw_shapes(x, factors) -> dict:
     return shapes
 
 
-def _estimate(obj, x, factors, cfg, seed, draws):
+def _estimate(obj, x, factors, cfg, seed, draws, base=None):
     """(1/Nq) sum_i c_i D_i per block, the one finite-difference core.
 
     Each block of ``x``, in order, draws the Gaussian D_i of its (query i,
     block) slot of ``seed`` in the shape of :func:`_draw_shapes`, or reads it
     from ``draws``.  A block with a factor (m-by-r F) is shifted by
-    mu F D_i, any other by mu D_i.  Forward: one shared base f(X),
+    mu F D_i, any other by mu D_i.  Forward: one shared base f(X), evaluated
+    here unless the caller gives it as ``base``,
     c_i = (f(X + mu F D_i) - f(X)) / mu.  Central (one query):
-    c = (f(X + mu F D) - f(X - mu F D)) / (2 mu).
+    c = (f(X + mu F D) - f(X - mu F D)) / (2 mu), and a ``base`` is refused.
     """
     shapes, mu = _draw_shapes(x, factors), cfg.mu
     if cfg.scheme == FORWARD:
-        base = obj.evaluate(x)
+        if base is None:
+            base = obj.evaluate(x)
         accum = {name: np.zeros(shape) for name, shape in shapes.items()}
+    elif base is not None:
+        raise ValueError("a base value is defined only for forward differences")
     for i in range(cfg.n_queries):
         deltas = {
             name: perturbation(seed, i, x.index(name), shape) if draws is None
@@ -133,20 +141,25 @@ def _estimate(obj, x, factors, cfg, seed, draws):
     return {name: accum[name] / cfg.n_queries for name in x.names}
 
 
-def rge_full(obj, x: ParamSpace, cfg: EstimatorConfig, seed: int, draws=None) -> dict:
+def rge_full(obj, x: ParamSpace, cfg: EstimatorConfig, seed: int, draws=None,
+             base=None) -> dict:
     """Full-space randomized gradient estimate, one array per block.
 
     Forward scheme: (1/Nq) sum_i [(f(X + mu Psi_i) - f(X)) / mu] Psi_i with
     Psi_i standard Gaussian per block.  Central scheme (single query):
     [(f(X + mu Psi) - f(X - mu Psi)) / (2 mu)] Psi.  ``draws``, when given,
     holds the draws of ``seed``'s (query, block) slots, a row of
-    :func:`zomat.streams.draw_table`.
+    :func:`zomat.streams.draw_table`.  ``base``, when given, is f(X) as the
+    caller already evaluated it: the forward estimate then costs n_queries
+    evaluations, not n_queries + 1, and is the same array.  The central
+    scheme has no base and refuses one (``ValueError``).
     """
-    return _estimate(obj, x, {}, cfg, seed, draws)
+    return _estimate(obj, x, {}, cfg, seed, draws, base)
 
 
 def subspace_rge(
-    obj, x: ParamSpace, projections: dict, cfg: EstimatorConfig, seed: int, draws=None
+    obj, x: ParamSpace, projections: dict, cfg: EstimatorConfig, seed: int, draws=None,
+    base=None,
 ) -> dict:
     """Subspace randomized gradient estimate g_Z, one array per block.
 
@@ -158,11 +171,12 @@ def subspace_rge(
     full-space estimate from the same queries, so one call on a mixed space
     still costs n_queries + 1 evaluations; with no projections it is the
     forward :func:`rge_full`, the step of the full-space kind ``zo_sgd``.
-    ``draws`` is as in :func:`rge_full`.
+    ``draws`` and ``base`` are as in :func:`rge_full`; given its base, a call
+    costs n_queries evaluations.
     """
     if cfg.scheme != FORWARD:
         raise ValueError("the subspace estimator is defined with forward differences")
-    return _estimate(obj, x, projections, cfg, seed, draws)
+    return _estimate(obj, x, projections, cfg, seed, draws, base)
 
 
 def lge_lozo(obj, x: ParamSpace, a_factors: dict, cfg: EstimatorConfig, seed: int = 0,

@@ -31,13 +31,19 @@ AGGRESSIVE_QUINTIC = (3.4445, -4.7750, 2.0315)
 CONTRACTIVE_QUINTIC = (1.875, -1.25, 0.375)
 
 
-def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce ``a`` to a 2-d float array with positive dims and finite entries."""
+def _shaped(a, name: str) -> np.ndarray:
+    """Coerce ``a`` to a 2-d float array with positive dims."""
     arr = np.asarray(a, dtype=float)
     if arr.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got ndim={arr.ndim}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ValueError(f"{name} must have positive dimensions, got {arr.shape}")
+    return arr
+
+
+def as_matrix(a, name: str = "matrix") -> np.ndarray:
+    """Coerce ``a`` to a 2-d float array with positive dims and finite entries."""
+    arr = _shaped(a, name)
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
@@ -75,11 +81,14 @@ def _msign_input(g):
     matrix, divided by its largest absolute entry when its Frobenius norm
     over- or underflows (msign is scale-invariant); that matrix at unit
     Frobenius norm, turned to its wide side when ``transpose``, or None for
-    the zero matrix."""
-    arr = as_matrix(g)
+    the zero matrix.  Only an input whose norm is not a positive finite
+    number is scanned for non-finite entries: any such entry makes the norm
+    inf or nan."""
+    arr = _shaped(g, "matrix")
     with np.errstate(over="ignore"):
         norm = np.linalg.norm(arr)
     if not 0.0 < norm < np.inf:
+        as_matrix(arr)  # raises on a non-finite entry
         peak = np.max(np.abs(arr))
         if peak == 0.0:
             return arr, None, False

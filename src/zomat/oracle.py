@@ -126,20 +126,25 @@ def gradient_aligned_projection(objective, x: ParamSpace, rank: int) -> np.ndarr
 
 
 def _range_moments(spec, objective, x, seed, start, n_samples) -> tuple:
-    """Count, mean and Welford sum of squared deviations of one sample range."""
+    """Count, mean and Welford sum of squared deviations of one sample range.
+
+    Every sample is taken at ``x``, so a forward spec's base f(x) is
+    evaluated once for the range and given to each estimate."""
     name, stop = x.names[0], min(start + SAMPLE_RANGE, n_samples)
     factors = ({name: gradient_aligned_projection(objective, x, spec.rank)}
                if spec.kind == SUBSPACE_RGE else {})
     shapes = list(estimators._draw_shapes(x, factors).values())
     table, _ = streams.draw_table((seed,), spec.config.n_queries, shapes)
+    base = objective.evaluate(x) if spec.config.scheme == estimators.FORWARD else None
     mean, m2 = np.zeros_like(x[name]), np.zeros_like(x[name])
     for i in range(start, stop):
         sample, draws = table(i)
         if spec.kind == FULL_RGE:
-            est = estimators.rge_full(objective, x, spec.config, sample, draws)[name]
+            est = estimators.rge_full(objective, x, spec.config, sample, draws,
+                                      base=base)[name]
         else:
             est = factors[name] @ estimators.subspace_rge(
-                objective, x, factors, spec.config, sample, draws)[name]
+                objective, x, factors, spec.config, sample, draws, base=base)[name]
         delta = est - mean
         mean += delta / (i - start + 1)
         m2 += delta * (est - mean)
@@ -160,7 +165,9 @@ def estimator_variance(spec: EstimatorSpec, objective, x: ParamSpace,
                        n_samples: int, seed: int) -> float:
     """Per-entry variance (averaged over entries) of ``spec`` at fixed ``x``,
     over ``n_samples`` estimates seeded by ``streams.derive_seed(seed, i)``,
-    run and merged range by range as :func:`measure_variance` runs them."""
+    run and merged range by range as :func:`measure_variance` runs them.
+    ``objective`` counts each estimate's queries and, for a forward spec, one
+    base query per range of ``SAMPLE_RANGE`` samples."""
     check_count("n_samples", n_samples, 2)
     return _merged_variance([_range_moments(spec, objective, x, seed, i, n_samples)
                              for i in range(0, n_samples, SAMPLE_RANGE)])
@@ -174,7 +181,8 @@ def measure_variance(specs, objective, x: ParamSpace, n_samples: int,
     is measured once, the j-th at ``seed + len(specs) + j``.
 
     The runs' ranges are shared among CPUs (:func:`zomat._parallel.in_parallel`),
-    so ``objective`` counts only the queries made in this process.  The
+    so ``objective`` counts only the queries made in this process: each
+    estimate's queries and one base query per forward range.  The
     subspace estimator uses the gradient-aligned projection, which needs the
     objective's analytic gradient.  Ratios below ``MIN_RATIO_SAMPLES`` samples are refused.
     """

@@ -145,6 +145,47 @@ class TestFullRge:
             estimators.rge_full(obj, obj.initial_params, EstimatorConfig(scheme=CENTRAL), seed=17)
 
 
+class TestGivenBase:
+    """A forward estimate given f(X) as ``base`` skips that one query and is
+    the same array; a central one refuses a base."""
+
+    @staticmethod
+    def with_and_without_base(obj, x, estimate):
+        """Both estimates and the queries each cost."""
+        start = obj.query_count
+        plain = estimate()
+        base = obj.evaluate(x)
+        mid = obj.query_count
+        given = estimate(base=base)
+        return plain, given, mid - 1 - start, obj.query_count - mid
+
+    @pytest.mark.parametrize("n_queries", [1, 4])
+    def test_full_estimate_is_unchanged_and_one_query_cheaper(self, n_queries):
+        obj = objectives.make_quadratic(8, 6, 2, seed=4)
+        x, cfg = obj.initial_params, EstimatorConfig(n_queries=n_queries)
+        plain, given, plain_cost, given_cost = self.with_and_without_base(
+            obj, x, lambda **kw: estimators.rge_full(obj, x, cfg, 13, **kw))
+        assert np.array_equal(given["x"], plain["x"])
+        assert (plain_cost, given_cost) == (n_queries + 1, n_queries)
+
+    @pytest.mark.parametrize("n_queries", [1, 3])
+    def test_subspace_estimate_is_unchanged_and_one_query_cheaper(self, n_queries):
+        x = ParamSpace({"x": np.ones((6, 5)), "b": np.ones((1, 5))})
+        obj = Objective("sq", lambda x: float(np.vdot(x["x"], x["x"]) + x["b"].sum()), x)
+        proj = {"x": linalg.sample_projection(6, 2, seed=1)}
+        cfg = EstimatorConfig(n_queries=n_queries)
+        plain, given, plain_cost, given_cost = self.with_and_without_base(
+            obj, x, lambda **kw: estimators.subspace_rge(obj, x, proj, cfg, 5, **kw))
+        assert all(np.array_equal(given[name], plain[name]) for name in x.names)
+        assert (plain_cost, given_cost) == (n_queries + 1, n_queries)
+
+    def test_central_refuses_a_base(self):
+        obj = constant_objective()
+        x = obj.initial_params
+        with pytest.raises(ValueError, match="forward differences"):
+            estimators.rge_full(obj, x, EstimatorConfig(scheme=CENTRAL), 0, base=obj.evaluate(x))
+
+
 class TestSubspaceRge:
     def test_constant_function_gives_zero_in_both_spaces(self):
         # zero in the subspace of a projected block and in the full space of

@@ -94,16 +94,6 @@ class TestMsignSvd:
             residual = (np.eye(10) - g @ np.linalg.pinv(g)) @ linalg.msign_svd(g)
             assert np.max(np.abs(residual)) <= 1e-8
 
-    def test_rejects_non_finite(self):
-        g = np.ones((2, 2))
-        g[0, 1] = np.nan
-        with pytest.raises(ValueError, match="non-finite"):
-            linalg.msign_svd(g)
-
-    def test_rejects_vectors(self):
-        with pytest.raises(ValueError, match="2-dimensional"):
-            linalg.msign_svd(np.ones(3))
-
     @pytest.mark.parametrize("scale", [1e308, 1e-170])
     def test_norm_out_of_range_is_scaled_away(self, scale):
         # the Frobenius norm overflows (1e308) or underflows to zero (1e-170)
@@ -111,6 +101,46 @@ class TestMsignSvd:
         signs = np.array([[1.0, -1.0, 1.0], [-1.0, 1.0, 1.0]])
         assert np.array_equal(linalg.msign_svd(scale * signs), linalg.msign_svd(signs))
         assert np.array_equal(linalg.msign_svd(scale * signs.T), linalg.msign_svd(signs.T))
+
+
+class TestMsignInput:
+    """Both backends check their input the same way at the race's 8x64
+    shape: a non-finite entry is refused, a finite input whose norm
+    overflows is scaled, and the zero matrix maps to itself."""
+
+    @pytest.mark.parametrize("msign", [linalg.msign_svd, linalg.msign_ns])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_entry(self, msign, value):
+        g = np.random.default_rng(0).standard_normal((8, 64))
+        g[3, 17] = value
+        with pytest.raises(ValueError, match="matrix contains non-finite entries"):
+            msign(g)
+
+    @pytest.mark.parametrize("msign", [linalg.msign_svd, linalg.msign_ns])
+    def test_overflowing_norm_is_scaled_away(self, msign):
+        g = np.random.default_rng(1).standard_normal((8, 64))
+        big = 1e307 * g
+        assert np.isfinite(big).all()
+        with np.errstate(over="ignore"):
+            assert np.linalg.norm(big) == np.inf
+        assert_allclose(msign(big), msign(g), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("msign", [linalg.msign_svd, linalg.msign_ns])
+    def test_zero_maps_to_zero(self, msign):
+        out = msign(np.zeros((8, 64)))
+        assert out.shape == (8, 64) and not out.any()
+
+    @pytest.mark.parametrize("msign", [linalg.msign_svd, linalg.msign_ns])
+    @pytest.mark.parametrize(
+        "g,message",
+        [(np.ones(64), "matrix must be 2-dimensional, got ndim=1"),
+         (np.ones((8, 64, 1)), "matrix must be 2-dimensional, got ndim=3"),
+         (np.ones((0, 64)), r"matrix must have positive dimensions, got \(0, 64\)")],
+        ids=["vector", "3-d", "empty"],
+    )
+    def test_rejects_a_shape_that_is_not_a_matrix(self, msign, g, message):
+        with pytest.raises(ValueError, match=message):
+            msign(g)
 
 
 def msign_reference(g):

@@ -1,4 +1,5 @@
 import faulthandler
+import math
 import os
 import time
 from functools import partial
@@ -8,7 +9,7 @@ import pytest
 
 from zomat import _parallel, linalg, objectives, oracle, streams
 from zomat._parallel import in_parallel
-from zomat.estimators import EstimatorConfig, rge_full, subspace_rge
+from zomat.estimators import CENTRAL, EstimatorConfig, rge_full, subspace_rge
 from zomat.objectives import Objective
 from zomat.oracle import (
     FULL_RGE,
@@ -111,6 +112,21 @@ class TestVariance:
     def test_spec_rejects_an_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown estimator kind 'bogus'"):
             EstimatorSpec("bogus", EstimatorConfig())
+
+    @pytest.mark.parametrize(
+        "spec,per_sample,per_range",
+        [
+            (EstimatorSpec(FULL_RGE, EstimatorConfig(n_queries=3)), 3, 1),
+            (EstimatorSpec(SUBSPACE_RGE, EstimatorConfig(n_queries=2), rank=2), 2, 1),
+            (EstimatorSpec(FULL_RGE, EstimatorConfig(scheme=CENTRAL)), 2, 0),
+        ],
+    )
+    def test_one_base_query_per_forward_range(self, spec, per_sample, per_range):
+        # every sample is taken at x, so a forward range evaluates f(x) once
+        obj = objectives.make_quadratic(6, 4, 2, seed=5)
+        n = oracle.SAMPLE_RANGE + 3  # two ranges
+        oracle.estimator_variance(spec, obj, obj.initial_params, n, seed=0)
+        assert obj.query_count == n * per_sample + math.ceil(n / oracle.SAMPLE_RANGE) * per_range
 
     def test_ratio_requires_enough_samples(self):
         obj = objectives.make_quadratic(8, 6, 2, seed=0)
