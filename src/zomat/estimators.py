@@ -24,8 +24,8 @@ block index), the stream of :func:`perturbation`, so replaying a seed
 reproduces an estimate bit-for-bit.  Callers that make many calls (the
 optimizer step loop, the oracle's Monte-Carlo runs) read each call's draws,
 all its queries' at once, from a row of :func:`zomat.streams.draw_table`,
-whose slot words are derived in bulk, and pass them in as ``draws``; the
-values are the same either way.  All
+whose slot words are derived in bulk, and pass them in as ``draws`` with no
+seed; the values are the same either way.  All
 blocks are perturbed jointly per query, and in the forward scheme the base
 value f(X) is evaluated once and shared across queries and blocks.  A caller
 that takes many forward estimates at one X (the oracle's Monte-Carlo runs)
@@ -106,50 +106,49 @@ def _draw_shapes(x, factors) -> dict:
 def _estimate(obj, x, factors, cfg, seed, draws, base=None):
     """(1/Nq) sum_i c_i D_i per block, the one finite-difference core.
 
-    Each block of ``x``, in order, draws the Gaussian D_i of its (query i,
-    block) slot of ``seed`` in the shape of :func:`_draw_shapes`, or reads it
-    from ``draws``.  A block with a factor (m-by-r F) is shifted by
+    Block b of ``x`` (its position) reads the Gaussian D_i of its (query i,
+    block b) slot from ``draws``, a :func:`zomat.streams.draw_table` row, or
+    draws it from ``seed`` when ``draws`` is None, in the shape of
+    :func:`_draw_shapes`.  A block with a factor (m-by-r F) is shifted by
     mu F D_i, any other by mu D_i.  Forward: one shared base f(X), evaluated
     here unless the caller gives it as ``base``,
     c_i = (f(X + mu F D_i) - f(X)) / mu.  Central (one query):
     c = (f(X + mu F D) - f(X - mu F D)) / (2 mu), and a ``base`` is refused.
     """
-    shapes, mu = _draw_shapes(x, factors), cfg.mu
-    if cfg.scheme == FORWARD:
-        if base is None:
-            base = obj.evaluate(x)
-        accum = {name: np.zeros(shape) for name, shape in shapes.items()}
-    elif base is not None:
+    shapes, mu, central = _draw_shapes(x, factors), cfg.mu, cfg.scheme == CENTRAL
+    if central and base is not None:
         raise ValueError("a base value is defined only for forward differences")
+    if not central and base is None:
+        base = obj.evaluate(x)
     for i in range(cfg.n_queries):
-        deltas = {
-            name: perturbation(seed, i, x.index(name), shape) if draws is None
-            else draws[i, x.index(name)]
-            for name, shape in shapes.items()
-        }
-        steps = {name: mu * (factors[name] @ d if name in factors else d)
-                 for name, d in deltas.items()}
-        if cfg.scheme == CENTRAL:  # one query, so return c D
-            plus = x.updated({name: x[name] + s for name, s in steps.items()})
-            minus = x.updated({name: x[name] - s for name, s in steps.items()})
-            coef = (obj.evaluate(plus) - obj.evaluate(minus)) / (2.0 * mu)
-            return {name: coef * d for name, d in deltas.items()}
-        shifted = x.updated({name: x[name] + s for name, s in steps.items()})
-        coef = (obj.evaluate(shifted) - base) / mu
-        for name, d in deltas.items():
-            accum[name] += coef * d
-    return {name: accum[name] / cfg.n_queries for name in x.names}
+        deltas, plus, minus = {}, {}, {}
+        for b, (name, shape) in enumerate(shapes.items()):
+            d = perturbation(seed, i, b, shape) if draws is None else draws[i, b]
+            step = mu * (factors[name] @ d if name in factors else d)
+            deltas[name], plus[name] = d, x[name] + step
+            if central:
+                minus[name] = x[name] - step
+        high = obj.evaluate(x.updated(plus))
+        coef = ((high - obj.evaluate(x.updated(minus))) / (2.0 * mu) if central
+                else (high - base) / mu)
+        if i == 0:
+            accum = {name: coef * d for name, d in deltas.items()}
+        else:
+            for name, d in deltas.items():
+                accum[name] += coef * d
+    return accum if cfg.n_queries == 1 else {name: a / cfg.n_queries for name, a in accum.items()}
 
 
-def rge_full(obj, x: ParamSpace, cfg: EstimatorConfig, seed: int, draws=None,
+def rge_full(obj, x: ParamSpace, cfg: EstimatorConfig, seed: int | None, draws=None,
              base=None) -> dict:
     """Full-space randomized gradient estimate, one array per block.
 
     Forward scheme: (1/Nq) sum_i [(f(X + mu Psi_i) - f(X)) / mu] Psi_i with
     Psi_i standard Gaussian per block.  Central scheme (single query):
     [(f(X + mu Psi) - f(X - mu Psi)) / (2 mu)] Psi.  ``draws``, when given,
-    holds the draws of ``seed``'s (query, block) slots, a row of
-    :func:`zomat.streams.draw_table`.  ``base``, when given, is f(X) as the
+    is a row of :func:`zomat.streams.draw_table`, the draws of the
+    estimate's (query, block) slots, and ``seed`` is not read (it may be
+    None).  ``base``, when given, is f(X) as the
     caller already evaluated it: the forward estimate then costs n_queries
     evaluations, not n_queries + 1, and is the same array.  The central
     scheme has no base and refuses one (``ValueError``).
@@ -158,7 +157,7 @@ def rge_full(obj, x: ParamSpace, cfg: EstimatorConfig, seed: int, draws=None,
 
 
 def subspace_rge(
-    obj, x: ParamSpace, projections: dict, cfg: EstimatorConfig, seed: int, draws=None,
+    obj, x: ParamSpace, projections: dict, cfg: EstimatorConfig, seed: int | None, draws=None,
     base=None,
 ) -> dict:
     """Subspace randomized gradient estimate g_Z, one array per block.
@@ -179,7 +178,7 @@ def subspace_rge(
     return _estimate(obj, x, projections, cfg, seed, draws, base)
 
 
-def lge_lozo(obj, x: ParamSpace, a_factors: dict, cfg: EstimatorConfig, seed: int = 0,
+def lge_lozo(obj, x: ParamSpace, a_factors: dict, cfg: EstimatorConfig, seed: int | None = 0,
              draws=None) -> dict:
     """Two-factor low-rank estimate g_B, one array per block.
 

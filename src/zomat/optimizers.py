@@ -23,10 +23,10 @@ the r-by-n draw of slot (0, block); the held factor streams from (root, tag,
 epoch, block index), the epoch being the step rounded down to a multiple of
 ``resample_interval``.  So trajectories are reproducible, a run entered at
 any step takes the steps of a continuous one, and blocks never share a
-stream.  A step reads its estimate seed and Gaussians from a row of the
-run's table (:func:`zomat.streams.draw_table`), built once per run by
-:func:`_start_table`, with the values of the scalar :func:`derive_seed` and
-``perturbation``.
+stream.  A step reads its Gaussians from a row of the run's table
+(:func:`zomat.streams.draw_table`), built once per run by
+:func:`_start_table`, with the values of ``perturbation`` at the scalar
+:func:`derive_seed`.
 
 A :func:`run` of at least :data:`AHEAD_MIN_STEPS` steps has the table's
 helper process draw the rows ahead into shared memory where it can
@@ -72,11 +72,11 @@ _TAG_PROJECTION = 2
 _TAG_LOZO_A = 4
 
 #: Fewest steps of a run that has a helper process draw ahead.  Starting one
-#: cost the race's runs 5-7 ms (the fork, and the helper's first chunk of
-#: slot words before its first row) and saved them 25-40 us a step: on a
-#: two-CPU VM, 128-step mezo and zo_muon runs took as long with a helper as
-#: without (it was faster in 5 and 3 of 10 alternating pairs), and 256-step
-#: ones 10% less (8 and 7 of 10).
+#: costs a race run about 3 ms, the fork (1 ms) and 600-700 copy-on-write
+#: faults here.  On a two-CPU VM (medians of three rounds of 40 alternating
+#: pairs), 64-step mezo and zo_muon runs took 7-10 and 12 ms without a helper,
+#: 10-12 and 14-18 ms with one; 128-step runs as long either way; 256-step
+#: runs 6-16% less with one (one zo_muon round: 24% more).
 AHEAD_MIN_STEPS = 256
 
 
@@ -116,8 +116,8 @@ class OptimizerState:
     step counter; the held factors as (epoch, {matrix block name: m-by-r
     factor}), None before the first draw; and what :func:`_start_table`
     makes once for the run, its scheme's :class:`EstimatorConfig` (so
-    checked once, not per step) and its table of estimate seeds and draws
-    by step.  A fresh state at any step draws the factors of that step's
+    checked once, not per step) and its table of estimate draws by
+    step.  A fresh state at any step draws the factors of that step's
     epoch, so it steps as a continuous run does."""
 
     rng_root_seed: int = 0
@@ -196,8 +196,8 @@ OPTIMIZER_KINDS = tuple(_KINDS)
 
 def _start_table(kind, x, cfg, state, n_ahead=0):
     """Make what a run builds once: its scheme's estimator config, the held
-    factors of the state's step and the table of estimate seeds and draws,
-    in the shapes the estimate draws them (:func:`zomat.streams.draw_table`),
+    factors of the state's step and the table of estimate draws, in the
+    shapes the estimate draws them (:func:`zomat.streams.draw_table`),
     whose helper draws the first ``n_ahead`` steps ahead.  Returns the
     table's ring to close, or None."""
     scheme, draw, _ = _KINDS[kind]
@@ -216,10 +216,10 @@ def _direction(kind, obj, x, cfg, state) -> dict:
     scheme, draw, whiten = _KINDS[kind]
     if state.table is None:
         _start_table(kind, x, cfg, state)
-    seed, draws = state.table(state.step)
+    draws = state.table(state.step)
     factors = {} if draw is None else _held_factors(state, cfg, x, draw)
     estimate = estimators.subspace_rge if scheme == FORWARD else estimators.lge_lozo
-    d = estimate(obj, x, factors, state.est_cfg, seed, draws)
+    d = estimate(obj, x, factors, state.est_cfg, None, draws)
     for name, f in factors.items():
         d[name] = f @ (_msign(d[name], cfg, name) if whiten else d[name])
     return d

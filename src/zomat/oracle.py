@@ -91,6 +91,7 @@ def check_prop1(m: int, n: int, k: int, trials: int = 20, seed: int = 0) -> Prop
     """
     if not (1 <= k <= min(m, n)):
         raise ValueError(f"need 1 <= k <= min(m, n), got k={k}, m={m}, n={n}")
+    check_count("trials", trials, 1)
     rng = np.random.default_rng(seed)
     worst = 0.0
     worst_proj = 0.0
@@ -138,13 +139,11 @@ def _range_moments(spec, objective, x, seed, start, n_samples) -> tuple:
     base = objective.evaluate(x) if spec.config.scheme == estimators.FORWARD else None
     mean, m2 = np.zeros_like(x[name]), np.zeros_like(x[name])
     for i in range(start, stop):
-        sample, draws = table(i)
         if spec.kind == FULL_RGE:
-            est = estimators.rge_full(objective, x, spec.config, sample, draws,
-                                      base=base)[name]
+            est = estimators.rge_full(objective, x, spec.config, None, table(i), base=base)[name]
         else:
             est = factors[name] @ estimators.subspace_rge(
-                objective, x, factors, spec.config, sample, draws, base=base)[name]
+                objective, x, factors, spec.config, None, table(i), base=base)[name]
         delta = est - mean
         mean += delta / (i - start + 1)
         m2 += delta * (est - mean)
@@ -169,6 +168,7 @@ def estimator_variance(spec: EstimatorSpec, objective, x: ParamSpace,
     ``objective`` counts each estimate's queries and, for a forward spec, one
     base query per range of ``SAMPLE_RANGE`` samples."""
     check_count("n_samples", n_samples, 2)
+    check_count("seed", seed, 0)
     return _merged_variance([_range_moments(spec, objective, x, seed, i, n_samples)
                              for i in range(0, n_samples, SAMPLE_RANGE)])
 
@@ -186,6 +186,8 @@ def measure_variance(specs, objective, x: ParamSpace, n_samples: int,
     subspace estimator uses the gradient-aligned projection, which needs the
     objective's analytic gradient.  Ratios below ``MIN_RATIO_SAMPLES`` samples are refused.
     """
+    check_count("n_samples", n_samples, 2)
+    check_count("seed", seed, 0)
     if n_samples < MIN_RATIO_SAMPLES:
         raise ValueError(f"need at least {MIN_RATIO_SAMPLES} samples for a ratio, got {n_samples}")
     refs = {s.config.mu: EstimatorSpec(FULL_RGE, EstimatorConfig(mu=s.config.mu)) for s in specs}

@@ -20,12 +20,12 @@ scalar path.
 
 :func:`draw_table` is the one source of the Gaussians a run of estimates
 uses (an optimizer's steps, the oracle's Monte-Carlo samples): its row i is
-the seed of index i and the draws of all its (query, block) slots, derived
-a chunk of indices at a time.  Given a
-count of rows to draw ahead, one forked helper process
-(:class:`zomat._parallel.Ring`) writes them into a shared-memory ring from
-the same words, on CPU time no other process wants; any row it did not draw
-is drawn here, so the values are the same whichever process made them.
+the draws of all the (query, block) slots of index i's seed, derived a
+chunk of indices at a time.  Given a count of rows to draw ahead, one
+forked helper process (:class:`zomat._parallel.Ring`) writes them into a
+shared-memory ring from the same words, on CPU time no other process
+wants; any row it did not draw is drawn here, so the values are the same
+whichever process made them.
 This process never waits for the helper: a row it has not drawn yet is
 drawn here, and so is the row after it, which the helper then skips.
 Where no helper can start (one usable CPU, as under ``taskset -c 0``) every
@@ -62,7 +62,7 @@ PCG64_WORDS = 4
 #: temporaries grow with the chunk (about 1 MB at 1,024 steps of 4 slots), so
 #: 256 keeps both the per-step share and the added peak memory small.
 CHUNK = 256
-#: Bytes of a cache line; each part of a :func:`draw_table` ring row starts on one
+#: Bytes of a cache line; each draw of a :func:`draw_table` ring row starts on one
 _LINE = 64
 
 
@@ -222,59 +222,58 @@ def _lines(n_bytes: int) -> int:
 
 
 def _row_views(row, n_queries: int, shapes):
-    """One row's seed (a one-entry uint64 array) and its draws, {(query,
-    block): float64 array of the block's shape}, over the bytes ``row``."""
-    seed, draws, offset = np.frombuffer(row, np.uint64, 1), {}, _LINE
+    """One row's draws, {(query, block): float64 array of the block's shape},
+    over the bytes ``row``."""
+    draws, offset = {}, 0
     for i in range(n_queries):
         for b, shape in enumerate(shapes):
             size = math.prod(shape)
             draws[i, b] = np.frombuffer(row, np.float64, size, offset).reshape(shape)
             offset += _lines(8 * size)
-    return seed, draws
+    return draws
 
 
 def draw_table(prefix: tuple, n_queries: int, shapes, n_ahead: int = 0):
-    """``(table, ring)``.  ``table(i)`` gives ``(derive_seed(*prefix, i),
-    draws)``, where ``draws[q, b]`` is the float64 Gaussian of that seed's
-    (query q, block b) slot in ``shapes[b]``, the values of
-    :func:`perturbation`.  ``ring`` is the :class:`zomat._parallel.Ring`
-    whose helper process draws indices 0, 1, ..., ``n_ahead`` - 1 ahead, read
-    in that order, for the caller to close; None where none started
-    (``n_ahead`` below 2 too).  A row the helper drew is read-only and is
-    overwritten a ring lap later.  Any other row is drawn here from the same
-    slot words: every row without a ring or read out of order, a row the
-    helper has not drawn yet when it is read, and the row after it, drawn
-    then and kept until it is read.
+    """``(table, ring)``.  ``table(i)`` gives the draws of index i,
+    ``{(q, b): array}``, where ``[q, b]`` is the float64 Gaussian of the
+    (query q, block b) slot of ``derive_seed(*prefix, i)`` in ``shapes[b]``,
+    the values of :func:`perturbation`.  ``ring`` is the
+    :class:`zomat._parallel.Ring` whose helper process draws indices 0, 1,
+    ..., ``n_ahead`` - 1 ahead, read in that order, for the caller to close;
+    None where none started (``n_ahead`` below 2 too).  A row the helper
+    drew is read-only and is overwritten a ring lap later.  Any other row is
+    drawn here from the same slot words: every row without a ring or read
+    out of order, a row the helper has not drawn yet when it is read, and
+    the row after it, drawn then and kept until it is read.
 
     The seeds and their :func:`slot_words` are derived :data:`CHUNK` indices
     at a time.  Reading an index outside the chunk in hand derives that
     index's chunk, so indices may be read in any order.
     """
     slots = [(q, b, shape) for q in range(n_queries) for b, shape in enumerate(shapes)]
-    start, seeds, words = -CHUNK, None, None
+    start, words = -CHUNK, None
 
-    def drawn(i: int) -> tuple:
-        nonlocal start, seeds, words
+    def drawn(i: int) -> dict:
+        nonlocal start, words
         if not start <= i < start + CHUNK:
             start = i - i % CHUNK
-            seeds = seed_states((*prefix, np.arange(start, start + CHUNK, dtype=np.uint64)), 1)[:, 0]
-            words = slot_words(seeds, n_queries, len(shapes))
+            seeds = seed_states((*prefix, np.arange(start, start + CHUNK, dtype=np.uint64)), 1)
+            words = slot_words(seeds[:, 0], n_queries, len(shapes))
         slot = words[i - start]
-        return int(seeds[i - start]), {(q, b): gaussian(slot[q, b], s) for q, b, s in slots}
+        return {(q, b): gaussian(slot[q, b], s) for q, b, s in slots}
 
-    views = {}  # ring row j as (seed, draws); each process makes its own after the fork
+    views = {}  # ring row j's draws; each process makes its own after the fork
 
     def fill(i, j, row):  # in the helper: index i into ring row j
         if j not in views:
             views[j] = _row_views(row, n_queries, shapes)
-        seed, draws = views[j]
+        draws = views[j]
         # copied in: drawing straight into the row (``out=``) made mezo's
         # 10,000-step race run take 0.44 s, against 0.33 s, on a two-CPU VM
-        seed[0], fresh = drawn(i)
-        for key, draw in draws.items():
-            draw[...] = fresh[key]
+        for key, fresh in drawn(i).items():
+            draws[key][...] = fresh
 
-    row_bytes = _LINE + n_queries * sum(_lines(8 * math.prod(s)) for s in shapes)
+    row_bytes = n_queries * sum(_lines(8 * math.prod(s)) for s in shapes)
     ring = _parallel.Ring.start(fill, n_ahead, row_bytes)
     if ring is None:
         return drawn, None
@@ -284,13 +283,12 @@ def draw_table(prefix: tuple, n_queries: int, shapes, n_ahead: int = 0):
     def take(i):
         stash[i] = drawn(i)
 
-    def table(i: int) -> tuple:
+    def table(i: int) -> dict:
         j = ring.wait(i, take)
         if j is None:
-            return stash.pop(i, None) or drawn(i)
+            return stash.pop(i) if i in stash else drawn(i)
         if j not in views:
             views[j] = _row_views(ring.row(j).toreadonly(), n_queries, shapes)
-        seed, draws = views[j]
-        return int(seed[0]), draws
+        return views[j]
 
     return table, ring

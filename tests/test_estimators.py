@@ -479,6 +479,14 @@ def assert_same_estimate(got, expected):
         assert np.array_equal(got[name], expected[name]), name
 
 
+def assert_row_reads_no_seed(got, estimate, *factors, cfg, draws):
+    """``estimate`` given the table row ``draws`` and ``seed=None`` equals
+    ``got``, its estimate given the row's seed: the call form of the step
+    loop and the oracle."""
+    obj = mixed_space_objective()
+    assert_same_estimate(estimate(obj, obj.initial_params, *factors, cfg, None, draws), got)
+
+
 class TestReferenceArithmetic:
     """Every estimator equals the per-query reference loop exactly."""
 
@@ -491,6 +499,8 @@ class TestReferenceArithmetic:
         assert obj.query_count == 4
         ref = mixed_space_objective()
         assert_same_estimate(got, reference_forward(ref, ref.initial_params, {}, MU, 3, seed))
+        if bulk:
+            assert_row_reads_no_seed(got, estimators.rge_full, cfg=cfg, draws=draws)
 
     @pytest.mark.parametrize("bulk", [False, True])
     def test_rge_full_central(self, bulk):
@@ -503,6 +513,8 @@ class TestReferenceArithmetic:
         x = ref.initial_params
         deltas = {name: perturbation(seed, 0, x.index(name), v.shape) for name, v in x.items()}
         assert_same_estimate(got, reference_central(ref, x, {}, deltas, MU))
+        if bulk:
+            assert_row_reads_no_seed(got, estimators.rge_full, cfg=cfg, draws=draws)
 
     @pytest.mark.parametrize("bulk", [False, True])
     def test_subspace_rge(self, bulk):
@@ -517,6 +529,8 @@ class TestReferenceArithmetic:
         assert got["a"].shape == (2, 4)
         ref = mixed_space_objective()
         assert_same_estimate(got, reference_forward(ref, ref.initial_params, proj, MU, 3, seed))
+        if bulk:
+            assert_row_reads_no_seed(got, estimators.subspace_rge, proj, cfg=cfg, draws=draws)
 
     @pytest.mark.parametrize("bulk", [False, True])
     def test_lge_lozo(self, bulk):
@@ -535,4 +549,6 @@ class TestReferenceArithmetic:
                                      (2, v.shape[1]) if name in a else v.shape)
                   for name, v in x.items()}
         assert_same_estimate(got, reference_central(ref, x, a, deltas, MU))
+        if bulk:
+            assert_row_reads_no_seed(got, estimators.lge_lozo, a, cfg=cfg, draws=draws)
 

@@ -128,6 +128,28 @@ class TestVariance:
         oracle.estimator_variance(spec, obj, obj.initial_params, n, seed=0)
         assert obj.query_count == n * per_sample + math.ceil(n / oracle.SAMPLE_RANGE) * per_range
 
+    @pytest.mark.parametrize("value", [1.7, 2000.0, True, -1],
+                             ids=["float", "integral-float", "bool", "negative"])
+    @pytest.mark.parametrize("entry, name", [
+        ("estimator_variance", "seed"), ("estimator_variance", "n_samples"),
+        ("measure_variance", "seed"), ("measure_variance", "n_samples"),
+        ("check_prop1", "trials"),
+    ])
+    def test_counts_are_checked_by_name(self, entry, name, value):
+        # a float seed was truncated, a float sample count failed inside
+        # range(), and zero trials passed vacuously
+        obj = objectives.make_quadratic(8, 6, 2, seed=0)
+        spec, x = EstimatorSpec(FULL_RGE, EstimatorConfig()), obj.initial_params
+        call = {
+            "estimator_variance": partial(oracle.estimator_variance, spec, obj, x,
+                                          n_samples=2000, seed=0),
+            "measure_variance": partial(measure_variance, [spec], obj, x, n_samples=2000, seed=0),
+            "check_prop1": partial(check_prop1, 8, 6, 2, trials=2),
+        }[entry]
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= "):
+            call(**{name: value})
+        assert obj.query_count == 0
+
     def test_ratio_requires_enough_samples(self):
         obj = objectives.make_quadratic(8, 6, 2, seed=0)
         spec = EstimatorSpec(FULL_RGE, EstimatorConfig())

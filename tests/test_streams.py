@@ -1,8 +1,8 @@
 """Bulk-derived streams against the scalar reference definitions.
 
 ``streams.seed_states`` must equal ``SeedSequence(row).generate_state`` row
-by row, and every table the step loop reads must give the same seeds and
-draws as ``derive_seed`` and ``perturbation``, on both sides of a chunk
+by row, and every table the step loop reads must give the draws of
+``perturbation`` at the seeds of ``derive_seed``, on both sides of a chunk
 boundary and at any step a stepper is entered, whether this process draws
 them or a helper process draws them ahead.
 """
@@ -132,8 +132,8 @@ def scalar_draw_table(prefix, n_queries, shapes, n_ahead=0):
     ``derive_seed`` and ``perturbation``, with no helper."""
     def table(i):
         seed = derive_seed(*prefix, i)
-        return seed, {(q, b): perturbation(seed, q, b, shape)
-                      for q in range(n_queries) for b, shape in enumerate(shapes)}
+        return {(q, b): perturbation(seed, q, b, shape)
+                for q in range(n_queries) for b, shape in enumerate(shapes)}
 
     return table, None
 
@@ -144,8 +144,7 @@ class TestStepTables:
         root = 2**40 + 9
         table, ring = streams.draw_table((root, optimizers._TAG_ESTIMATE), 3, [(2, 5), (4, 1)])
         assert ring is None
-        seed, draws = table(step)
-        assert seed == derive_seed(root, optimizers._TAG_ESTIMATE, step)
+        draws, seed = table(step), derive_seed(root, optimizers._TAG_ESTIMATE, step)
         assert sorted(draws) == [(i, b) for i in range(3) for b in range(2)]
         for (i, b), drawn in draws.items():
             assert np.array_equal(drawn, perturbation(seed, i, b, [(2, 5), (4, 1)][b]))
@@ -153,8 +152,7 @@ class TestStepTables:
     def test_steps_read_in_any_order(self):
         table, _ = streams.draw_table((11, optimizers._TAG_ESTIMATE), 1, [(1, 1)])
         for step in (3 * CHUNK + 5, 2, CHUNK, 3 * CHUNK + 4, 0):
-            seed, draws = table(step)
-            assert seed == derive_seed(11, optimizers._TAG_ESTIMATE, step)
+            draws, seed = table(step), derive_seed(11, optimizers._TAG_ESTIMATE, step)
             assert draws[0, 0] == perturbation(seed, 0, 0, (1, 1))
 
     @pytest.mark.parametrize("kind, n_queries", KIND_QUERIES)
@@ -225,8 +223,8 @@ class TestOneForwardLoop:
         cfg = EstimatorConfig(mu=1e-3, n_queries=n_queries, scheme=scheme)
         obj = mixed_objective()
         shapes = [v.shape for _, v in obj.initial_params.items()]
-        seed, draws = streams.draw_table((8, 1), n_queries, shapes)[0](5)
-        draws = draws if bulk else None
+        seed = derive_seed(8, 1, 5)
+        draws = streams.draw_table((8, 1), n_queries, shapes)[0](5) if bulk else None
         full = estimators.rge_full(obj, obj.initial_params, cfg, seed, draws)
         held = held_factor_estimate(obj, obj.initial_params, {}, cfg, seed, draws)
         assert obj.query_count == 2 * (n_queries + 1)
@@ -336,8 +334,9 @@ class TestDrawAhead:
 
     @pytest.mark.parametrize("kind, n_queries", KIND_QUERIES)
     def test_helper_run_equals_inline_run(self, kind, n_queries, monkeypatch):
-        # a ring of 7 rows is reused 37 times in 259 steps, across the
-        # chunk boundary of the slot words at step 256
+        # a 7 KB ring holds 9 (zo_muon) to 28 (lozo) rows, each reused 28 to
+        # 9 times in 259 steps, across the chunk boundary of the slot words
+        # at step 256
         monkeypatch.setattr(_parallel, "RING_BYTES", 7 * 1024)
         drawn_here = _draws_here(monkeypatch)
         with monkeypatch.context() as m:
@@ -365,8 +364,7 @@ class TestDrawAhead:
         try:
             # the last read is out of order, so drawn here
             for n, step in enumerate([*range(CHUNK + 2), 3]):
-                seed, draws = table(step)
-                assert seed == derive_seed(9, 1, step)
+                draws, seed = table(step), derive_seed(9, 1, step)
                 assert len(draws) == 2 * len(shapes)
                 # a ring row is read-only; a row drawn here (taken while the
                 # helper lagged, still unfilled after the take, or read out
@@ -454,7 +452,7 @@ class TestDrawAhead:
     def test_rows_stay_intact_when_both_sides_share_one_cpu(self, monkeypatch):
         # this process and its helper on one CPU: the idle-class helper
         # fills rows only in the gaps this process leaves, over the about
-        # 100 laps of the 9-row ring, and this process draws the rest; each
+        # 100 laps of the 10-row ring, and this process draws the rest; each
         # row read must hold its own draws, whichever process drew it
         monkeypatch.setattr(_parallel, "RING_BYTES", 4 * 1024)
         monkeypatch.setattr(_parallel, "_usable_cpus", lambda: 2)
@@ -466,8 +464,7 @@ class TestDrawAhead:
             table, ring = streams.draw_table((7, 2), 2, shapes, n_ahead=n)
             try:
                 for i in range(n):
-                    (seed, draws), (want_seed, want) = table(i), inline(i)
-                    assert seed == want_seed
+                    draws, want = table(i), inline(i)
                     assert all(np.array_equal(draws[key], want[key]) for key in want)
             finally:
                 ring.close()
@@ -481,7 +478,7 @@ class TestDrawAhead:
         assert forks == []
 
     def test_a_killed_helper_leaves_the_trace_unchanged(self, monkeypatch):
-        # a ring of 3 rows: the helper is never more than 3 steps ahead
+        # a ring of 4 rows: the helper is never more than 4 steps ahead
         monkeypatch.setattr(_parallel, "RING_BYTES", 3 * 1024)
         with monkeypatch.context() as m:
             _cpus(m, 1)
@@ -543,9 +540,8 @@ class TestDrawAhead:
         try:
             os.waitid(os.P_PID, ring._pid, os.WEXITED | os.WNOWAIT)  # left for close to reap
             drawn_here = _draws_here(monkeypatch)
-            for i, (want_seed, want_draws) in enumerate(want):
-                seed, draws = table(i)
-                assert seed == want_seed
+            for i, want_draws in enumerate(want):
+                draws = table(i)
                 assert all(np.array_equal(draws[key], want_draws[key]) for key in want_draws)
             assert drawn_here == []
         finally:
@@ -555,7 +551,7 @@ class TestDrawAhead:
         (float("nan"), EvaluationError), (RuntimeError("boom"), RuntimeError),
     ], ids=["diverged", "raised"])
     def test_a_failed_run_reaps_its_helper(self, value, error, monkeypatch):
-        # a ring of 3 rows: the helper still runs, waiting, when the run fails
+        # a ring of 9 rows: the helper still runs, waiting, when the run fails
         monkeypatch.setattr(_parallel, "RING_BYTES", 3 * 1024)
         _cpus(monkeypatch, 2)
         forks = _fork_log(monkeypatch)
