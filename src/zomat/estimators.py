@@ -3,10 +3,10 @@
 Two estimates, each taken by forward or by central differences:
 
   - the full-space randomized estimate (:func:`rge_full`, either scheme),
-    which perturbs every block by a Gaussian of its own shape, and
+    which perturbs every block by a ±1 draw of its own shape, and
   - the held-factor estimate, which perturbs a matrix block through an
     m-by-r factor F held by the caller, X + mu F D with D a fresh r-by-n
-    Gaussian, and returns the draw-space estimate the caller lifts (F g):
+    ±1 draw, and returns the draw-space estimate the caller lifts (F g):
     with forward differences and a column-orthonormal projection P it is the
     subspace estimator (:func:`subspace_rge`, g_Z); with central differences
     and a Gaussian left factor A it is the two-factor low-rank baseline
@@ -18,16 +18,18 @@ objective's ``query_count`` records the queries.  All three run one
 finite-difference core, :func:`_estimate`, which evaluates the shifted
 points and returns the coefficient-weighted mean of the draws.
 
-Perturbations are never stored across a call: each Gaussian draw is
-regenerated from a counter-based split of the call seed per (query index,
-block index), the stream of :func:`perturbation`, so replaying a seed
-reproduces an estimate bit-for-bit.  Callers that make many calls (the
-optimizer step loop, the oracle's Monte-Carlo runs) read each call's draws,
-all its queries' at once, from a row of :func:`zomat.streams.draw_table`,
-whose slot words are derived in bulk, and pass them in as ``draws`` with no
-seed; the values are the same either way.  All
-blocks are perturbed jointly per query, and in the forward scheme the base
-value f(X) is evaluated once and shared across queries and blocks.  A caller
+Perturbations are never stored across a call: each draw, ±1 per entry
+(``E[D D^T] = I``, as for a Gaussian), is regenerated from a counter hash
+of the call seed per (query index, block index), the stream of
+:func:`perturbation`, so replaying a seed reproduces an estimate
+bit-for-bit.  Callers that make many calls (the optimizer step loop, the
+oracle's Monte-Carlo runs) read each call's draws, all its queries' at
+once, from a row of :func:`zomat.streams.draw_table`, whose words are
+hashed in bulk, and pass them in as ``draws`` with no seed; the values are
+the same either way.  A call given neither is refused before it evaluates
+anything.  All blocks are perturbed jointly per query, and in the forward
+scheme the base value f(X) is evaluated once and shared across queries and
+blocks.  A caller
 that takes many forward estimates at one X (the oracle's Monte-Carlo runs)
 evaluates f(X) once itself and passes it as ``base``; an estimate given its
 base costs Nq queries, not Nq + 1, and is the same array.
@@ -106,16 +108,19 @@ def _draw_shapes(x, factors) -> dict:
 def _estimate(obj, x, factors, cfg, seed, draws, base=None):
     """(1/Nq) sum_i c_i D_i per block, the one finite-difference core.
 
-    Block b of ``x`` (its position) reads the Gaussian D_i of its (query i,
+    Block b of ``x`` (its position) reads the ±1 draw D_i of its (query i,
     block b) slot from ``draws``, a :func:`zomat.streams.draw_table` row, or
     draws it from ``seed`` when ``draws`` is None, in the shape of
-    :func:`_draw_shapes`.  A block with a factor (m-by-r F) is shifted by
+    :func:`_draw_shapes`; with neither, the call is refused before any
+    evaluation.  A block with a factor (m-by-r F) is shifted by
     mu F D_i, any other by mu D_i.  Forward: one shared base f(X), evaluated
     here unless the caller gives it as ``base``,
     c_i = (f(X + mu F D_i) - f(X)) / mu.  Central (one query):
     c = (f(X + mu F D) - f(X - mu F D)) / (2 mu), and a ``base`` is refused.
     """
     shapes, mu, central = _draw_shapes(x, factors), cfg.mu, cfg.scheme == CENTRAL
+    if seed is None and draws is None:
+        raise ValueError("an estimate needs a seed or draws, and both are None")
     if central and base is not None:
         raise ValueError("a base value is defined only for forward differences")
     if not central and base is None:
@@ -144,11 +149,12 @@ def rge_full(obj, x: ParamSpace, cfg: EstimatorConfig, seed: int | None, draws=N
     """Full-space randomized gradient estimate, one array per block.
 
     Forward scheme: (1/Nq) sum_i [(f(X + mu Psi_i) - f(X)) / mu] Psi_i with
-    Psi_i standard Gaussian per block.  Central scheme (single query):
+    Psi_i a ±1 draw per block.  Central scheme (single query):
     [(f(X + mu Psi) - f(X - mu Psi)) / (2 mu)] Psi.  ``draws``, when given,
     is a row of :func:`zomat.streams.draw_table`, the draws of the
     estimate's (query, block) slots, and ``seed`` is not read (it may be
-    None).  ``base``, when given, is f(X) as the
+    None); given neither, the call raises ``ValueError`` and spends no
+    query.  ``base``, when given, is f(X) as the
     caller already evaluated it: the forward estimate then costs n_queries
     evaluations, not n_queries + 1, and is the same array.  The central
     scheme has no base and refuses one (``ValueError``).
@@ -163,7 +169,7 @@ def subspace_rge(
     """Subspace randomized gradient estimate g_Z, one array per block.
 
     Blocks with a projection P (an m-by-r array) are perturbed by
-    mu * P @ Psi_i with Psi_i an r-by-n Gaussian; their entry is the r-by-n
+    mu * P @ Psi_i with Psi_i an r-by-n ±1 draw; their entry is the r-by-n
     g_Z of Psi-weighted forward differences.  Its lift P @ g_Z, which the
     caller makes after any map in Z's space (``zo_muon``'s msign), targets
     the projected gradient P P^T grad f.  Blocks without a projection get the
@@ -183,7 +189,7 @@ def lge_lozo(obj, x: ParamSpace, a_factors: dict, cfg: EstimatorConfig, seed: in
     """Two-factor low-rank estimate g_B, one array per block.
 
     Blocks with a left factor A (an m-by-r array) are perturbed by
-    mu * A @ B with B the r-by-n Gaussian of the block's (query 0, block)
+    mu * A @ B with B the r-by-n ±1 draw of the block's (query 0, block)
     slot; their entry is g_B = c B with
     c = [f(X + mu AB) - f(X - mu AB)] / (2 mu), whose lift A @ g_B the caller
     makes.  Blocks without a factor get the full-space central estimate from

@@ -23,22 +23,10 @@ the r-by-n draw of slot (0, block); the held factor streams from (root, tag,
 epoch, block index), the epoch being the step rounded down to a multiple of
 ``resample_interval``.  So trajectories are reproducible, a run entered at
 any step takes the steps of a continuous one, and blocks never share a
-stream.  A step reads its Gaussians from a row of the run's table
+stream.  A step reads its ±1 draws from a row of the run's table
 (:func:`zomat.streams.draw_table`), built once per run by
-:func:`_start_table`, with the values of ``perturbation`` at the scalar
-:func:`derive_seed`.
-
-A :func:`run` of at least :data:`AHEAD_MIN_STEPS` steps has the table's
-helper process draw the rows ahead into shared memory where it can
-(``os.fork``, two usable CPUs, Linux's idle scheduling class), so the trace
-is identical to a run that draws them itself, as every run does under
-``taskset -c 0``.  The helper runs only on CPU time no other process wants,
-and the run never waits for it: a row the helper has not drawn yet (mezo's
-64-by-64 draw takes it longer than this process's step, and other work may
-leave it no CPU) the run draws itself, with the row after it, which the
-helper skips, so the two share the drawing (:class:`zomat._parallel.Ring`).
-The helper is reaped when the run ends, and exits by itself if this process
-dies.
+:func:`_direction`, with the values of ``perturbation`` at the scalar
+:func:`derive_seed`.  A run is one process: it draws every row itself.
 """
 
 from __future__ import annotations
@@ -64,20 +52,12 @@ SUBSPACE_MEZO = "subspace_mezo"
 LOZO = "lozo"
 ZO_MUON = "zo_muon"
 
-# Tags keeping derived Gaussian streams disjoint.  A tag is part of every
+# Tags keeping derived streams disjoint.  A tag is part of every
 # seed derived with it, so the values are never renumbered (3 and 5 are
 # retired).
 _TAG_ESTIMATE = 1
 _TAG_PROJECTION = 2
 _TAG_LOZO_A = 4
-
-#: Fewest steps of a run that has a helper process draw ahead.  Starting one
-#: costs a race run about 3 ms, the fork (1 ms) and 600-700 copy-on-write
-#: faults here.  On a two-CPU VM (medians of three rounds of 40 alternating
-#: pairs), 64-step mezo and zo_muon runs took 7-10 and 12 ms without a helper,
-#: 10-12 and 14-18 ms with one; 128-step runs as long either way; 256-step
-#: runs 6-16% less with one (one zo_muon round: 24% more).
-AHEAD_MIN_STEPS = 256
 
 
 @dataclass(frozen=True)
@@ -114,8 +94,8 @@ class OptimizerConfig:
 class OptimizerState:
     """Mutable state of one run (one kind, config and parameter space): the
     step counter; the held factors as (epoch, {matrix block name: m-by-r
-    factor}), None before the first draw; and what :func:`_start_table`
-    makes once for the run, its scheme's :class:`EstimatorConfig` (so
+    factor}), None before the first draw; and what the run's first
+    :func:`_direction` makes once, its scheme's :class:`EstimatorConfig` (so
     checked once, not per step) and its table of estimate draws by
     step.  A fresh state at any step draws the factors of that step's
     epoch, so it steps as a continuous run does."""
@@ -179,7 +159,7 @@ def _projection(root, m, r, epoch, idx):
 
 
 def _gaussian_factor(root, m, r, epoch, idx):
-    rng = np.random.default_rng(np.random.SeedSequence((root, _TAG_LOZO_A, epoch, idx)))
+    rng = np.random.default_rng(derive_seed(root, _TAG_LOZO_A, epoch, idx))
     return rng.standard_normal((m, r))
 
 
@@ -194,30 +174,21 @@ _KINDS = {
 OPTIMIZER_KINDS = tuple(_KINDS)
 
 
-def _start_table(kind, x, cfg, state, n_ahead=0):
-    """Make what a run builds once: its scheme's estimator config, the held
-    factors of the state's step and the table of estimate draws, in the
-    shapes the estimate draws them (:func:`zomat.streams.draw_table`),
-    whose helper draws the first ``n_ahead`` steps ahead.  Returns the
-    table's ring to close, or None."""
-    scheme, draw, _ = _KINDS[kind]
-    state.est_cfg = EstimatorConfig(mu=cfg.mu, n_queries=cfg.n_queries, scheme=scheme)
-    factors = {} if draw is None else _held_factors(state, cfg, x, draw)
-    shapes = list(estimators._draw_shapes(x, factors).values())
-    state.table, ring = streams.draw_table(
-        (state.rng_root_seed, _TAG_ESTIMATE), cfg.n_queries, shapes, n_ahead)
-    return ring
-
-
 def _direction(kind, obj, x, cfg, state) -> dict:
     """The step direction d of ``kind`` from one call of its scheme's
     held-factor estimate g, lifted as F g (F msign(g) when whitened) on each
-    block with a held factor F; a full-space kind holds none."""
+    block with a held factor F; a full-space kind holds none.  The first
+    call of a run makes the state's estimator config and its table of
+    estimate draws, in the shapes the estimate draws them
+    (:func:`zomat.streams.draw_table`)."""
     scheme, draw, whiten = _KINDS[kind]
-    if state.table is None:
-        _start_table(kind, x, cfg, state)
-    draws = state.table(state.step)
     factors = {} if draw is None else _held_factors(state, cfg, x, draw)
+    if state.table is None:
+        state.est_cfg = EstimatorConfig(mu=cfg.mu, n_queries=cfg.n_queries, scheme=scheme)
+        shapes = list(estimators._draw_shapes(x, factors).values())
+        state.table = streams.draw_table((state.rng_root_seed, _TAG_ESTIMATE), cfg.n_queries,
+                                         shapes)
+    draws = state.table(state.step)
     estimate = estimators.subspace_rge if scheme == FORWARD else estimators.lge_lozo
     d = estimate(obj, x, factors, state.est_cfg, None, draws)
     for name, f in factors.items():
@@ -266,12 +237,10 @@ def run(obj, x0, cfg: OptimizerConfig, optimizer_kind: str, seed: int, eval_ever
     Every exception that leaves it, a bad argument or a warning that a
     filter turned into an error too, carries the rows recorded before it as
     ``partial_trace`` and that count as ``steps``.  Deterministic for a fixed
-    seed except for the elapsed times, whether or not a helper process draws
-    the Gaussians ahead (a run of at least :data:`AHEAD_MIN_STEPS` steps);
-    the helper is gone when this returns or raises.  A whitened kind at one
-    query warns once, before the first step.
+    seed except for the elapsed times.  A whitened kind at one query warns
+    once, before the first step.
     """
-    state, records, ring = OptimizerState(), [], None
+    state, records = OptimizerState(), []
 
     def record(elapsed_ms):
         loss = obj.loss(x)
@@ -291,8 +260,6 @@ def run(obj, x0, cfg: OptimizerConfig, optimizer_kind: str, seed: int, eval_ever
         x, start_queries, t0 = x0.copy(), obj.query_count, time.perf_counter()
         if cfg.total_steps > 0:
             record(0.0)
-            n_ahead = cfg.total_steps if cfg.total_steps >= AHEAD_MIN_STEPS else 0
-            ring = _start_table(optimizer_kind, x, cfg, state, n_ahead)
         while state.step < cfg.total_steps:
             x = step(optimizer_kind, obj, x, cfg, state)
             if state.step % eval_every == 0 or state.step == cfg.total_steps:
@@ -304,9 +271,6 @@ def run(obj, x0, cfg: OptimizerConfig, optimizer_kind: str, seed: int, eval_ever
         exc.partial_trace = tuple(records)
         exc.steps = state.step
         raise
-    finally:
-        if ring is not None:
-            ring.close()
     return RunResult(
         records=tuple(records),
         final_params=x,

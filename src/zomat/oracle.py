@@ -1,8 +1,8 @@
 """Verification machinery.
 
 Exact-rank constructions for the lossless-projection identity, Monte-Carlo
-estimator variance measurements, a backend cross-check for the two msign
-implementations, and a coordinate-wise finite-difference gradient.  A
+estimator variance measurements and a backend cross-check for the two msign
+implementations.  A
 variance is measured on the estimators themselves, against the single-query
 forward :func:`zomat.estimators.rge_full` as reference; the analytic
 gradient only chooses the subspace estimator's projection.
@@ -135,7 +135,7 @@ def _range_moments(spec, objective, x, seed, start, n_samples) -> tuple:
     factors = ({name: gradient_aligned_projection(objective, x, spec.rank)}
                if spec.kind == SUBSPACE_RGE else {})
     shapes = list(estimators._draw_shapes(x, factors).values())
-    table, _ = streams.draw_table((seed,), spec.config.n_queries, shapes)
+    table = streams.draw_table((seed,), spec.config.n_queries, shapes)
     base = objective.evaluate(x) if spec.config.scheme == estimators.FORWARD else None
     mean, m2 = np.zeros_like(x[name]), np.zeros_like(x[name])
     for i in range(start, stop):
@@ -238,25 +238,6 @@ def compare_msign_backends(seed: int = 0) -> list:
             )
         rows.append((float(cond), float(np.median(errs))))
     return rows
-
-
-def finite_diff_gradient(objective, x: ParamSpace, mu: float = 1e-6) -> dict:
-    """Central-difference gradient per coordinate through the un-counted
-    evaluation channel.  O(total parameters) evaluations; independent of the
-    randomized estimators."""
-    if not 1e-8 <= mu <= 1e-4:
-        raise ValueError(f"mu must be within [1e-8, 1e-4], got {mu}")
-    grads = {}
-    for name, value in x.items():
-        g = np.zeros_like(value)
-        for idx in np.ndindex(value.shape):
-            shift = np.zeros_like(value)
-            shift[idx] = mu
-            f_plus = objective.loss(x.updated({name: value + shift}))
-            f_minus = objective.loss(x.updated({name: value - shift}))
-            g[idx] = (f_plus - f_minus) / (2.0 * mu)
-        grads[name] = g
-    return grads
 
 
 # ---------------------------------------------------------------------------

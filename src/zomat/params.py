@@ -29,7 +29,6 @@ class ParamSpace:
             self._blocks[str(name)] = as_matrix(arr, name=f"block {name!r}")
         if not self._blocks:
             raise ValueError("ParamSpace needs at least one block")
-        self._index = {name: i for i, name in enumerate(self._blocks)}
 
     @property
     def names(self) -> tuple:
@@ -43,10 +42,6 @@ class ParamSpace:
 
     def items(self):
         return self._blocks.items()
-
-    def index(self, name: str) -> int:
-        """Position of a block in the fixed ordering (used for seed splits)."""
-        return self._index[name]
 
     def copy(self) -> "ParamSpace":
         return ParamSpace({name: value.copy() for name, value in self._blocks.items()})
@@ -70,5 +65,5 @@ class ParamSpace:
                 )
             blocks[name] = arr
         new = object.__new__(type(self))
-        new._blocks, new._index = blocks, self._index
+        new._blocks = blocks
         return new

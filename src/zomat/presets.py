@@ -16,12 +16,31 @@ As measured, zo_muon's lead here comes from its constant step norm, not
 from whitening: at the 1% target a Frobenius-normalized lift
 ``P g sqrt(k) / ||g||_F`` (the same step norm, no whitening) needs as many
 queries as zo_muon's ``P msign(g)``, a median of 11,050 over seeds 0-4 for
-both.  Whether whitening pays anywhere at desk scale is an open question in
+both (measured with Gaussian draws at ``mu = 1e-3``).  Whether whitening pays anywhere at desk scale is an open question in
 ROADMAP.md.
 
 Learning rates were tuned per method on this preset by grid search
 (minimizing the median queries to reach 1% of the initial loss over five
 seeds); the grids and the winning values are recorded in the README.
+
+The smoothing scale is fair to both difference schemes (``RACE_MU``).  A
+forward coefficient is ``<P^T G, D> + (mu/2) tr(D^T P^T H P D)``: its second
+term has mean ``(mu/2) n tr(P^T H P)``, 11.2 mu on objective seed 100 with a
+random P, against ``||P^T G||_F`` = 0.042 at 1% of the initial loss, so at
+``mu = 1e-3`` the forward kinds (zo_muon, subspace_mezo) carried a
+curvature offset of about a quarter of the signal, which grows relative to
+it as the loss falls.  The central kinds (mezo, lozo) take the symmetric
+quotient, exact on a quadratic, and their counts do not move with mu.
+Measured with Gaussian draws at the frozen rates (median queries to 1% over
+objective seeds 100-104 / 105-109): zo_muon needs 11,050 / 10,950 at
+``mu = 1e-3``, 10,400 / 10,450 at 1e-4 and 10,500 / 10,050 at 1e-5;
+subspace_mezo 13,200 / 14,400 at 1e-3 and 12,260 / 13,460 at 1e-4.  The
+gain levels off from 1e-4 down, where the float64 round-off of a
+coefficient, ``eps f / mu``, is about 1e-12, far below the signal.  So the
+forward kinds run at 1e-4, and mezo and lozo keep 1e-3.  With the ±1
+draws of :mod:`zomat.streams` the C7 ordering holds at these values
+(zo_muon first in 4 of 5 seeds, mean ratio to mezo 0.922), and fails with
+every kind at 1e-3 (1 of 5, ratio 1.014).
 """
 
 from __future__ import annotations
@@ -47,11 +66,21 @@ RACE_LEARNING_RATES = {
 }
 
 
+#: per-method smoothing scale: 1e-4 for the forward kinds, whose estimates
+#: carry a curvature offset proportional to mu (see module docstring)
+RACE_MU = {
+    MEZO: 1e-3,
+    SUBSPACE_MEZO: 1e-4,
+    LOZO: 1e-3,
+    ZO_MUON: 1e-4,
+}
+
+
 def race_optimizer_entry(kind: str, rank: int = 8, label: str | None = None,
                          **overrides) -> OptimizerEntry:
     fields = dict(
         learning_rate=RACE_LEARNING_RATES[kind],
-        mu=1e-3,
+        mu=RACE_MU[kind],
         rank=rank,
         resample_interval=RACE_RESAMPLE_INTERVAL,
         msign_backend="svd",

@@ -7,8 +7,8 @@ threads on every CPU, and C8 then took longer on two processes than on one.
 The variables are read when NumPy loads its BLAS, so they are set here,
 before any test module imports NumPy.
 
-Every test must also reap each process it forked: a batch's workers, an
-optimizer run's draw-ahead helper, a subprocess.
+Every test must also reap each process it forked: a batch's workers, a
+subprocess.
 """
 
 import os

@@ -6,7 +6,7 @@ from zomat import estimators, linalg, objectives, streams
 from zomat.estimators import CENTRAL, FORWARD, EstimatorConfig
 from zomat.objectives import EvaluationError, Objective
 from zomat.params import ParamSpace
-from zomat.streams import perturbation
+from zomat.streams import derive_seed, perturbation
 
 
 def constant_objective(value=3.0, shape=(4, 5)):
@@ -143,6 +143,22 @@ class TestFullRge:
         obj = exploding_objective()
         with pytest.raises(EvaluationError):
             estimators.rge_full(obj, obj.initial_params, EstimatorConfig(scheme=CENTRAL), seed=17)
+
+
+class TestSeedOrDraws:
+    @pytest.mark.parametrize("scheme", [FORWARD, CENTRAL])
+    @pytest.mark.parametrize("held", [False, True], ids=["full", "held_factor"])
+    def test_neither_is_refused_before_any_query(self, held, scheme):
+        obj = constant_objective(shape=(4, 5))
+        x, cfg = obj.initial_params, EstimatorConfig(scheme=scheme)
+        with pytest.raises(ValueError, match="needs a seed or draws, and both are None"):
+            if not held:
+                estimators.rge_full(obj, x, cfg, None)
+            elif scheme == FORWARD:
+                estimators.subspace_rge(obj, x, {"x": np.eye(4)[:, :2]}, cfg, None)
+            else:
+                estimators.lge_lozo(obj, x, {"x": np.eye(4)[:, :2]}, cfg, seed=None)
+        assert obj.query_count == 0
 
 
 class TestGivenBase:
@@ -302,7 +318,7 @@ class TestSubspaceRge:
 
 
 class TestLozoEstimator:
-    """g_B in draw space, B the r-by-n Gaussian of slot (query 0, block)."""
+    """g_B in draw space, B the r-by-n ±1 draw of slot (query 0, block)."""
 
     CFG = EstimatorConfig(mu=1e-4, scheme=CENTRAL)
 
@@ -412,7 +428,8 @@ class TestBiasConvergence:
 
 
 #: a smoothing scale with an inexact reciprocal: at the seeds below, dividing
-#: a difference by mu and multiplying it by 1/mu give different bits
+#: a difference by mu and multiplying it by 1/mu give different bits in at
+#: least one coefficient of each estimate
 MU = 2.9e-3
 
 
@@ -431,16 +448,14 @@ def mixed_space_objective():
     return Objective("mixed", loss, ParamSpace(start))
 
 
-def bulk_draws(seed, n_queries, x, lifts, bulk):
-    """The draws of ``seed``'s slots from its bulk-derived words, as a row of
-    ``streams.draw_table`` holds them, or None (draw through ``perturbation``)."""
+def bulk_draws(key, n_queries, x, lifts, bulk):
+    """Row 0 of the ``streams.draw_table`` keyed by ``key``, the draws of the
+    slots of ``derive_seed(key, 0)``, or None (draw through ``perturbation``)."""
     if not bulk:
         return None
     shapes = [(lifts[name].shape[1], v.shape[1]) if name in lifts else v.shape
               for name, v in x.items()]
-    words = streams.slot_words(np.array([seed], dtype=np.uint64), n_queries, len(shapes))[0]
-    return {(i, b): streams.gaussian(words[i, b], shape)
-            for i in range(n_queries) for b, shape in enumerate(shapes)}
+    return streams.draw_table((key,), n_queries, shapes)(0)
 
 
 def reference_forward(obj, x, lifts, mu, n_queries, seed):
@@ -451,8 +466,8 @@ def reference_forward(obj, x, lifts, mu, n_queries, seed):
     accum = {name: np.zeros(shape) for name, shape in shapes.items()}
     base = obj.evaluate(x)
     for i in range(n_queries):
-        deltas = {name: perturbation(seed, i, x.index(name), shape)
-                  for name, shape in shapes.items()}
+        deltas = {name: perturbation(seed, i, b, shape)
+                  for b, (name, shape) in enumerate(shapes.items())}
         shifted = x.updated({
             name: x[name] + mu * (lifts[name] @ d if name in lifts else d)
             for name, d in deltas.items()
@@ -492,9 +507,9 @@ class TestReferenceArithmetic:
 
     @pytest.mark.parametrize("bulk", [False, True])
     def test_rge_full_forward(self, bulk):
-        seed, cfg = 2, EstimatorConfig(mu=MU, n_queries=3)
+        seed, cfg = derive_seed(2, 0), EstimatorConfig(mu=MU, n_queries=3)
         obj = mixed_space_objective()
-        draws = bulk_draws(seed, 3, obj.initial_params, {}, bulk)
+        draws = bulk_draws(2, 3, obj.initial_params, {}, bulk)
         got = estimators.rge_full(obj, obj.initial_params, cfg, seed, draws)
         assert obj.query_count == 4
         ref = mixed_space_objective()
@@ -504,14 +519,14 @@ class TestReferenceArithmetic:
 
     @pytest.mark.parametrize("bulk", [False, True])
     def test_rge_full_central(self, bulk):
-        seed, cfg = 3, EstimatorConfig(mu=MU, scheme=CENTRAL)
+        seed, cfg = derive_seed(20, 0), EstimatorConfig(mu=MU, scheme=CENTRAL)
         obj = mixed_space_objective()
-        draws = bulk_draws(seed, 1, obj.initial_params, {}, bulk)
+        draws = bulk_draws(20, 1, obj.initial_params, {}, bulk)
         got = estimators.rge_full(obj, obj.initial_params, cfg, seed, draws)
         assert obj.query_count == 2
         ref = mixed_space_objective()
         x = ref.initial_params
-        deltas = {name: perturbation(seed, 0, x.index(name), v.shape) for name, v in x.items()}
+        deltas = {name: perturbation(seed, 0, b, v.shape) for b, (name, v) in enumerate(x.items())}
         assert_same_estimate(got, reference_central(ref, x, {}, deltas, MU))
         if bulk:
             assert_row_reads_no_seed(got, estimators.rge_full, cfg=cfg, draws=draws)
@@ -520,10 +535,10 @@ class TestReferenceArithmetic:
     def test_subspace_rge(self, bulk):
         # a projected matrix block, a vector block and a matrix block
         # without a projection, all from the same three queries
-        seed, cfg = 1234, EstimatorConfig(mu=MU, n_queries=3)
+        seed, cfg = derive_seed(1235, 0), EstimatorConfig(mu=MU, n_queries=3)
         proj = {"a": linalg.sample_projection(5, 2, seed=9)}
         obj = mixed_space_objective()
-        draws = bulk_draws(seed, 3, obj.initial_params, proj, bulk)
+        draws = bulk_draws(1235, 3, obj.initial_params, proj, bulk)
         got = estimators.subspace_rge(obj, obj.initial_params, proj, cfg, seed, draws)
         assert obj.query_count == 4
         assert got["a"].shape == (2, 4)
@@ -535,19 +550,18 @@ class TestReferenceArithmetic:
     @pytest.mark.parametrize("bulk", [False, True])
     def test_lge_lozo(self, bulk):
         # a factored block, a vector block and a matrix block left to the
-        # full Gaussian fallback
-        seed, cfg = 41, EstimatorConfig(mu=MU, scheme=CENTRAL)
+        # full-space fallback
+        seed, cfg = derive_seed(42, 0), EstimatorConfig(mu=MU, scheme=CENTRAL)
         a = {"a": np.random.default_rng(3).standard_normal((5, 2))}
         obj = mixed_space_objective()
-        draws = bulk_draws(seed, 1, obj.initial_params, a, bulk)
+        draws = bulk_draws(42, 1, obj.initial_params, a, bulk)
         got = estimators.lge_lozo(obj, obj.initial_params, a, cfg, seed=seed, draws=draws)
         assert obj.query_count == 2
         assert got["a"].shape == (2, 4)
         ref = mixed_space_objective()
         x = ref.initial_params
-        deltas = {name: perturbation(seed, 0, x.index(name),
-                                     (2, v.shape[1]) if name in a else v.shape)
-                  for name, v in x.items()}
+        deltas = {name: perturbation(seed, 0, b, (2, v.shape[1]) if name in a else v.shape)
+                  for b, (name, v) in enumerate(x.items())}
         assert_same_estimate(got, reference_central(ref, x, a, deltas, MU))
         if bulk:
             assert_row_reads_no_seed(got, estimators.lge_lozo, a, cfg=cfg, draws=draws)

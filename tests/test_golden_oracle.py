@@ -2,8 +2,8 @@
 and 1000.
 
 Each figure was recorded once and is compared by ``repr``, so any change to
-an estimate's arithmetic, its Gaussian stream, the sample ranges or the order
-in which their moments merge shows here.  The CPU-count comparison of
+an estimate's arithmetic, its perturbation stream, the sample ranges or the
+order in which their moments merge shows here.  The CPU-count comparison of
 ``zomat verify all`` cannot catch such a change, since both of its runs use
 the same code.  A change that alters the oracle's samples on purpose must
 record the new figures and say so.
@@ -20,12 +20,12 @@ from zomat.oracle import FULL_RGE, SUBSPACE_RGE, EstimatorSpec, measure_variance
 #: subspace estimate at r 8, each against the single-query forward reference.
 GOLDEN = {
     0: [
-        ("16.655474953284674", "66.86618285646895", "4.014666831418222"),
-        ("8.321914817021248", "66.86618285646895", "8.034951609899208"),
+        ("16.86912524561467", "67.02015989464095", "3.9729481475077466"),
+        ("8.48499930206383", "67.02015989464095", "7.898664161155494"),
     ],
     1000: [
-        ("16.643228591364192", "68.80314321995013", "4.134002176455749"),
-        ("8.290877412321198", "68.80314321995013", "8.298656438666038"),
+        ("16.297004168096546", "63.87654599406579", "3.919526885751937"),
+        ("8.162512308217085", "63.87654599406579", "7.825598735056385"),
     ],
 }
 

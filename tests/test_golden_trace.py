@@ -1,9 +1,9 @@
 """Golden traces: the race preset at a 2,000-query budget, and a small mlp.
 
 The rows were recorded once and are compared to rtol 1e-12, so any change to
-a Gaussian stream, a seed derivation or the order of the arithmetic in a step
-shows here.  The in-process replay of C9 cannot catch such a change, since
-both of its runs use the same code.  A change that alters the trajectories on
+a perturbation stream, a seed derivation or the order of the arithmetic in a
+step shows here.  The in-process replay of C9 cannot catch such a change,
+since both of its runs use the same code.  A change that alters the trajectories on
 purpose must record the new rows and say so.
 
 The mlp is the only objective with one-row blocks (its biases), which take
@@ -24,37 +24,37 @@ from zomat.optimizers import OptimizerConfig, run, steps_for_budget
 GOLDEN = {
     "mezo": [
         (0, 0, 0.8122471549401709),
-        (10, 20, 0.7686912433921835),
-        (100, 200, 0.5357910441022331),
-        (250, 500, 0.3718126873988242),
-        (400, 800, 0.27263838937727103),
-        (500, 1000, 0.22334232957029732),
-        (1000, 2000, 0.10380415590855858),
+        (10, 20, 0.7910970835478534),
+        (100, 200, 0.5824397032368103),
+        (250, 500, 0.4154843779419777),
+        (400, 800, 0.304774672405528),
+        (500, 1000, 0.25348134371844033),
+        (1000, 2000, 0.12294439844812766),
     ],
     "subspace_mezo": [
         (0, 0, 0.8122471549401709),
-        (10, 20, 0.7969262611796335),
-        (100, 200, 0.49633486720070924),
-        (250, 500, 0.32732515203585955),
-        (400, 800, 0.24681108077467315),
-        (500, 1000, 0.20975190900416477),
-        (1000, 2000, 0.10148141074063019),
+        (10, 20, 0.7992591065670849),
+        (100, 200, 0.5461892596943283),
+        (250, 500, 0.35462572298603856),
+        (400, 800, 0.2578755418607924),
+        (500, 1000, 0.21313811039184158),
+        (1000, 2000, 0.11664798534629486),
     ],
     "lozo": [
         (0, 0, 0.8122471549401709),
-        (10, 20, 0.7816007728304035),
-        (100, 200, 0.5293222446613415),
-        (250, 500, 0.3704918268587343),
-        (400, 800, 0.268209440065011),
-        (500, 1000, 0.22569888955228018),
-        (1000, 2000, 0.1169063293860779),
+        (10, 20, 0.8020706732211514),
+        (100, 200, 0.5672882970325612),
+        (250, 500, 0.35787956594225834),
+        (400, 800, 0.2556409810660175),
+        (500, 1000, 0.2098659775913805),
+        (1000, 2000, 0.11396544906166156),
     ],
     "zo_muon": [
         (0, 0, 0.8122471549401709),
-        (10, 50, 0.786028690366136),
-        (100, 500, 0.6024981349858585),
-        (250, 1250, 0.36152161129863547),
-        (400, 2000, 0.22731519595980668),
+        (10, 50, 0.7907209732456499),
+        (100, 500, 0.6124748046135426),
+        (250, 1250, 0.37441219654520824),
+        (400, 2000, 0.2226831738688131),
     ],
 }
 
@@ -62,31 +62,31 @@ GOLDEN = {
 GOLDEN_MLP = {
     "mezo": [
         (0, 0, 1.654296362931186),
-        (50, 100, 0.25643507642565183),
-        (100, 200, 0.12876067870215552),
-        (150, 300, 0.09095531558171921),
-        (200, 400, 0.06682399138723431),
+        (50, 100, 0.4081892562025983),
+        (100, 200, 0.16312454847023503),
+        (150, 300, 0.10620606294126715),
+        (200, 400, 0.08139609321552203),
     ],
     "subspace_mezo": [
         (0, 0, 1.654296362931186),
-        (50, 100, 0.5555217086229427),
-        (100, 200, 0.3694640789306655),
-        (150, 300, 0.2857887332905033),
-        (200, 400, 0.2047135439531876),
+        (50, 100, 0.36982721198013674),
+        (100, 200, 0.29387687828506676),
+        (150, 300, 0.19590048304789454),
+        (200, 400, 0.1673303665598509),
     ],
     "lozo": [
         (0, 0, 1.654296362931186),
-        (50, 100, 0.45359815129589326),
-        (100, 200, 0.22116812935292943),
-        (150, 300, 0.1246481535661013),
-        (200, 400, 0.09240550394406526),
+        (50, 100, 0.2712063684066527),
+        (100, 200, 0.12857564119416146),
+        (150, 300, 0.08396159077492875),
+        (200, 400, 0.07241783985577942),
     ],
     "zo_muon": [
         (0, 0, 1.654296362931186),
-        (20, 100, 1.4415809425101973),
-        (40, 200, 1.1725243039509692),
-        (60, 300, 0.9355593361221833),
-        (80, 400, 0.7134288286524072),
+        (20, 100, 1.2490786197519663),
+        (40, 200, 0.9091944635448449),
+        (60, 300, 0.7132225053483355),
+        (80, 400, 0.6298075262348067),
     ],
 }
 

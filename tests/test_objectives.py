@@ -4,7 +4,62 @@ from numpy.testing import assert_allclose
 
 from zomat import objectives, optimizers
 from zomat.linalg import effective_rank
-from zomat.oracle import finite_diff_gradient
+from zomat.objectives import Objective
+from zomat.params import ParamSpace
+
+
+def finite_diff_gradient(objective, x: ParamSpace, mu: float = 1e-6) -> dict:
+    """Central-difference gradient per coordinate through the un-counted
+    evaluation channel.  O(total parameters) evaluations; independent of the
+    randomized estimators."""
+    if not 1e-8 <= mu <= 1e-4:
+        raise ValueError(f"mu must be within [1e-8, 1e-4], got {mu}")
+    grads = {}
+    for name, value in x.items():
+        g = np.zeros_like(value)
+        for idx in np.ndindex(value.shape):
+            shift = np.zeros_like(value)
+            shift[idx] = mu
+            f_plus = objective.loss(x.updated({name: value + shift}))
+            f_minus = objective.loss(x.updated({name: value - shift}))
+            g[idx] = (f_plus - f_minus) / (2.0 * mu)
+        grads[name] = g
+    return grads
+
+
+class TestFiniteDiff:
+    def test_constant_function_zero(self):
+        obj = Objective("const", lambda x: 1.0, ParamSpace({"x": np.ones((3, 2))}))
+        grads = finite_diff_gradient(obj, obj.initial_params)
+        assert np.all(grads["x"] == 0.0)
+
+    def test_quadratic_matches_analytic(self):
+        obj = objectives.make_quadratic(5, 4, 2, seed=0)
+        x = obj.initial_params
+        fd = finite_diff_gradient(obj, x, mu=1e-6)["x"]
+        an = obj.analytic_gradient(x)["x"]
+        assert np.linalg.norm(fd - an) / np.linalg.norm(an) <= 1e-6
+
+    def test_linear_is_exact_for_any_mu(self):
+        rng = np.random.default_rng(1)
+        c = rng.standard_normal((3, 3))
+        obj = Objective(
+            "linear", lambda x: float(np.vdot(c, x["x"])), ParamSpace({"x": np.zeros((3, 3))})
+        )
+        for mu in (1e-4, 1e-6, 1e-8):
+            fd = finite_diff_gradient(obj, obj.initial_params, mu=mu)["x"]
+            assert np.max(np.abs(fd - c)) <= 1e-6
+
+    def test_bypasses_query_counter(self):
+        obj = objectives.make_quadratic(3, 3, 1, seed=0)
+        finite_diff_gradient(obj, obj.initial_params)
+        assert obj.query_count == 0
+
+    @pytest.mark.parametrize("mu", [1e-9, 1e-3])
+    def test_mu_domain(self, mu):
+        obj = objectives.make_quadratic(3, 3, 1, seed=0)
+        with pytest.raises(ValueError):
+            finite_diff_gradient(obj, obj.initial_params, mu=mu)
 
 
 class TestQuadratic:

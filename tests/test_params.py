@@ -10,10 +10,10 @@ def small_space():
     return ParamSpace({"w": np.ones((3, 4)), "b": np.zeros((1, 4)), "v": np.ones((2, 2))})
 
 
-def test_ordering_and_index():
+def test_ordering():
     space = small_space()
     assert space.names == ("w", "b", "v")
-    assert space.index("b") == 1
+    assert [name for name, _ in space.items()] == ["w", "b", "v"]
 
 
 def test_one_d_coerced_to_row():
@@ -66,10 +66,10 @@ def test_rejects_non_finite():
         ParamSpace({"w": np.eye(2), "b": np.array([0.0, np.nan])})
 
 
-def test_updated_keeps_index_and_float_blocks():
+def test_updated_keeps_order_and_float_blocks():
     space = small_space()
     new = space.updated({"b": np.full((1, 4), 3.0)}).updated({"v": [[1, 2], [3, 4]]})
-    assert [new.index(name) for name in new.names] == [0, 1, 2]
+    assert new.names == ("w", "b", "v")
     assert new["v"].dtype == float and new["v"][1, 1] == 4.0
 
 
