@@ -89,6 +89,18 @@ class TestCounterHash:
         with pytest.raises(ValueError, match="seed parts must be integers in"):
             perturbation(part, 0, 0, (2, 2))
 
+    @pytest.mark.parametrize("part", [-1, 2**64])
+    def test_draw_table_rejects_a_prefix_part_outside_64_bits(self, part):
+        with pytest.raises(ValueError, match="seed parts must be integers in"):
+            streams.draw_table((3, part), 1, [(2, 2)])
+
+    def test_derive_seed_separates_order_and_length(self):
+        # each part is mixed into the key before the next, so neither a swap
+        # nor a trailing zero part maps two keys to one seed
+        seeds = [derive_seed(*parts) for parts in [(), (0,), (0, 0), (1, 2), (2, 1), (1, 2, 0)]]
+        assert len(set(seeds)) == len(seeds)
+        assert all(0 <= s < 2**64 for s in seeds)
+
     def test_no_overflow_warning(self):
         # the products overflow on purpose; on NumPy scalars they would warn
         with warnings.catch_warnings():
@@ -114,6 +126,19 @@ class TestDraws:
         drawn = perturbation(12, 0, 0, (200, 500))
         assert set(np.unique(drawn)) == {-1.0, 1.0}
         assert abs(drawn.mean()) < 4 / np.sqrt(drawn.size)
+
+    @pytest.mark.parametrize("size", [1, 63, 64, 65, 129])
+    def test_a_slot_cut_at_a_word_boundary_is_a_prefix_of_a_longer_one(self, size):
+        longest = perturbation(9, 1, 2, (3 * 64,))
+        assert np.array_equal(perturbation(9, 1, 2, (size,)), longest[:size])
+        short = streams.draw_table((4,), 2, [(size,)])(CHUNK + 1)
+        long = streams.draw_table((4,), 2, [(3 * 64,)])(CHUNK + 1)
+        assert np.array_equal(short[1, 0], long[1, 0][:size])
+
+    def test_distinct_slots_draw_distinct_signs(self):
+        keys = [(s, q, b) for s in (0, 1, 2**64 - 1) for q in (0, 1) for b in (0, 1)]
+        rows = {perturbation(*key, (64,)).tobytes() for key in keys}
+        assert len(rows) == len(keys)
 
     def test_a_slot_does_not_depend_on_the_other_blocks_shapes(self):
         narrow = streams.draw_table((5, 1), 2, [(3, 4), (2, 2), (1, 7)])
