@@ -15,8 +15,13 @@ Two estimates, each taken by forward or by central differences:
 
 Each returns a plain ``{block name: ndarray}`` dict in its draw space; the
 objective's ``query_count`` records the queries.  All three run one
-finite-difference core, :func:`_estimate`, which evaluates the shifted
-points and returns the coefficient-weighted mean of the draws.
+finite-difference core, :func:`_terms`, which evaluates the shifted points
+and returns each query's coefficient with its draws, and return
+:func:`_mean` of those terms, the coefficient-weighted mean of the draws.
+A caller that wants a prefix of the queries too (the oracle, whose
+single-query reference is the first query of an Nq-query estimate) takes
+``_mean(terms[:k])`` of the same terms: the estimate its first k queries
+make, at no extra query.
 
 Perturbations are never stored across a call: each draw, ±1 per entry
 (``E[D D^T] = I``, as for a Gaussian), is regenerated from a counter hash
@@ -105,8 +110,9 @@ def _draw_shapes(x, factors) -> dict:
     return shapes
 
 
-def _estimate(obj, x, factors, cfg, seed, draws, base=None):
-    """(1/Nq) sum_i c_i D_i per block, the one finite-difference core.
+def _terms(obj, x, factors, cfg, seed, draws, base=None) -> list:
+    """``[(c_i, {name: D_i})]``, each query's coefficient and draws, in query
+    order: the one finite-difference core.
 
     Block b of ``x`` (its position) reads the ±1 draw D_i of its (query i,
     block b) slot from ``draws``, a :func:`zomat.streams.draw_table` row, or
@@ -125,6 +131,7 @@ def _estimate(obj, x, factors, cfg, seed, draws, base=None):
         raise ValueError("a base value is defined only for forward differences")
     if not central and base is None:
         base = obj.evaluate(x)
+    terms = []
     for i in range(cfg.n_queries):
         deltas, plus, minus = {}, {}, {}
         for b, (name, shape) in enumerate(shapes.items()):
@@ -134,14 +141,20 @@ def _estimate(obj, x, factors, cfg, seed, draws, base=None):
             if central:
                 minus[name] = x[name] - step
         high = obj.evaluate(x.updated(plus))
-        coef = ((high - obj.evaluate(x.updated(minus))) / (2.0 * mu) if central
-                else (high - base) / mu)
-        if i == 0:
-            accum = {name: coef * d for name, d in deltas.items()}
-        else:
-            for name, d in deltas.items():
-                accum[name] += coef * d
-    return accum if cfg.n_queries == 1 else {name: a / cfg.n_queries for name, a in accum.items()}
+        terms.append(((high - obj.evaluate(x.updated(minus))) / (2.0 * mu) if central
+                      else (high - base) / mu, deltas))
+    return terms
+
+
+def _mean(terms) -> dict:
+    """(1/N) sum_i c_i D_i per block over the N ``terms`` of :func:`_terms`,
+    accumulated in query order; a single term is c_0 D_0, with no division."""
+    (coef, deltas), rest = terms[0], terms[1:]
+    accum = {name: coef * d for name, d in deltas.items()}
+    for coef, deltas in rest:
+        for name, d in deltas.items():
+            accum[name] += coef * d
+    return {name: a / len(terms) for name, a in accum.items()} if rest else accum
 
 
 def rge_full(obj, x: ParamSpace, cfg: EstimatorConfig, seed: int | None, draws=None,
@@ -159,7 +172,7 @@ def rge_full(obj, x: ParamSpace, cfg: EstimatorConfig, seed: int | None, draws=N
     evaluations, not n_queries + 1, and is the same array.  The central
     scheme has no base and refuses one (``ValueError``).
     """
-    return _estimate(obj, x, {}, cfg, seed, draws, base)
+    return _mean(_terms(obj, x, {}, cfg, seed, draws, base))
 
 
 def subspace_rge(
@@ -181,7 +194,7 @@ def subspace_rge(
     """
     if cfg.scheme != FORWARD:
         raise ValueError("the subspace estimator is defined with forward differences")
-    return _estimate(obj, x, projections, cfg, seed, draws, base)
+    return _mean(_terms(obj, x, projections, cfg, seed, draws, base))
 
 
 def lge_lozo(obj, x: ParamSpace, a_factors: dict, cfg: EstimatorConfig, seed: int | None = 0,
@@ -199,4 +212,4 @@ def lge_lozo(obj, x: ParamSpace, a_factors: dict, cfg: EstimatorConfig, seed: in
     """
     if cfg.scheme != CENTRAL:
         raise ValueError("the two-factor estimator is defined with central differences")
-    return _estimate(obj, x, a_factors, cfg, seed, draws)
+    return _mean(_terms(obj, x, a_factors, cfg, seed, draws))

@@ -4,7 +4,8 @@ Exact-rank constructions for the lossless-projection identity, Monte-Carlo
 estimator variance measurements and a backend cross-check for the two msign
 implementations.  A
 variance is measured on the estimators themselves, against the single-query
-forward :func:`zomat.estimators.rge_full` as reference; the analytic
+forward :func:`zomat.estimators.rge_full` as reference, read where it can be
+off the first query of a forward full-space spec's samples; the analytic
 gradient only chooses the subspace estimator's projection.
 """
 
@@ -126,8 +127,11 @@ def gradient_aligned_projection(objective, x: ParamSpace, rank: int) -> np.ndarr
     return u[:, :rank]
 
 
-def _range_moments(spec, objective, x, seed, start, n_samples) -> tuple:
-    """Count, mean and Welford sum of squared deviations of one sample range.
+def _range_moments(spec, objective, x, seed, start, n_samples, host=False) -> list:
+    """Count, mean and Welford sum of squared deviations of one sample range,
+    as a list: ``spec``'s, then, when ``spec`` is a ``host``, the reference's,
+    whose sample is the mean of the first of ``spec``'s terms (the
+    single-query forward estimate on the same draws and base).
 
     Every sample is taken at ``x``, so a forward spec's base f(x) is
     evaluated once for the range and given to each estimate."""
@@ -137,17 +141,26 @@ def _range_moments(spec, objective, x, seed, start, n_samples) -> tuple:
     shapes = list(estimators._draw_shapes(x, factors).values())
     table = streams.draw_table((seed,), spec.config.n_queries, shapes)
     base = objective.evaluate(x) if spec.config.scheme == estimators.FORWARD else None
-    mean, m2 = np.zeros_like(x[name]), np.zeros_like(x[name])
+    moments = [(np.zeros_like(x[name]), np.zeros_like(x[name])) for _ in range(1 + host)]
+    delta, term = np.empty_like(x[name]), np.empty_like(x[name])
     for i in range(start, stop):
-        if spec.kind == FULL_RGE:
-            est = estimators.rge_full(objective, x, spec.config, None, table(i), base=base)[name]
+        if host:
+            terms = estimators._terms(objective, x, factors, spec.config, None, table(i), base)
+            samples = estimators._mean(terms)[name], estimators._mean(terms[:1])[name]
+        elif spec.kind == FULL_RGE:
+            samples = [estimators.rge_full(
+                objective, x, spec.config, None, table(i), base=base)[name]]
         else:
-            est = factors[name] @ estimators.subspace_rge(
-                objective, x, factors, spec.config, None, table(i), base=base)[name]
-        delta = est - mean
-        mean += delta / (i - start + 1)
-        m2 += delta * (est - mean)
-    return stop - start, mean, m2
+            samples = [factors[name] @ estimators.subspace_rge(
+                objective, x, factors, spec.config, None, table(i), base=base)[name]]
+        for est, (mean, m2) in zip(samples, moments):
+            # delta = est - mean; mean += delta / count; m2 += delta * (est - mean)
+            np.subtract(est, mean, out=delta)
+            mean += np.divide(delta, i - start + 1, out=term)
+            np.subtract(est, mean, out=term)
+            term *= delta
+            m2 += term
+    return [(stop - start, mean, m2) for mean, m2 in moments]
 
 
 def _merged_variance(moments) -> float:
@@ -169,7 +182,7 @@ def estimator_variance(spec: EstimatorSpec, objective, x: ParamSpace,
     base query per range of ``SAMPLE_RANGE`` samples."""
     check_count("n_samples", n_samples, 2)
     check_count("seed", seed, 0)
-    return _merged_variance([_range_moments(spec, objective, x, seed, i, n_samples)
+    return _merged_variance([_range_moments(spec, objective, x, seed, i, n_samples)[0]
                              for i in range(0, n_samples, SAMPLE_RANGE)])
 
 
@@ -177,8 +190,16 @@ def measure_variance(specs, objective, x: ParamSpace, n_samples: int,
                      seed: int) -> list:
     """Monte-Carlo variance of each of ``specs`` with its ratio against a
     reference, the single-query forward full-space estimator at that spec's
-    mu.  Spec k is sampled at ``seed + k``; the reference at each distinct mu
-    is measured once, the j-th at ``seed + len(specs) + j``.
+    mu.  Spec k is sampled at ``seed + k``.
+
+    The reference at a mu is read off its host, the first forward full-space
+    spec at that mu (common random numbers): each host sample's first query
+    is, on the same draws and base, the reference's sample at the host's
+    seed, so the reference spends no query and draws nothing, and it equals
+    :func:`estimator_variance` of the reference at ``seed + k`` bit for bit.
+    A spec identical to the reference therefore reports a ratio of exactly 1.
+    Only a mu with no host (subspace or central specs alone) has a run of its
+    own: the j-th distinct mu at ``seed + len(specs) + j``.
 
     The runs' ranges are shared among CPUs (:func:`zomat._parallel.in_parallel`),
     so ``objective`` counts only the queries made in this process: each
@@ -191,13 +212,23 @@ def measure_variance(specs, objective, x: ParamSpace, n_samples: int,
     if n_samples < MIN_RATIO_SAMPLES:
         raise ValueError(f"need at least {MIN_RATIO_SAMPLES} samples for a ratio, got {n_samples}")
     refs = {s.config.mu: EstimatorSpec(FULL_RGE, EstimatorConfig(mu=s.config.mu)) for s in specs}
-    runs, starts = [*specs, *refs.values()], range(0, n_samples, SAMPLE_RANGE)
-    moments = in_parallel(partial(_range_moments, run, objective, x, seed + k, i, n_samples)
-                          for k, run in enumerate(runs) for i in starts)
-    var = [_merged_variance(moments[k:k + len(starts)]) for k in range(0, len(moments), len(starts))]
-    ref_var = dict(zip(refs, var[len(specs):]))
-    return [VarianceReport(s.label(), v, refs[s.config.mu].label(), ref_var[s.config.mu],
-                           ratio=ref_var[s.config.mu] / v if v > 0 else float("nan"))
+    hosts = {}
+    for k, s in enumerate(specs):
+        if s.kind == FULL_RGE and s.config.scheme == estimators.FORWARD:
+            hosts.setdefault(s.config.mu, k)
+    runs = [(s, seed + k, hosts.get(s.config.mu) == k) for k, s in enumerate(specs)]
+    runs += [(ref, seed + len(specs) + j, False)
+             for j, (mu, ref) in enumerate(refs.items()) if mu not in hosts]
+    starts = range(0, n_samples, SAMPLE_RANGE)
+    moments = in_parallel(partial(_range_moments, run, objective, x, run_seed, i, n_samples, host)
+                          for run, run_seed, host in runs for i in starts)
+    # per run, the variance of each of its moment columns (two for a host)
+    var = [[_merged_variance(column) for column in zip(*moments[k:k + len(starts)])]
+           for k in range(0, len(moments), len(starts))]
+    own = iter(var[len(specs):])
+    ref_var = {mu: var[hosts[mu]][1] if mu in hosts else next(own)[0] for mu in refs}
+    return [VarianceReport(s.label(), v[0], refs[s.config.mu].label(), ref_var[s.config.mu],
+                           ratio=ref_var[s.config.mu] / v[0] if v[0] > 0 else float("nan"))
             for s, v in zip(specs, var)]
 
 

@@ -17,15 +17,16 @@ from zomat.oracle import FULL_RGE, SUBSPACE_RGE, EstimatorSpec, measure_variance
 
 #: Per seed, (per_entry_variance, reference_variance, ratio) of each spec of
 #: ``oracle.verify_variance``: the forward full estimate at Nq 4, then the
-#: subspace estimate at r 8, each against the single-query forward reference.
+#: subspace estimate at r 8, each against the single-query forward reference,
+#: which is read off the first query of the Nq-4 spec's samples.
 GOLDEN = {
     0: [
-        ("16.86912524561467", "67.02015989464095", "3.9729481475077466"),
-        ("8.48499930206383", "67.02015989464095", "7.898664161155494"),
+        ("16.86912524561467", "67.29018606825161", "3.988955271153998"),
+        ("8.48499930206383", "67.29018606825161", "7.930488108806848"),
     ],
     1000: [
-        ("16.297004168096546", "63.87654599406579", "3.919526885751937"),
-        ("8.162512308217085", "63.87654599406579", "7.825598735056385"),
+        ("16.297004168096546", "65.27573556621425", "4.005382516499553"),
+        ("8.162512308217085", "65.27573556621425", "7.997015269490264"),
     ],
 }
 

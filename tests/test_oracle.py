@@ -114,6 +114,56 @@ class TestVariance:
             call(**{name: value})
         assert obj.query_count == 0
 
+    @pytest.mark.parametrize("spec", [
+        EstimatorSpec(SUBSPACE_RGE, EstimatorConfig(mu=1e-3), rank=2),
+        EstimatorSpec(FULL_RGE, EstimatorConfig(mu=1e-3, scheme=CENTRAL)),
+    ], ids=["subspace", "central"])
+    def test_a_mu_with_no_host_runs_its_own_reference(self, spec):
+        # no forward full-space spec to read the reference off: it runs at
+        # seed + len(specs), as its own Monte-Carlo run
+        obj = objectives.make_quadratic(8, 6, 2, seed=17)
+        x, n = obj.initial_params, oracle.SAMPLE_RANGE + 1
+        [report] = measure_variance([spec], obj, x, n, seed=5)
+        run = partial(oracle.estimator_variance, objective=obj, x=x, n_samples=n)
+        reference = EstimatorSpec(FULL_RGE, EstimatorConfig(mu=1e-3))
+        assert (report.per_entry_variance, report.reference_variance) == (
+            run(spec, seed=5), run(reference, seed=6))
+
+    def test_the_first_forward_full_spec_at_each_mu_hosts_its_reference(self):
+        # mu 1e-3 has only the subspace spec, so its reference, the first
+        # distinct mu, runs at seed + 3 + 0; mu 1e-2 is read off spec 1
+        # (seed + 1), not spec 2
+        obj = objectives.make_quadratic(8, 6, 2, seed=17)
+        x, n = obj.initial_params, oracle.MIN_RATIO_SAMPLES
+        specs = [EstimatorSpec(SUBSPACE_RGE, EstimatorConfig(mu=1e-3), rank=2),
+                 EstimatorSpec(FULL_RGE, EstimatorConfig(mu=1e-2, n_queries=2)),
+                 EstimatorSpec(FULL_RGE, EstimatorConfig(mu=1e-2, n_queries=3))]
+        reports = measure_variance(specs, obj, x, n, seed=5)
+        run = partial(oracle.estimator_variance, objective=obj, x=x, n_samples=n)
+        references = [run(EstimatorSpec(FULL_RGE, EstimatorConfig(mu=1e-3)), seed=8),
+                      run(EstimatorSpec(FULL_RGE, EstimatorConfig(mu=1e-2)), seed=6)]
+        assert [r.reference_variance for r in reports] == [
+            references[0], references[1], references[1]]
+        assert [r.per_entry_variance for r in reports] == [
+            run(spec, seed=5 + k) for k, spec in enumerate(specs)]
+
+    def test_a_hosted_reference_spends_no_query(self, monkeypatch):
+        # on one CPU every query is made here: the spec's three a sample and
+        # one base a range, none for the reference read off its first query
+        _one_cpu(monkeypatch)
+        obj = objectives.make_quadratic(6, 4, 2, seed=5)
+        n = oracle.SAMPLE_RANGE + 3  # two ranges
+        spec = EstimatorSpec(FULL_RGE, EstimatorConfig(n_queries=3))
+        measure_variance([spec], obj, obj.initial_params, n, seed=0)
+        assert obj.query_count == n * 3 + 2
+
+    def test_a_spec_identical_to_the_reference_has_a_ratio_of_one(self):
+        obj = objectives.make_quadratic(6, 4, 2, seed=5)
+        spec = EstimatorSpec(FULL_RGE, EstimatorConfig())
+        [report] = measure_variance([spec], obj, obj.initial_params, 2000, seed=0)
+        assert report.per_entry_variance == report.reference_variance
+        assert report.ratio == 1.0
+
     def test_ratio_requires_enough_samples(self):
         obj = objectives.make_quadratic(8, 6, 2, seed=0)
         spec = EstimatorSpec(FULL_RGE, EstimatorConfig())
@@ -258,15 +308,16 @@ class TestInParallel:
         with monkeypatch.context() as m:
             _one_cpu(m)
             inline = measure_variance([nq4, sub], objective, x, n, seed=5)
-        # spec k at seed + k, the one reference at their shared mu at seed + 2
+        # spec k at seed + k; the reference at their shared mu is read off the
+        # first query of nq4's samples, so it is the Nq=1 run at nq4's seed
         run = partial(oracle.estimator_variance, objective=objective, x=x, n_samples=n)
         reference = EstimatorSpec(FULL_RGE, EstimatorConfig(mu=1e-3))
-        serial = [run(nq4, seed=5), run(sub, seed=6), run(reference, seed=7)]
-        assert forked == inline
-        assert [(r.per_entry_variance, r.reference_variance) for r in forked] == [
-            (serial[0], serial[2]), (serial[1], serial[2])
-        ]
-        assert [r.ratio for r in forked] == [serial[2] / serial[0], serial[2] / serial[1]]
+        serial = [run(nq4, seed=5), run(sub, seed=6), run(reference, seed=5)]
+        for reports in (forked, inline):
+            assert [(r.per_entry_variance, r.reference_variance) for r in reports] == [
+                (serial[0], serial[2]), (serial[1], serial[2])
+            ]
+            assert [r.ratio for r in reports] == [serial[2] / serial[0], serial[2] / serial[1]]
 
     def test_large_results_come_back_intact_in_call_order(self, monkeypatch):
         # each worker sends two 100 KB results, more than a pipe's buffer
@@ -392,10 +443,10 @@ class TestVerifySuites:
         monkeypatch.setattr(oracle, "measure_variance", recorded)
         checks = oracle.verify_variance(seed=0, n_samples=1000)
         assert [r.ratio for r in reports] == pytest.approx(
-            [3.8484785996927724, 8.448398975278007], rel=1e-12, abs=0
+            [3.9680445504044988, 8.71087694658639], rel=1e-12, abs=0
         )
         assert [c.detail for c in checks] == [
-            "ratio 3.848 over 1000 samples", "ratio 8.448 over 1000 samples"
+            "ratio 3.968 over 1000 samples", "ratio 8.711 over 1000 samples"
         ]
 
     def test_unknown_selector(self):
